@@ -214,12 +214,12 @@ void BM_CacheProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheProbe)->Arg(0)->Arg(1);
 
-// Arg(0): uninstrumented seed path; Arg(1): full metrics binding (engine +
-// cache + LSH + point file; tracer stays off, matching production metrics
-// collection); Arg(2): metrics plus the hierarchical phase profiler, the
-// configuration eeb_bench runs with. The acceptance criterion compares
-// whole-query CPU, where the once-per-query instrument updates are
-// amortized over hundreds of per-candidate operations.
+// Arg(0): uninstrumented seed path; Arg(1): the component metrics a bare
+// engine can carry (cache + LSH + point file; the per-query engine.*
+// instruments live in System's sink, and trace events stay off); Arg(2):
+// metrics plus the hierarchical phase profiler. The acceptance criterion
+// compares whole-query time, where the once-per-query instrument updates
+// are amortized over hundreds of per-candidate operations.
 void BM_EngineQuery(benchmark::State& state) {
   const bool instrumented = state.range(0) != 0;
   const bool profiled = state.range(0) >= 2;
@@ -263,7 +263,6 @@ void BM_EngineQuery(benchmark::State& state) {
   obs::MetricsRegistry reg;
   obs::Profiler prof;
   if (instrumented) {
-    engine.BindMetrics(&reg);
     cache.BindMetrics(&reg);
     lsh->BindMetrics(&reg);
     points->BindMetrics(&reg);

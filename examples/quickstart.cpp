@@ -65,13 +65,13 @@ int main() {
   for (PointId id : r.result_ids) std::printf(" %u", id);
   std::printf("\n");
   std::printf(
-      "candidates=%zu  cache_hits=%zu  pruned=%zu  sure=%zu  fetched=%zu\n",
+      "candidates=%u  cache_hits=%u  pruned=%u  sure=%u  fetched=%u\n",
       r.candidates, r.cache_hits, r.pruned, r.true_hits, r.fetched);
   std::printf("disk reads: %llu points (%llu pages)\n",
               static_cast<unsigned long long>(r.refine_io.point_reads),
               static_cast<unsigned long long>(r.refine_io.page_reads));
   std::printf(
-      "\nWithout the cache every one of the %zu candidates would have been "
+      "\nWithout the cache every one of the %u candidates would have been "
       "fetched.\n",
       r.candidates);
   return 0;

@@ -52,7 +52,22 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
     return deadline_ms > 0.0 &&
            ctx.elapsed_ms + deadline_timer.ElapsedMillis() >= deadline_ms;
   };
-  obs::QuerySpan* span = tracer_ != nullptr ? tracer_->StartSpan(k) : nullptr;
+  // Per-candidate events go to the query's own buffer. Defined here, outside
+  // the eeb-hot fences, because the append may allocate; untraced queries
+  // pay one branch per event site.
+  const bool traced = options_.trace_events;
+  auto trace = [traced, out](obs::TraceEventType type, uint64_t id,
+                             double value) {
+    if (traced) out->events.push_back({type, id, value});
+  };
+  auto cut_deadline = [&](uint64_t id) {
+    out->deadline_hit = true;
+    trace(obs::TraceEventType::kDeadlineCut, id,
+          ctx.elapsed_ms + deadline_timer.ElapsedMillis());
+  };
+  out->k = static_cast<uint32_t>(k);
+  out->cache_generation = cache != nullptr ? cache->generation_id() : 0;
+  out->queue_wait_ms = ctx.elapsed_ms;
 
   // ---- Phase 1: candidate generation -----------------------------------
   std::vector<PointId> cand;
@@ -60,19 +75,13 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
     obs::ProfScope gen_scope(prof_, "gen");
     EEB_RETURN_IF_ERROR(index_->Candidates(q, k, &cand, &out->gen_io));
   }
-  out->candidates = cand.size();
+  out->candidates = static_cast<uint32_t>(cand.size());
   out->gen_seconds = timer.ElapsedSeconds();
   // Generation-boundary cut: generation itself is one in-memory index scan
   // (its I/O is modeled, not performed), so the budget is checked at the
   // phase edge; an exhausted budget skips the probe loop and sends every
   // candidate to the degraded bound-substitution path.
-  if (!out->deadline_hit && deadline_expired()) {
-    out->deadline_hit = true;
-    if (span != nullptr) {
-      tracer_->AddEvent(span, obs::TraceEventType::kDeadlineCut, 0,
-                        ctx.elapsed_ms + deadline_timer.ElapsedMillis());
-    }
-  }
+  if (deadline_expired()) cut_deadline(0);
 
   // State shared by reduction and refinement.
   storage::PageTracker tracker;
@@ -81,12 +90,11 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
   // has not seen this query; tag them on the point that caused the fault.
   size_t seen_pages = 0;
   auto note_pages = [&](PointId id) {
-    if (span == nullptr) return;
+    if (!traced) return;
     const size_t now = tracker.distinct_pages();
     if (now > seen_pages) {
-      tracer_->AddEvent(span, obs::TraceEventType::kPageRead,
-                        points_->PageOfPoint(id),
-                        static_cast<double>(now - seen_pages));
+      trace(obs::TraceEventType::kPageRead, points_->PageOfPoint(id),
+            static_cast<double>(now - seen_pages));
       seen_pages = now;
     }
   };
@@ -98,9 +106,6 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
     bool resolved;  // exact distance already known (eager miss fetch)
   };
   std::vector<Pending> remaining;
-  // Captured for the explain record.
-  double lbk_used = std::numeric_limits<double>::infinity();
-  double ubk_used = std::numeric_limits<double>::infinity();
   bool saw_corruption = false;
 
   // ---- Phase 2: candidate reduction (no I/O) ----------------------------
@@ -121,12 +126,7 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
         // [0, inf) bounds and fall through to refinement, where the
         // already-expired deadline resolves them by substitution.
         if ((i & 31u) == 0u && !out->deadline_hit && deadline_expired()) {
-          out->deadline_hit = true;
-          if (span != nullptr) {
-            tracer_->AddEvent(span, obs::TraceEventType::kDeadlineCut,
-                              cand[i],
-                              ctx.elapsed_ms + deadline_timer.ElapsedMillis());
-          }
+          cut_deadline(cand[i]);
         }
         if (out->deadline_hit) break;
         double lb, ub;
@@ -143,15 +143,9 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
           lbs[i] = lb;
           ubs[i] = ub;
           out->cache_hits++;
-          if (span != nullptr) {
-            tracer_->AddEvent(span, obs::TraceEventType::kCacheHit, cand[i],
-                              lb);
-          }
+          trace(obs::TraceEventType::kCacheHit, cand[i], lb);
         } else {
-          if (span != nullptr) {
-            tracer_->AddEvent(span, obs::TraceEventType::kCacheMiss, cand[i],
-                              0.0);
-          }
+          trace(obs::TraceEventType::kCacheMiss, cand[i], 0.0);
           if (options_.eager_miss_fetch) {
             // Footnote 6: resolve misses now so lbk/ubk are tight.
             Status rs =
@@ -164,10 +158,7 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
               // refinement gets another shot at reading it.
               out->read_failures++;
               saw_corruption |= rs.IsCorruption();
-              if (span != nullptr) {
-                tracer_->AddEvent(span, obs::TraceEventType::kReadFailure,
-                                  cand[i], 0.0);
-              }
+              trace(obs::TraceEventType::kReadFailure, cand[i], 0.0);
               continue;
             }
             out->fetched++;
@@ -176,10 +167,7 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
             ubs[i] = d;
             resolved[i] = true;
             cache->Admit(cand[i], buf);
-            if (span != nullptr) {
-              tracer_->AddEvent(span, obs::TraceEventType::kEagerFetch,
-                                cand[i], d);
-            }
+            trace(obs::TraceEventType::kEagerFetch, cand[i], d);
             note_pages(cand[i]);
           }
         }
@@ -189,30 +177,24 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
 
     const double lbk = KthMin(lbs, k);
     const double ubk = KthMin(ubs, k);
-    lbk_used = lbk;
-    ubk_used = ubk;
+    out->lbk = lbk;
+    out->ubk = ubk;
 
     remaining.reserve(cand.size());
     for (size_t i = 0; i < cand.size(); ++i) {
       if (lbs[i] > ubk) {
         out->pruned++;  // early pruning (Line 10-11)
-        if (span != nullptr) {
-          tracer_->AddEvent(span, obs::TraceEventType::kEarlyPrune, cand[i],
-                            lbs[i]);
-        }
+        trace(obs::TraceEventType::kEarlyPrune, cand[i], lbs[i]);
       } else if (options_.true_result_detection && ubs[i] < lbk) {
         sure.push_back(cand[i]);  // true result detection (Line 12-13)
         out->true_hits++;
-        if (span != nullptr) {
-          tracer_->AddEvent(span, obs::TraceEventType::kTrueResult, cand[i],
-                            ubs[i]);
-        }
+        trace(obs::TraceEventType::kTrueResult, cand[i], ubs[i]);
       } else {
         remaining.push_back({lbs[i], ubs[i], cand[i], resolved[i]});
       }
     }
   }
-  out->remaining = remaining.size();
+  out->remaining = static_cast<uint32_t>(remaining.size());
   out->reduce_seconds = timer.ElapsedSeconds();
 
   // ---- Phase 3: multi-step refinement ------------------------------------
@@ -238,10 +220,7 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
           out->degraded = true;
           out->substituted++;
           top.Push(p.id, p.ub);
-          if (span != nullptr) {
-            tracer_->AddEvent(span, obs::TraceEventType::kDegraded, p.id,
-                              p.ub);
-          }
+          trace(obs::TraceEventType::kDegraded, p.id, p.ub);
         };
         // eeb-hot-begin(refine-fetch-loop): the multi-step kNN inner loop —
         // per-candidate work must stay fetch + distance only.
@@ -251,14 +230,7 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
             top.Push(p.id, p.lb);  // lb == exact distance; no I/O needed
             continue;
           }
-          if (!out->deadline_hit && deadline_expired()) {
-            out->deadline_hit = true;
-            if (span != nullptr) {
-              tracer_->AddEvent(span, obs::TraceEventType::kDeadlineCut, p.id,
-                                ctx.elapsed_ms +
-                                    deadline_timer.ElapsedMillis());
-            }
-          }
+          if (!out->deadline_hit && deadline_expired()) cut_deadline(p.id);
           if (out->deadline_hit) {
             substitute(p);
             continue;
@@ -270,10 +242,7 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
             }
             out->read_failures++;
             saw_corruption |= rs.IsCorruption();
-            if (span != nullptr) {
-              tracer_->AddEvent(span, obs::TraceEventType::kReadFailure, p.id,
-                                0.0);
-            }
+            trace(obs::TraceEventType::kReadFailure, p.id, 0.0);
             substitute(p);
             continue;
           }
@@ -281,9 +250,7 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
           const double d = L2(q, buf);
           top.Push(p.id, d);
           if (cache != nullptr) cache->Admit(p.id, buf);
-          if (span != nullptr) {
-            tracer_->AddEvent(span, obs::TraceEventType::kFetch, p.id, d);
-          }
+          trace(obs::TraceEventType::kFetch, p.id, d);
           note_pages(p.id);
         }
         // eeb-hot-end
@@ -295,98 +262,22 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
     std::sort(out->result_ids.begin(), out->result_ids.end());
   }
   out->refine_seconds = timer.ElapsedSeconds();
-  out->queue_wait_ms = ctx.elapsed_ms;
 
-  // ---- Explain record (filled on every query; scalars only) -------------
-  {
-    obs::QueryExplain& e = out->explain;
-    e.cache_generation = cache != nullptr ? cache->generation_id() : 0;
-    e.k = static_cast<uint32_t>(k);
-    e.candidates = static_cast<uint32_t>(out->candidates);
-    e.cache_hits = static_cast<uint32_t>(out->cache_hits);
-    e.pruned = static_cast<uint32_t>(out->pruned);
-    e.true_results = static_cast<uint32_t>(out->true_hits);
-    e.remaining = static_cast<uint32_t>(out->remaining);
-    e.fetched = static_cast<uint32_t>(out->fetched);
-    e.point_reads = static_cast<uint32_t>(out->refine_io.point_reads);
-    e.pages_read = static_cast<uint32_t>(out->refine_io.page_reads);
-    e.distinct_pages = static_cast<uint32_t>(tracker.distinct_pages());
-    e.substituted = static_cast<uint32_t>(out->substituted);
-    e.read_failures = static_cast<uint32_t>(out->read_failures);
-    e.lbk = lbk_used;
-    e.ubk = ubk_used;
-    e.queue_wait_ms = ctx.elapsed_ms;
-    e.gen_seconds = out->gen_seconds;
-    e.reduce_seconds = out->reduce_seconds;
-    e.refine_seconds = out->refine_seconds;
-    if (saw_corruption) {
-      e.degraded_cause = obs::DegradedCause::kCorruption;
-    } else if (out->read_failures > 0) {
-      e.degraded_cause = obs::DegradedCause::kReadFailure;
-    } else if (out->deadline_hit) {
-      e.degraded_cause = obs::DegradedCause::kDeadline;
-    }
-  }
-
-  if (span != nullptr) {
-    span->gen_seconds = out->gen_seconds;
-    span->reduce_seconds = out->reduce_seconds;
-    span->refine_seconds = out->refine_seconds;
-    span->candidates = out->candidates;
-    span->cache_hits = out->cache_hits;
-    span->pruned = out->pruned;
-    span->true_hits = out->true_hits;
-    span->remaining = out->remaining;
-    span->fetched = out->fetched;
-    span->degraded = out->degraded ? 1 : 0;
-    span->substituted = out->substituted;
-    span->read_failures = out->read_failures;
-    tracer_->EndSpan();
-  }
-  if (obs_.queries != nullptr) {
-    obs_.queries->Add(1);
-    obs_.candidates->Add(out->candidates);
-    if (cache != nullptr) {
-      obs_.cache_hits->Add(out->cache_hits);
-      obs_.cache_misses->Add(out->candidates - out->cache_hits);
-    }
-    obs_.pruned->Add(out->pruned);
-    obs_.true_hits->Add(out->true_hits);
-    obs_.fetched->Add(out->fetched);
-    if (out->degraded) obs_.degraded_queries->Add(1);
-    obs_.substituted->Add(out->substituted);
-    obs_.read_failures->Add(out->read_failures);
-    if (out->deadline_hit) obs_.deadline_cuts->Add(1);
-    obs_.gen_seconds->Record(out->gen_seconds);
-    obs_.reduce_seconds->Record(out->reduce_seconds);
-    obs_.refine_seconds->Record(out->refine_seconds);
+  out->point_reads = static_cast<uint32_t>(out->refine_io.point_reads);
+  out->pages_read = static_cast<uint32_t>(out->refine_io.page_reads);
+  out->distinct_pages = static_cast<uint32_t>(tracker.distinct_pages());
+  if (saw_corruption) {
+    out->degraded_cause = obs::DegradedCause::kCorruption;
+  } else if (out->read_failures > 0) {
+    out->degraded_cause = obs::DegradedCause::kReadFailure;
+  } else if (out->deadline_hit) {
+    out->degraded_cause = obs::DegradedCause::kDeadline;
   }
   // Cache and storage batch their hot-path events; publish once per query.
   if (cache != nullptr) cache->PublishMetrics();
   if (analytics_ != nullptr) analytics_->PublishMetrics();
   points_->PublishIo(out->refine_io);
   return Status::OK();
-}
-
-void KnnEngine::BindMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    obs_ = Instruments{};
-    return;
-  }
-  obs_.queries = registry->GetCounter("engine.queries");
-  obs_.candidates = registry->GetCounter("engine.candidates");
-  obs_.cache_hits = registry->GetCounter("engine.cache_hits");
-  obs_.cache_misses = registry->GetCounter("engine.cache_misses");
-  obs_.pruned = registry->GetCounter("engine.pruned");
-  obs_.true_hits = registry->GetCounter("engine.true_results");
-  obs_.fetched = registry->GetCounter("engine.fetched");
-  obs_.degraded_queries = registry->GetCounter("engine.degraded_queries");
-  obs_.substituted = registry->GetCounter("engine.degraded_substituted");
-  obs_.read_failures = registry->GetCounter("engine.read_failures");
-  obs_.deadline_cuts = registry->GetCounter("engine.deadline_cuts");
-  obs_.gen_seconds = registry->GetHistogram("engine.gen_seconds");
-  obs_.reduce_seconds = registry->GetHistogram("engine.reduce_seconds");
-  obs_.refine_seconds = registry->GetHistogram("engine.refine_seconds");
 }
 
 }  // namespace eeb::core

@@ -15,8 +15,8 @@
 // query pins one shared_ptr snapshot of the cache at entry, so set_cache —
 // the maintenance rebuild publication point — can swap in a new cache
 // generation while queries are in flight; in-flight queries finish against
-// the generation they started with. The tracer remains single-threaded by
-// contract and must not be attached on the concurrent path.
+// the generation they started with. Trace events are a buffer owned by the
+// query's own result, so tracing works on every path.
 
 #ifndef EEB_CORE_KNN_ENGINE_H_
 #define EEB_CORE_KNN_ENGINE_H_
@@ -33,56 +33,25 @@
 #include "cache/shadow_cache.h"
 #include "index/candidate_index.h"
 #include "obs/cache_analytics.h"
-#include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 #include "storage/io_stats.h"
 #include "storage/point_file.h"
 
 namespace eeb::core {
 
-/// Per-query statistics and result.
-struct QueryResult {
+/// Per-query result: the answer plus the per-query record. Every funnel
+/// count, phase time, bound and cause lives in the obs::QueryExplain base
+/// (docs/OBSERVABILITY.md), written once by the engine; the flight recorder
+/// stores the same bytes by slicing.
+struct QueryResult : obs::QueryExplain {
   std::vector<PointId> result_ids;  ///< the k nearest ids (Def. 3)
-
-  // Phase accounting.
   storage::IoStats gen_io;     ///< index accesses (phase 1)
-  storage::IoStats refine_io;  ///< point fetches (phase 3)
-  double gen_seconds = 0;      ///< measured CPU time, phase 1
-  double reduce_seconds = 0;   ///< measured CPU time, phase 2
-  double refine_seconds = 0;   ///< measured CPU time, phase 3 (CPU only)
-
-  // Candidate-reduction effectiveness (feeds Eqn. 1).
-  size_t candidates = 0;       ///< |C(q)|
-  size_t cache_hits = 0;       ///< candidates found in the cache
-  size_t pruned = 0;           ///< early-pruned (lb > ubk)
-  size_t true_hits = 0;        ///< true results detected (ub < lbk)
-  size_t remaining = 0;        ///< candidates entering phase 3 (Crefine)
-  size_t fetched = 0;          ///< candidates actually fetched in phase 3
-
-  // Degraded execution (docs/ROBUSTNESS.md). A degraded answer is the best
-  // the cached code bounds can give when the disk cannot be read; its ids
-  // may differ from the exact answer, which is why the flag exists.
-  bool degraded = false;      ///< some result came from cached bounds
-  bool deadline_hit = false;  ///< a phase was cut over by the deadline
-  size_t substituted = 0;     ///< candidates scored by cached ub, not disk
-  size_t read_failures = 0;   ///< point reads that ultimately failed
-
-  // Admission control (docs/ROBUSTNESS.md). A shed query never reached the
-  // engine: result_ids is empty and every phase counter is zero. Shed is
-  // weaker than degraded — nothing was computed at all — and is accounted
-  // separately so that shed + completed == submitted reconciles exactly.
-  bool shed = false;  ///< dropped by admission control; never executed
-  obs::ShedCause shed_cause = obs::ShedCause::kNone;
-  double queue_wait_ms = 0.0;  ///< admission-to-dequeue wait (Serve path)
-
-  /// Compact explain record (docs/OBSERVABILITY.md): the candidate funnel,
-  /// the kth-bounds the reduction used, I/O shape, degraded cause, and the
-  /// cache generation that served the query. Filled on every query —
-  /// everything in it is a scalar the engine already computed — and
-  /// surfaced via `eeb_cli --explain` and the flight recorder.
-  obs::QueryExplain explain;
+  storage::IoStats refine_io;  ///< point fetches (phases 2-3)
+  /// Per-candidate events, filled only when EngineOptions::trace_events is
+  /// set; at most a few per candidate, so bounded by a small multiple of
+  /// |C(q)|.
+  std::vector<obs::TraceEvent> events;
 };
 
 /// Engine options.
@@ -112,6 +81,11 @@ struct EngineOptions {
   /// candidates are resolved from cached bounds instead of disk (degraded,
   /// deadline_hit). 0 disables the deadline.
   double deadline_ms = 0.0;
+
+  /// Record per-candidate cause-tagged events (cache hit, prune, fetch,
+  /// page read, ...) into QueryResult::events. Off by default: the untraced
+  /// path pays one branch per event site.
+  bool trace_events = false;
 };
 
 /// Per-call execution budget, threaded in by the serving layer
@@ -169,15 +143,6 @@ class KnnEngine {
     cache_ = std::move(cache);
   }
 
-  /// Binds the engine's per-phase counters and latency histograms in
-  /// `registry` (names under "engine."); nullptr detaches. Instruments are
-  /// updated once per query, off the per-candidate hot path.
-  void BindMetrics(obs::MetricsRegistry* registry);
-
-  /// Attaches a tracer; every subsequent Query() opens a QuerySpan and tags
-  /// reduction/refinement events. nullptr (default) disables tracing.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
   /// Attaches a phase profiler; every subsequent Query() records a "query"
   /// scope with "gen" / "reduce" (and its "cache_probes") / "refine"
   /// children. nullptr (default) disables profiling.
@@ -200,9 +165,6 @@ class KnnEngine {
   Mutex cache_mu_;  // guards cache_ publication vs. query snapshots
   std::shared_ptr<cache::KnnCache> cache_ EEB_GUARDED_BY(cache_mu_);
   const EngineOptions options_;
-  obs::Tracer* tracer_ EEB_UNGUARDED(
-      "attached by single-threaded setup; serving with a tracer is "
-      "single-threaded by contract") = nullptr;
   obs::Profiler* prof_ EEB_UNGUARDED(
       "attached by single-threaded setup before queries run") = nullptr;
   obs::CacheAnalytics* analytics_ EEB_UNGUARDED(
@@ -211,26 +173,6 @@ class KnnEngine {
   cache::ShadowCacheSet* shadow_ EEB_UNGUARDED(
       "attached by single-threaded setup before queries run; the shadows "
       "are internally synchronized") = nullptr;
-
-  // Bound instruments (nullptr when observability is off).
-  struct Instruments {
-    obs::Counter* queries = nullptr;
-    obs::Counter* candidates = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* pruned = nullptr;
-    obs::Counter* true_hits = nullptr;
-    obs::Counter* fetched = nullptr;
-    obs::Counter* degraded_queries = nullptr;
-    obs::Counter* substituted = nullptr;
-    obs::Counter* read_failures = nullptr;
-    obs::Counter* deadline_cuts = nullptr;
-    obs::LatencyHistogram* gen_seconds = nullptr;
-    obs::LatencyHistogram* reduce_seconds = nullptr;
-    obs::LatencyHistogram* refine_seconds = nullptr;
-  } obs_ EEB_UNGUARDED(
-      "bound by single-threaded setup before queries run; instruments "
-      "themselves are internally atomic");
 };
 
 }  // namespace eeb::core

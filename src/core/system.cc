@@ -117,7 +117,6 @@ Status System::Create(storage::Env* env, const std::string& dir,
 
 void System::EnableMetrics(obs::MetricsRegistry* registry) {
   metrics_ = registry;
-  engine_->BindMetrics(registry);
   lsh_->BindMetrics(registry);
   points_->BindMetrics(registry);
   retry_env_->BindMetrics(registry);
@@ -127,19 +126,28 @@ void System::EnableMetrics(obs::MetricsRegistry* registry) {
     gen->cache->BindMetrics(registry);
   }
   if (registry == nullptr) {
-    obs_queries_ = nullptr;
-    obs_response_ = nullptr;
-    obs_modeled_io_ = nullptr;
+    instruments_ = {};
     return;
   }
-  obs_queries_ = registry->GetCounter("system.queries");
-  obs_response_ = registry->GetHistogram("system.response_seconds");
-  obs_modeled_io_ = registry->GetGauge("system.modeled_io_seconds");
-}
-
-void System::SetTracer(obs::Tracer* tracer) {
-  tracer_ = tracer;
-  engine_->set_tracer(tracer);
+  instruments_ = {
+      .queries = registry->GetCounter("engine.queries"),
+      .candidates = registry->GetCounter("engine.candidates"),
+      .cache_hits = registry->GetCounter("engine.cache_hits"),
+      .cache_misses = registry->GetCounter("engine.cache_misses"),
+      .pruned = registry->GetCounter("engine.pruned"),
+      .true_hits = registry->GetCounter("engine.true_results"),
+      .fetched = registry->GetCounter("engine.fetched"),
+      .degraded_queries = registry->GetCounter("engine.degraded_queries"),
+      .substituted = registry->GetCounter("engine.degraded_substituted"),
+      .read_failures = registry->GetCounter("engine.read_failures"),
+      .deadline_cuts = registry->GetCounter("engine.deadline_cuts"),
+      .gen_seconds = registry->GetHistogram("engine.gen_seconds"),
+      .reduce_seconds = registry->GetHistogram("engine.reduce_seconds"),
+      .refine_seconds = registry->GetHistogram("engine.refine_seconds"),
+      .system_queries = registry->GetCounter("system.queries"),
+      .response_seconds = registry->GetHistogram("system.response_seconds"),
+      .modeled_io_seconds = registry->GetGauge("system.modeled_io_seconds"),
+  };
 }
 
 void System::SetProfiler(obs::Profiler* profiler) {
@@ -223,64 +231,63 @@ void System::SampleWorkerGauges() {
   if (health_ != nullptr) health_->Evaluate(window_->GetSnapshot());
 }
 
-void System::StampBreakerState(QueryResult* r) {
-  if (breaker_env_ == nullptr) return;
-  r->explain.breaker_state = static_cast<uint8_t>(breaker_env_->state());
+Status System::Execute(std::span<const Scalar> q, size_t k,
+                       const QueryContext& ctx, uint64_t query_index,
+                       QueryResult* out) {
+  EEB_RETURN_IF_ERROR(engine_->Query(q, k, ctx, out));
+  OnQueryFinished(out, query_index);
+  return Status::OK();
 }
 
 void System::MarkShed(QueryResult* r, obs::ShedCause cause,
                       double queue_wait_ms, uint64_t query_index) {
-  r->shed = true;
   r->shed_cause = cause;
   r->queue_wait_ms = queue_wait_ms;
-  r->explain.shed_cause = cause;
-  r->explain.queue_wait_ms = queue_wait_ms;
-  StampBreakerState(r);
-  RecordQueryTelemetry(*r, query_index);
+  OnQueryFinished(r, query_index);
 }
 
-void System::RecordQueryTelemetry(const QueryResult& r,
-                                  uint64_t query_index) {
-  if (window_ == nullptr && recorder_ == nullptr) return;
-  if (r.shed) {
-    // Nothing executed: record only the shed marker (window) and the
-    // explain record carrying the cause (recorder tail-retains it).
-    if (window_ != nullptr) {
-      obs::QuerySample sample;
-      sample.shed = true;
-      window_->RecordQuery(sample);
-    }
-    if (recorder_ != nullptr) {
-      obs::QueryRecord record;
-      record.query_index = query_index;
-      record.explain = r.explain;
-      recorder_->Record(record);
-    }
-    return;
-  }
+double System::ModeledResponse(const QueryResult& r,
+                               double* modeled_io) const {
   storage::IoStats io = r.gen_io;
   io += r.refine_io;
-  // Same modeled response time AggregateResults reports, so windowed
-  // percentiles and batch percentiles measure the same quantity.
-  const double response = r.gen_seconds + r.reduce_seconds +
-                          r.refine_seconds + disk_model_.Seconds(io);
-  if (window_ != nullptr) {
-    obs::QuerySample sample;
-    sample.response_seconds = response;
-    sample.candidates = r.candidates;
-    sample.cache_hits = r.cache_hits;
-    sample.read_failures = r.read_failures;
-    sample.degraded = r.degraded;
-    sample.deadline_hit = r.deadline_hit;
-    window_->RecordQuery(sample);
+  const double io_seconds = disk_model_.Seconds(io);
+  if (modeled_io != nullptr) *modeled_io = io_seconds;
+  return r.gen_seconds + r.reduce_seconds + r.refine_seconds + io_seconds;
+}
+
+void System::OnQueryFinished(QueryResult* r, uint64_t query_index) {
+  if (breaker_env_ != nullptr) {
+    r->breaker_state = static_cast<uint8_t>(breaker_env_->state());
   }
-  if (recorder_ != nullptr) {
-    obs::QueryRecord record;
-    record.query_index = query_index;
-    record.response_seconds = response;
-    record.explain = r.explain;
-    recorder_->Record(record);
+  obs::QueryRecord record;
+  record.query_index = query_index;
+  record.explain = *r;
+  double modeled_io = 0.0;
+  if (!r->shed()) record.response_seconds = ModeledResponse(*r, &modeled_io);
+  const QueryInstruments& m = instruments_;
+  if (m.queries != nullptr && !r->shed()) {
+    m.queries->Add(1);
+    m.candidates->Add(r->candidates);
+    if (r->cache_generation != 0) {  // a cache served the query
+      m.cache_hits->Add(r->cache_hits);
+      m.cache_misses->Add(r->candidates - r->cache_hits);
+    }
+    m.pruned->Add(r->pruned);
+    m.true_hits->Add(r->true_hits);
+    m.fetched->Add(r->fetched);
+    if (r->degraded) m.degraded_queries->Add(1);
+    m.substituted->Add(r->substituted);
+    m.read_failures->Add(r->read_failures);
+    if (r->deadline_hit) m.deadline_cuts->Add(1);
+    m.gen_seconds->Record(r->gen_seconds);
+    m.reduce_seconds->Record(r->reduce_seconds);
+    m.refine_seconds->Record(r->refine_seconds);
+    m.system_queries->Add(1);
+    m.response_seconds->Record(record.response_seconds);
+    m.modeled_io_seconds->Add(modeled_io);
   }
+  if (window_ != nullptr) window_->RecordQuery(record);
+  if (recorder_ != nullptr) recorder_->Record(record);
 }
 
 Status System::EstimateCurrentCache(size_t k, CostEstimate* out) const {
@@ -589,41 +596,22 @@ Status System::ConfigureCache(CacheMethod method, size_t cache_bytes,
 }
 
 Status System::Query(std::span<const Scalar> q, size_t k, QueryResult* out) {
-  EEB_RETURN_IF_ERROR(engine_->Query(q, k, out));
-  StampBreakerState(out);
-  RecordQueryTelemetry(*out, 0);
-  return Status::OK();
+  return Execute(q, k, QueryContext{}, 0, out);
 }
 
 Status System::RunQueries(const std::vector<std::vector<Scalar>>& queries,
-                          size_t k, AggregateResult* out) {
+                          size_t k, AggregateResult* out,
+                          std::vector<QueryResult>* per_query) {
   *out = AggregateResult{};
+  if (per_query != nullptr) per_query->clear();
   if (queries.empty()) return Status::OK();
   obs::ProfScope batch_scope(profiler_, "run_queries");
   std::vector<QueryResult> results(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    EEB_RETURN_IF_ERROR(Query(queries[i], k, &results[i]));
-    if (tracer_ != nullptr) {
-      if (obs::QuerySpan* span = tracer_->last_span(); span != nullptr) {
-        const QueryResult& r = results[i];
-        storage::IoStats io = r.gen_io;
-        io += r.refine_io;
-        span->modeled_io_seconds = disk_model_.Seconds(io);
-        span->response_seconds = r.gen_seconds + r.reduce_seconds +
-                                 r.refine_seconds + span->modeled_io_seconds;
-        // Surface a non-closed breaker on the span: the query ran against a
-        // disk the breaker currently distrusts.
-        if (breaker_env_ != nullptr) {
-          const auto state = breaker_env_->state();
-          if (state != storage::CircuitBreakerEnv::State::kClosed) {
-            tracer_->AddEvent(span, obs::TraceEventType::kBreakerOpen,
-                              static_cast<uint64_t>(state), 0.0);
-          }
-        }
-      }
-    }
+    EEB_RETURN_IF_ERROR(Execute(queries[i], k, QueryContext{}, i, &results[i]));
   }
   AggregateResults(results, out);
+  if (per_query != nullptr) *per_query = std::move(results);
   return Status::OK();
 }
 
@@ -662,12 +650,6 @@ Status System::ServeInternal(const std::vector<std::vector<Scalar>>& queries,
   if (per_query != nullptr) per_query->clear();
   if (options.n_threads == 0) {
     return Status::InvalidArgument("n_threads must be positive");
-  }
-  if (tracer_ != nullptr) {
-    // The tracer's span ring is single-threaded by contract; refusing beats
-    // silently interleaving spans from different queries.
-    return Status::InvalidArgument(
-        "detach the tracer before concurrent serving");
   }
   if (queries.empty()) return Status::OK();
   obs::ProfScope batch_scope(profiler_, scope_name);
@@ -734,13 +716,9 @@ Status System::ServeInternal(const std::vector<std::vector<Scalar>>& queries,
           ctx.deadline_ms = deadline_ms;
           ctx.elapsed_ms = wait_ms;
         }
-        statuses[i] = engine_->Query(queries[i], k, ctx, &results[i]);
-        // Telemetry is recorded on the worker, as a server would: the
-        // window/recorder see queries as they finish, not at batch end.
-        if (statuses[i].ok()) {
-          StampBreakerState(&results[i]);
-          RecordQueryTelemetry(results[i], i);
-        }
+        // The sink runs on the worker, as a server's would: the window and
+        // recorder see queries as they finish, not at batch end.
+        statuses[i] = Execute(queries[i], k, ctx, i, &results[i]);
       };
       admitted_at[i].Start();
       PushOutcome outcome = PushOutcome::kAccepted;
@@ -802,11 +780,10 @@ Status System::ServeInternal(const std::vector<std::vector<Scalar>>& queries,
 }
 
 void System::AggregateResults(const std::vector<QueryResult>& results,
-                              AggregateResult* out) {
+                              AggregateResult* out) const {
   double hits = 0.0;
   double probes = 0.0;
   double reduced = 0.0;
-  double modeled_io_total = 0.0;
   storage::IoStats gen_total, refine_total;
   // Modeled response-time distribution; log-bucketed so batches of any size
   // aggregate in O(1) memory (satisfies the same p50<=p95<=p99 contract as
@@ -816,16 +793,9 @@ void System::AggregateResults(const std::vector<QueryResult>& results,
   for (const QueryResult& r : results) {
     // Shed queries never executed: they carry no phase data and would
     // dilute every average toward zero. Serve reports them separately.
-    if (r.shed) continue;
+    if (r.shed()) continue;
     ++completed;
-    storage::IoStats io = r.gen_io;
-    io += r.refine_io;
-    const double modeled_io = disk_model_.Seconds(io);
-    const double response =
-        r.gen_seconds + r.reduce_seconds + r.refine_seconds + modeled_io;
-    latencies.Record(response);
-    modeled_io_total += modeled_io;
-    if (obs_response_ != nullptr) obs_response_->Record(response);
+    latencies.Record(ModeledResponse(r));
     out->avg_candidates += static_cast<double>(r.candidates);
     out->avg_remaining += static_cast<double>(r.remaining);
     out->avg_fetched += static_cast<double>(r.fetched);
@@ -870,11 +840,6 @@ void System::AggregateResults(const std::vector<QueryResult>& results,
   out->p50_response_seconds = latencies.Percentile(0.50);
   out->p95_response_seconds = latencies.Percentile(0.95);
   out->p99_response_seconds = latencies.Percentile(0.99);
-
-  if (obs_queries_ != nullptr) {
-    obs_queries_->Add(completed);
-    obs_modeled_io_->Add(modeled_io_total);
-  }
 }
 
 }  // namespace eeb::core

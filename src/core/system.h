@@ -32,7 +32,6 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 #include "obs/window.h"
 #include "storage/circuit_breaker_env.h"
 #include "storage/env.h"
@@ -98,11 +97,13 @@ struct AggregateResult {
   double avg_gen_seq_pages = 0.0;  ///< index sequential pages per query
   double hit_ratio = 0.0;         ///< rho_hit over the batch
   double prune_ratio = 0.0;       ///< rho_prune: pruned+sure over hits
-  double avg_gen_cpu = 0.0;       ///< measured CPU seconds, phase 1
-  double avg_reduce_cpu = 0.0;    ///< measured CPU seconds, phase 2
-  double avg_refine_cpu = 0.0;    ///< measured CPU seconds, phase 3
-  double avg_gen_seconds = 0.0;   ///< CPU + modeled index I/O
-  double avg_refine_seconds = 0.0;  ///< CPU + modeled refinement I/O
+  // Phase times are steady_clock wall time on the thread that ran each
+  // query (not CPU time); refine includes the point reads' pread time.
+  double avg_gen_cpu = 0.0;       ///< measured wall seconds, phase 1
+  double avg_reduce_cpu = 0.0;    ///< measured wall seconds, phase 2
+  double avg_refine_cpu = 0.0;    ///< measured wall seconds, phase 3
+  double avg_gen_seconds = 0.0;   ///< phase 1 wall + modeled index I/O
+  double avg_refine_seconds = 0.0;  ///< phases 2-3 wall + modeled I/O
   double avg_response_seconds = 0.0;  ///< total per query
 
   // Modeled per-query response-time distribution (tail latency matters to
@@ -197,18 +198,19 @@ class System {
   Status Query(std::span<const Scalar> q, size_t k, QueryResult* out);
 
   /// Runs a batch and aggregates, converting I/O counts into modeled time
-  /// with the disk model.
+  /// with the disk model. `per_query`, when non-null, receives the result
+  /// of queries[i] at index i.
   Status RunQueries(const std::vector<std::vector<Scalar>>& queries, size_t k,
-                    AggregateResult* out);
+                    AggregateResult* out,
+                    std::vector<QueryResult>* per_query = nullptr);
 
   /// Runs the batch through a fixed pool of `n_threads` workers fed by a
   /// bounded task queue, then aggregates exactly like RunQueries — the
   /// aggregate and every per-query result are bit-exact with the serial
   /// path (docs/CONCURRENCY.md). A ConfigureCache/ReconfigureCache from a
   /// maintenance thread may run concurrently; queries keep the generation
-  /// they started with. Refuses to run with a tracer attached (the tracer
-  /// is single-threaded by contract). `per_query`, when non-null, receives
-  /// the result of queries[i] at index i.
+  /// they started with. `per_query`, when non-null, receives the result of
+  /// queries[i] at index i.
   Status RunQueriesConcurrent(const std::vector<std::vector<Scalar>>& queries,
                               size_t k, size_t n_threads, AggregateResult* out,
                               std::vector<QueryResult>* per_query = nullptr);
@@ -218,7 +220,7 @@ class System {
   /// `options.admission` instead of unconditionally blocking, charges queue
   /// wait against `options.deadline_ms`, and sheds instead of failing when
   /// the process is saturated. Shed queries come back as first-class
-  /// results (`QueryResult::shed` with a cause) in `per_query`, never as
+  /// results (`QueryResult::shed()`, with a cause) in `per_query`, never as
   /// errors; the report reconciles exactly (completed + shed == submitted).
   /// With the default blocking options this is bit-exact with
   /// RunQueriesConcurrent.
@@ -257,15 +259,11 @@ class System {
   size_t last_histogram_space_bytes() const { return last_space_bytes_; }
   uint32_t last_tau() const { return last_tau_; }
 
-  /// Binds every pipeline component (engine, index, storage, cache) plus
-  /// batch-level instruments in `registry`. The registry must outlive the
-  /// system; nullptr detaches everything. Caches installed by later
-  /// ConfigureCache calls are bound automatically.
+  /// Binds every pipeline component (index, storage, cache) plus the
+  /// per-query engine.* / system.* instruments in `registry`. The registry
+  /// must outlive the system; nullptr detaches everything. Caches installed
+  /// by later ConfigureCache calls are bound automatically.
   void EnableMetrics(obs::MetricsRegistry* registry);
-
-  /// Attaches a per-query tracer to the engine. RunQueries additionally
-  /// back-fills each span's modeled I/O and response time. nullptr detaches.
-  void SetTracer(obs::Tracer* tracer);
 
   /// Attaches a phase profiler to the whole pipeline: RunQueries opens a
   /// "run_queries" scope, the engine nests "query"/"gen"/"reduce"/"refine"
@@ -355,17 +353,26 @@ class System {
   /// SetShadowCaches.
   void InstallShadowTap();
 
-  /// Folds one finished query into the attached window and recorder.
-  /// `query_index` is the query's slot in its batch (0 for single queries).
-  void RecordQueryTelemetry(const QueryResult& r, uint64_t query_index);
+  /// Runs one query through the engine, then the sink. Every entry point
+  /// (Query, RunQueries, RunQueriesConcurrent, Serve) executes through it.
+  Status Execute(std::span<const Scalar> q, size_t k, const QueryContext& ctx,
+                 uint64_t query_index, QueryResult* out);
 
-  /// Stamps the breaker's current state into the result's explain record
-  /// (no-op when no breaker is configured).
-  void StampBreakerState(QueryResult* r);
+  /// The one per-query telemetry sink: stamps the breaker state into the
+  /// record, then feeds the engine.* / system.* instruments, the window and
+  /// the flight recorder. `query_index` is the query's slot in its batch (0
+  /// for a single Query). A shed query reaches only the window and recorder.
+  void OnQueryFinished(QueryResult* r, uint64_t query_index);
 
-  /// Marks a result shed with `cause` and records its telemetry.
+  /// Marks a result shed with `cause` and passes it to the sink.
   void MarkShed(QueryResult* r, obs::ShedCause cause, double queue_wait_ms,
                 uint64_t query_index);
+
+  /// Modeled response of one executed query: its measured phase time plus
+  /// the disk model over its page counts. `modeled_io`, when non-null,
+  /// receives the disk-model share.
+  double ModeledResponse(const QueryResult& r,
+                         double* modeled_io = nullptr) const;
 
   /// Shared RunQueriesConcurrent/Serve body; `scope_name` labels the
   /// profiler scope so both entries keep their distinct names.
@@ -377,11 +384,11 @@ class System {
   Status BuildCacheObject(CacheMethod method, size_t cache_bytes, uint32_t tau,
                           bool lru, std::shared_ptr<CacheGeneration>* out);
 
-  /// Shared serial/concurrent aggregation: folds per-query results in query
-  /// order (identical floating-point accumulation on both paths) and
-  /// records batch-level observability.
+  /// Shared serial/concurrent aggregation: a pure fold of per-query
+  /// results in query order (identical floating-point accumulation on both
+  /// paths).
   void AggregateResults(const std::vector<QueryResult>& results,
-                        AggregateResult* out);
+                        AggregateResult* out) const;
 
   // Pipeline components: wired by Create() before the system is handed to
   // callers, then structurally immutable — queries only read through them.
@@ -432,7 +439,6 @@ class System {
   // the pointers are internally atomic.
   obs::MetricsRegistry* metrics_ EEB_UNGUARDED("attached before serving") =
       nullptr;
-  obs::Tracer* tracer_ EEB_UNGUARDED("attached before serving") = nullptr;
   obs::Profiler* profiler_ EEB_UNGUARDED("attached before serving") = nullptr;
   obs::WindowedMetrics* window_ EEB_UNGUARDED("attached before serving") =
       nullptr;
@@ -445,12 +451,28 @@ class System {
       nullptr;
   HealthMonitor* health_ EEB_UNGUARDED(
       "attached before serving; the monitor is internally atomic") = nullptr;
-  obs::Counter* obs_queries_ EEB_UNGUARDED("attached before serving") =
-      nullptr;
-  obs::LatencyHistogram* obs_response_ EEB_UNGUARDED(
-      "attached before serving") = nullptr;
-  obs::Gauge* obs_modeled_io_ EEB_UNGUARDED("attached before serving") =
-      nullptr;
+  // Per-query instruments, updated only by OnQueryFinished (all nullptr
+  // while metrics are detached).
+  struct QueryInstruments {
+    obs::Counter* queries = nullptr;
+    obs::Counter* candidates = nullptr;
+    obs::Counter* cache_hits = nullptr;
+    obs::Counter* cache_misses = nullptr;
+    obs::Counter* pruned = nullptr;
+    obs::Counter* true_hits = nullptr;
+    obs::Counter* fetched = nullptr;
+    obs::Counter* degraded_queries = nullptr;
+    obs::Counter* substituted = nullptr;
+    obs::Counter* read_failures = nullptr;
+    obs::Counter* deadline_cuts = nullptr;
+    obs::LatencyHistogram* gen_seconds = nullptr;
+    obs::LatencyHistogram* reduce_seconds = nullptr;
+    obs::LatencyHistogram* refine_seconds = nullptr;
+    obs::Counter* system_queries = nullptr;
+    obs::LatencyHistogram* response_seconds = nullptr;
+    obs::Gauge* modeled_io_seconds = nullptr;
+  } instruments_ EEB_UNGUARDED(
+      "bound before serving; the instruments are internally atomic");
 
   // Pool currently executing RunQueriesConcurrent (nullptr when idle);
   // lets SampleWorkerGauges observe queue depth / busy workers from the

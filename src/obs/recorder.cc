@@ -34,6 +34,32 @@ void AppendJsonDouble(std::string* out, double v) {
 
 }  // namespace
 
+const char* TraceEventTypeName(TraceEventType type) {
+  switch (type) {
+    case TraceEventType::kCacheHit:
+      return "cache_hit";
+    case TraceEventType::kCacheMiss:
+      return "cache_miss";
+    case TraceEventType::kEagerFetch:
+      return "eager_fetch";
+    case TraceEventType::kEarlyPrune:
+      return "early_prune";
+    case TraceEventType::kTrueResult:
+      return "true_result";
+    case TraceEventType::kFetch:
+      return "fetch";
+    case TraceEventType::kPageRead:
+      return "page_read";
+    case TraceEventType::kReadFailure:
+      return "read_failure";
+    case TraceEventType::kDegraded:
+      return "degraded";
+    case TraceEventType::kDeadlineCut:
+      return "deadline_cut";
+  }
+  return "?";
+}
+
 const char* DegradedCauseName(DegradedCause cause) {
   switch (cause) {
     case DegradedCause::kNone:
@@ -70,15 +96,16 @@ void AppendExplainJson(const QueryExplain& e, std::string* out) {
           ",\"k\":%u,\"candidates\":%u,\"cache_hits\":%u,\"pruned\":%u,"
           "\"true_results\":%u,\"remaining\":%u,\"fetched\":%u",
           e.cache_generation, e.k, e.candidates, e.cache_hits, e.pruned,
-          e.true_results, e.remaining, e.fetched);
+          e.true_hits, e.remaining, e.fetched);
   AppendF(out,
           ",\"point_reads\":%u,\"pages_read\":%u,\"distinct_pages\":%u,"
           "\"substituted\":%u,\"read_failures\":%u,\"degraded_cause\":\"%s\"",
           e.point_reads, e.pages_read, e.distinct_pages, e.substituted,
           e.read_failures, DegradedCauseName(e.degraded_cause));
   AppendF(out,
-          ",\"shed_cause\":\"%s\",\"breaker_state\":%u,"
-          "\"queue_wait_ms\":%.9g",
+          ",\"degraded\":%s,\"deadline_hit\":%s,\"shed_cause\":\"%s\","
+          "\"breaker_state\":%u,\"queue_wait_ms\":%.9g",
+          e.degraded ? "true" : "false", e.deadline_hit ? "true" : "false",
           ShedCauseName(e.shed_cause), static_cast<unsigned>(e.breaker_state),
           e.queue_wait_ms);
   out->append(",\"lbk\":");
@@ -104,6 +131,21 @@ std::string ExplainJson(const QueryExplain& e) {
   std::string out;
   AppendExplainJson(e, &out);
   return out;
+}
+
+void AppendTraceJson(uint64_t query_index, const QueryExplain& e,
+                     std::span<const TraceEvent> events, std::string* out) {
+  AppendF(out, "{\"query\":%" PRIu64 ",\"explain\":", query_index);
+  AppendExplainJson(e, out);
+  out->append(",\"events\":[");
+  for (size_t i = 0; i < events.size(); ++i) {
+    AppendF(out, "%s{\"t\":\"%s\",\"id\":%" PRIu64 ",\"v\":",
+            i == 0 ? "" : ",", TraceEventTypeName(events[i].type),
+            events[i].id);
+    AppendJsonDouble(out, events[i].value);
+    out->append("}");
+  }
+  out->append("]}");
 }
 
 FlightRecorder::FlightRecorder(Options options)
@@ -181,8 +223,7 @@ uint64_t FlightRecorder::Record(QueryRecord record) {
   // Shed queries are always interesting: they are the direct evidence of
   // admission control acting, and there are few of them relative to traffic
   // in any healthy window.
-  const bool shed = record.explain.shed_cause != ShedCause::kNone;
-  if (slow || degraded || shed) {
+  if (slow || degraded || record.explain.shed()) {
     retained_total_.fetch_add(1, std::memory_order_relaxed);
     MutexLock lock(slow_mu_);
     slow_.push_back(record);

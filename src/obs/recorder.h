@@ -1,3 +1,12 @@
+// The per-query record and the flight recorder.
+//
+// QueryExplain is the one record of what Algorithm 1 did for a query: the
+// candidate funnel of Eqn. 1, the kth-bounds, I/O shape, causes and phase
+// times. core::QueryResult derives from it, so the engine writes each fact
+// once, and every consumer (flight recorder, live window, --explain,
+// --trace-out) reads the same bytes. Opt-in per-candidate trace events
+// (TraceEvent) ride next to it in the result, owned by the query.
+//
 // Flight recorder: an always-on, low-overhead diagnostic ring that retains
 // the last N per-query summaries plus a tail-sampled set of "interesting"
 // queries (slow, degraded, corruption-hit, deadline-cut) with their full
@@ -24,6 +33,7 @@
 #include <deque>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -45,9 +55,9 @@ enum class DegradedCause : uint8_t {
 const char* DegradedCauseName(DegradedCause cause);
 
 /// Why a query was shed (never executed) by admission control
-/// (docs/ROBUSTNESS.md). A shed query has an empty result and shed=true in
-/// its QueryResult; it is counted separately from degraded queries, whose
-/// answers are best-effort but real.
+/// (docs/ROBUSTNESS.md). A shed query has an empty result and a non-kNone
+/// cause in its record; it is counted separately from degraded queries,
+/// whose answers are best-effort but real.
 enum class ShedCause : uint8_t {
   kNone = 0,
   kQueueFull = 1,        // shed policy: TryPush found the queue at capacity
@@ -58,35 +68,73 @@ enum class ShedCause : uint8_t {
 
 const char* ShedCauseName(ShedCause cause);
 
-/// Compact per-query explain record: enough to reconstruct what Algorithm 1
-/// did for one query — candidate funnel, bounds, I/O, cache generation —
-/// without per-candidate events. Trivially copyable on purpose: the flight
-/// recorder publishes it through atomic words.
+/// Per-candidate trace event kinds, recorded into QueryResult::events when
+/// EngineOptions::trace_events is set.
+enum class TraceEventType : uint8_t {
+  kCacheHit,    ///< cache probe returned [lb, ub]; value = lb
+  kCacheMiss,   ///< cache probe missed
+  kEagerFetch,  ///< miss resolved from disk during reduction (footnote 6)
+  kEarlyPrune,  ///< lb > ubk, candidate dropped without I/O
+  kTrueResult,  ///< ub < lbk, candidate accepted without I/O
+  kFetch,       ///< refinement fetch; value = exact distance
+  kPageRead,    ///< first touch of a disk page this query; id = page number
+  kReadFailure,  ///< disk read ultimately failed (post-retry); value = 0
+  kDegraded,     ///< candidate scored from cached bounds; value = used bound
+  kDeadlineCut,  ///< deadline_ms exceeded, refinement switched to degraded
+};
+
+const char* TraceEventTypeName(TraceEventType type);
+
+struct TraceEvent {
+  TraceEventType type;
+  uint64_t id;   ///< point id (page number for kPageRead)
+  double value;  ///< event-specific scalar (bound, distance, ...)
+
+  bool operator==(const TraceEvent&) const = default;
+};
+
+/// The per-query record: enough to reconstruct what Algorithm 1 did for one
+/// query — candidate funnel, bounds, I/O, causes, cache generation — without
+/// per-candidate events. Trivially copyable on purpose: the flight recorder
+/// publishes it through atomic words.
+///
+/// Phase times are steady_clock wall time on the thread that ran the query,
+/// not CPU time; refine_seconds includes the point reads' pread time.
 struct QueryExplain {
   uint64_t cache_generation = 0;  // which published cache answered
   double lbk = 0.0;               // k-th smallest cached lower bound
   double ubk = 0.0;               // k-th smallest cached upper bound
-  double gen_seconds = 0.0;       // candidate generation CPU
-  double reduce_seconds = 0.0;    // cache-probe reduction CPU
-  double refine_seconds = 0.0;    // refinement CPU (I/O excluded)
+  double gen_seconds = 0.0;       // candidate generation, wall time
+  double reduce_seconds = 0.0;    // cache-probe reduction, wall time
+  double refine_seconds = 0.0;    // refinement incl. point reads, wall time
   uint32_t k = 0;
-  uint32_t candidates = 0;     // from candidate generation
+  uint32_t candidates = 0;     // |C(q)|, from candidate generation
   uint32_t cache_hits = 0;     // candidates with cached code bounds
   uint32_t pruned = 0;         // dropped by lb > ubk
-  uint32_t true_results = 0;   // accepted by ub < lbk (no refinement)
-  uint32_t remaining = 0;      // survivors entering refinement
-  uint32_t fetched = 0;        // points actually read during refinement
+  uint32_t true_hits = 0;      // accepted by ub < lbk (no refinement)
+  uint32_t remaining = 0;      // survivors entering refinement (Crefine)
+  uint32_t fetched = 0;        // points actually read (incl. eager fetches)
   uint32_t point_reads = 0;    // storage-level point reads issued
   uint32_t pages_read = 0;     // total page reads issued
   uint32_t distinct_pages = 0; // unique pages touched (coalescing headroom)
-  uint32_t substituted = 0;    // answers substituted from cached bounds
-  uint32_t read_failures = 0;  // refinement reads that failed
+  uint32_t substituted = 0;    // candidates scored by cached ub, not disk
+  uint32_t read_failures = 0;  // point reads that ultimately failed
   DegradedCause degraded_cause = DegradedCause::kNone;
   ShedCause shed_cause = ShedCause::kNone;  // non-kNone => query never ran
   uint8_t breaker_state = 0;   // storage circuit breaker at record time
                                // (CircuitBreakerEnv::State numeric value)
-  uint8_t pad_[5] = {};        // keep sizeof a multiple of 8 explicitly
+  // A degraded answer is the best the cached code bounds can give when the
+  // disk cannot be read; its ids may differ from the exact answer. Neither
+  // flag follows from degraded_cause: a failed read or a deadline cut may
+  // substitute nothing, and a read-failure cause masks a deadline cut.
+  bool degraded = false;       // some result came from cached bounds
+  bool deadline_hit = false;   // a phase was cut over by the deadline
+  uint8_t pad_[3] = {};        // keep sizeof a multiple of 8 explicitly
   double queue_wait_ms = 0.0;  // admission-to-dequeue wait (Serve path)
+
+  /// Dropped by admission control: the engine never ran, so every funnel
+  /// count is zero and the query has no answer.
+  bool shed() const { return shed_cause != ShedCause::kNone; }
 };
 static_assert(std::is_trivially_copyable_v<QueryExplain>);
 static_assert(sizeof(QueryExplain) % 8 == 0);
@@ -95,17 +143,23 @@ static_assert(sizeof(QueryExplain) % 8 == 0);
 struct QueryRecord {
   uint64_t seq = 0;          // recorder-global order (1-based; 0 = empty)
   uint64_t query_index = 0;  // caller's index within its batch
-  double response_seconds = 0.0;  // modeled response (CPU + disk model)
+  double response_seconds = 0.0;  // modeled: phase wall time + disk model
   QueryExplain explain;
 };
 static_assert(std::is_trivially_copyable_v<QueryRecord>);
 static_assert(sizeof(QueryRecord) % 8 == 0);
 
 /// Renders one explain record / query record as a JSON object. Shared by
-/// `eeb_cli --explain` and the recorder dumps so the schema cannot drift.
+/// `eeb_cli --explain`, `--trace-out` and the recorder dumps so the schema
+/// cannot drift.
 void AppendExplainJson(const QueryExplain& e, std::string* out);
 void AppendQueryRecordJson(const QueryRecord& r, std::string* out);
 std::string ExplainJson(const QueryExplain& e);
+
+/// One traced query as a JSON object (no newline):
+/// {"query":…,"explain":{…},"events":[{"t":…,"id":…,"v":…},…]}.
+void AppendTraceJson(uint64_t query_index, const QueryExplain& e,
+                     std::span<const TraceEvent> events, std::string* out);
 
 class FlightRecorder {
  public:

@@ -74,37 +74,37 @@ WindowedMetrics::Slice& WindowedMetrics::Touch(double now) {
   return slice;
 }
 
-void WindowedMetrics::RecordQuery(const QuerySample& sample) {
-  if (sample.shed) {
-    // A shed query never executed: it counts against the shed rate but must
-    // not dilute latency, QPS or the candidate funnel.
+void WindowedMetrics::RecordQuery(const QueryRecord& record) {
+  const QueryExplain& q = record.explain;
+  if (q.shed()) {
     total_shed_.fetch_add(1, std::memory_order_relaxed);
     MutexLock lock(mu_);
     Touch(options_.now()).shed += 1;
     return;
   }
+  const double seconds = record.response_seconds;
   total_queries_.fetch_add(1, std::memory_order_relaxed);
-  total_candidates_.fetch_add(sample.candidates, std::memory_order_relaxed);
-  total_cache_hits_.fetch_add(sample.cache_hits, std::memory_order_relaxed);
-  if (sample.degraded) total_degraded_.fetch_add(1, std::memory_order_relaxed);
+  total_candidates_.fetch_add(q.candidates, std::memory_order_relaxed);
+  total_cache_hits_.fetch_add(q.cache_hits, std::memory_order_relaxed);
+  if (q.degraded) total_degraded_.fetch_add(1, std::memory_order_relaxed);
 
   MutexLock lock(mu_);
   Slice& slice = Touch(options_.now());
   slice.queries += 1;
-  slice.sum_seconds += sample.response_seconds;
-  slice.max_seconds = std::max(slice.max_seconds, sample.response_seconds);
-  slice.candidates += sample.candidates;
-  slice.cache_hits += sample.cache_hits;
-  if (sample.degraded) slice.degraded += 1;
-  if (sample.deadline_hit) slice.deadline_hits += 1;
-  slice.read_failures += sample.read_failures;
+  slice.sum_seconds += seconds;
+  slice.max_seconds = std::max(slice.max_seconds, seconds);
+  slice.candidates += q.candidates;
+  slice.cache_hits += q.cache_hits;
+  if (q.degraded) slice.degraded += 1;
+  if (q.deadline_hit) slice.deadline_hits += 1;
+  slice.read_failures += q.read_failures;
   slice.buckets[static_cast<size_t>(
-      LatencyHistogram::BucketIndex(sample.response_seconds))] += 1;
+      LatencyHistogram::BucketIndex(seconds))] += 1;
   if (ewma_primed_) {
-    ewma_seconds_ = options_.ewma_alpha * sample.response_seconds +
+    ewma_seconds_ = options_.ewma_alpha * seconds +
                     (1.0 - options_.ewma_alpha) * ewma_seconds_;
   } else {
-    ewma_seconds_ = sample.response_seconds;
+    ewma_seconds_ = seconds;
     ewma_primed_ = true;
   }
 }

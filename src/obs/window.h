@@ -31,6 +31,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 
 namespace eeb::obs {
 
@@ -52,19 +53,6 @@ struct ShadowTapEntry {
   std::string name;  // valid metric segment ([a-z0-9_]); set by installer
   uint64_t hits = 0;
   uint64_t misses = 0;
-};
-
-/// One finished query, as the window sees it.
-struct QuerySample {
-  double response_seconds = 0.0;  // modeled response (CPU + disk model)
-  uint64_t candidates = 0;
-  uint64_t cache_hits = 0;
-  uint64_t read_failures = 0;
-  bool degraded = false;
-  bool deadline_hit = false;
-  // Dropped by admission control before the engine ran: counted in the shed
-  // rate but excluded from latency/QPS/funnel figures (nothing executed).
-  bool shed = false;
 };
 
 struct WindowOptions {
@@ -132,8 +120,10 @@ class WindowedMetrics {
   WindowedMetrics(const WindowedMetrics&) = delete;
   WindowedMetrics& operator=(const WindowedMetrics&) = delete;
 
-  /// Folds one finished query into the current slice.
-  void RecordQuery(const QuerySample& sample) EEB_EXCLUDES(mu_);
+  /// Folds one finished query into the current slice: its modeled
+  /// response and funnel. A shed query counts only toward the shed rate;
+  /// it never executed, so it must not dilute latency, QPS or the funnel.
+  void RecordQuery(const QueryRecord& record) EEB_EXCLUDES(mu_);
 
   /// Installs the cumulative cache-activity tap. The window differences
   /// successive tap readings into slices at snapshot time; re-installation

@@ -310,7 +310,7 @@ TEST(ChaosTest, BreakerSoakUnderConcurrentLoadStaysAccountable) {
     EXPECT_EQ(report.submitted, rig.log.test.size());
     size_t flagged_shed = 0;
     for (size_t i = 0; i < per_query.size(); ++i) {
-      if (per_query[i].shed) {
+      if (per_query[i].shed()) {
         flagged_shed++;
         EXPECT_TRUE(per_query[i].result_ids.empty());
       } else if (!per_query[i].degraded) {
@@ -401,7 +401,7 @@ TEST(ChaosTest, FlightRecorderCapturesEveryDegradedQueryWithItsCause) {
     EXPECT_NE(e.degraded_cause, obs::DegradedCause::kNone) << "query " << i;
     EXPECT_EQ(e.read_failures, results[i].read_failures) << "query " << i;
     EXPECT_EQ(e.substituted, results[i].substituted) << "query " << i;
-    EXPECT_EQ(e.degraded_cause, results[i].explain.degraded_cause);
+    EXPECT_EQ(e.degraded_cause, results[i].degraded_cause);
   }
   EXPECT_GT(degraded, 0u);
   EXPECT_EQ(recorder.retained_slow_total(), degraded);

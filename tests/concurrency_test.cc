@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <thread>
 #include <vector>
@@ -352,9 +353,10 @@ struct ConcurrencyRig {
   workload::QueryLog log;
   std::unique_ptr<core::System> system;
 
-  ConcurrencyRig() {
+  explicit ConcurrencyRig(bool trace_events = false) {
     core::SystemOptions opt;
     opt.ndom = 256;
+    opt.engine.trace_events = trace_events;
     // LSH tuned for the 16-dim surrogate (defaults target 64-dim).
     opt.lsh.num_functions = 16;
     opt.lsh.collision_threshold = 8;
@@ -480,18 +482,42 @@ TEST(ConcurrencyTest, SingleWorkerDegeneratesToSerial) {
   EXPECT_EQ(agg.queries, 1u);
 }
 
-TEST(ConcurrencyTest, RejectsZeroThreadsAndAttachedTracer) {
+TEST(ConcurrencyTest, RejectsZeroThreads) {
   ConcurrencyRig rig;
   core::AggregateResult agg;
   EXPECT_FALSE(
       rig.system->RunQueriesConcurrent(rig.log.test, 10, 0, &agg).ok());
-  obs::Tracer tracer(16);
-  rig.system->SetTracer(&tracer);
-  EXPECT_FALSE(
-      rig.system->RunQueriesConcurrent(rig.log.test, 10, 2, &agg).ok());
-  rig.system->SetTracer(nullptr);
   EXPECT_TRUE(
       rig.system->RunQueriesConcurrent(rig.log.test, 10, 2, &agg).ok());
+}
+
+TEST(ConcurrencyTest, TraceEventsMatchSerialAndTheFunnel) {
+  // Events live in each query's own result, so the pool path traces too:
+  // on a static cache every query's event stream is the serial one.
+  ConcurrencyRig rig(/*trace_events=*/true);
+  const size_t k = 10;
+  core::AggregateResult agg;
+  std::vector<core::QueryResult> serial, conc;
+  ASSERT_TRUE(rig.system->RunQueries(rig.log.test, k, &agg, &serial).ok());
+  ASSERT_TRUE(rig.system
+                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/4,
+                                         &agg, &conc)
+                  .ok());
+  ASSERT_EQ(conc.size(), serial.size());
+  size_t hits = 0;
+  for (size_t i = 0; i < conc.size(); ++i) {
+    const core::QueryResult& r = conc[i];
+    EXPECT_FALSE(r.events.empty()) << "query " << i;
+    EXPECT_EQ(r.events, serial[i].events) << "query " << i;
+    std::map<obs::TraceEventType, uint32_t> count;
+    for (const obs::TraceEvent& e : r.events) count[e.type]++;
+    EXPECT_EQ(count[obs::TraceEventType::kCacheHit], r.cache_hits) << i;
+    EXPECT_EQ(count[obs::TraceEventType::kEarlyPrune], r.pruned) << i;
+    EXPECT_EQ(count[obs::TraceEventType::kTrueResult], r.true_hits) << i;
+    EXPECT_EQ(count[obs::TraceEventType::kFetch], r.fetched) << i;
+    hits += r.cache_hits;
+  }
+  EXPECT_GT(hits, 0u);
 }
 
 TEST(ConcurrencyTest, QueriesStayExactWhileMaintenanceRebuildsCache) {
@@ -600,7 +626,7 @@ void ExpectServeReconciles(const core::ServeReport& report,
   size_t flagged_shed = 0;
   for (size_t i = 0; i < per_query.size(); ++i) {
     const core::QueryResult& r = per_query[i];
-    if (r.shed) {
+    if (r.shed()) {
       flagged_shed++;
       EXPECT_NE(r.shed_cause, obs::ShedCause::kNone) << "query " << i;
       EXPECT_TRUE(r.result_ids.empty()) << "query " << i;
@@ -673,7 +699,7 @@ TEST(ServeTest, ShedAdmissionReconcilesExactlyUnderEightThreads) {
   EXPECT_GT(report.shed, 0u);
   EXPECT_EQ(report.shed_queue_full, report.shed);  // the only active cause
   for (const core::QueryResult& r : per_query) {
-    if (r.shed) {
+    if (r.shed()) {
       EXPECT_EQ(r.shed_cause, obs::ShedCause::kQueueFull);
     }
   }
@@ -697,7 +723,7 @@ TEST(ServeTest, TimeoutAdmissionShedsWithTheTimeoutCause) {
   EXPECT_GT(report.shed, 0u);
   EXPECT_EQ(report.shed_timeout, report.shed);
   for (const core::QueryResult& r : per_query) {
-    if (r.shed) {
+    if (r.shed()) {
       EXPECT_EQ(r.shed_cause, obs::ShedCause::kQueueTimeout);
     }
   }
@@ -727,7 +753,7 @@ TEST(ServeTest, QueueWaitBurnsTheDeadlineAndExpiredQueriesNeverExecute) {
   EXPECT_EQ(report.shed_expired, report.shed);
   EXPECT_GE(report.shed_expired, rig.log.test.size() / 2);
   for (const core::QueryResult& r : per_query) {
-    if (r.shed) {
+    if (r.shed()) {
       EXPECT_EQ(r.shed_cause, obs::ShedCause::kDeadlineExpired);
       // The wait that killed it is on the record.
       EXPECT_GE(r.queue_wait_ms, opt.deadline_ms);

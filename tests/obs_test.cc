@@ -1,7 +1,7 @@
 // Tests for the observability subsystem: instruments (counter, gauge,
 // log-bucketed latency histogram), registry semantics, exporters, per-query
-// trace spans, and an end-to-end System smoke test that checks the pipeline
-// instruments fire during real queries.
+// trace lines, and an end-to-end System smoke test that checks the pipeline
+// instruments and trace events fire during real queries.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <random>
 #include <set>
@@ -24,7 +25,7 @@
 #include "obs/cache_analytics.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 #include "obs/window.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
@@ -512,78 +513,33 @@ TEST(ExportTest, WriteStringToFileRoundTrip) {
   EXPECT_TRUE(WriteStringToFile("/nonexistent/dir/x.txt", "x").IsIOError());
 }
 
-// ----------------------------------------------------------------- Tracer --
+// ------------------------------------------------------------- Trace JSON --
 
-TEST(TracerTest, SpanLifecycleAndJsonl) {
-  Tracer tracer;
-  QuerySpan* s = tracer.StartSpan(10);
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->k, 10u);
-  tracer.AddEvent(s, TraceEventType::kCacheHit, 5, 1.25);
-  tracer.AddEvent(s, TraceEventType::kEarlyPrune, 6, 2.0);
-  s->candidates = 2;
-  tracer.EndSpan();
+TEST(TraceJsonTest, ExplainAndEventsOnOneLine) {
+  QueryExplain e;
+  e.k = 10;
+  e.candidates = 2;
+  const std::vector<TraceEvent> events = {
+      {TraceEventType::kCacheHit, 5, 1.25},
+      {TraceEventType::kEarlyPrune, 6, 2.0},
+      {TraceEventType::kDegraded, 7, std::numeric_limits<double>::infinity()},
+  };
+  std::string line;
+  AppendTraceJson(3, e, events, &line);
+  EXPECT_EQ(line.rfind("{\"query\":3,\"explain\":{", 0), 0u) << line;
+  EXPECT_NE(line.find("\"k\":10"), std::string::npos);
+  EXPECT_NE(line.find("\"candidates\":2"), std::string::npos);
+  EXPECT_NE(line.find("{\"t\":\"cache_hit\",\"id\":5,\"v\":1.25}"),
+            std::string::npos);
+  EXPECT_NE(line.find("\"t\":\"early_prune\""), std::string::npos);
+  // A cache miss's +inf bound must stay valid JSON.
+  EXPECT_NE(line.find("{\"t\":\"degraded\",\"id\":7,\"v\":null}"),
+            std::string::npos);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
 
-  ASSERT_EQ(tracer.spans().size(), 1u);
-  EXPECT_EQ(tracer.spans()[0].events.size(), 2u);
-  EXPECT_EQ(tracer.spans()[0].events[0].type, TraceEventType::kCacheHit);
-
-  // last_span() is mutable so the harness can attach modeled I/O time.
-  tracer.last_span()->modeled_io_seconds = 0.125;
-
-  const std::string jsonl = tracer.ToJsonl();
-  EXPECT_NE(jsonl.find("\"query\":0"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"k\":10"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"modeled_io_seconds\":0.125"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"t\":\"cache_hit\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"t\":\"early_prune\""), std::string::npos);
-  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 1);
-
-  tracer.Clear();
-  EXPECT_TRUE(tracer.spans().empty());
-  EXPECT_EQ(tracer.last_span(), nullptr);
-}
-
-TEST(TracerTest, StreamSinkMatchesStringOverload) {
-  Tracer tracer;
-  QuerySpan* s = tracer.StartSpan(3);
-  tracer.AddEvent(s, TraceEventType::kFetch, 42, 0.5);
-  tracer.EndSpan();
-
-  std::ostringstream os;
-  tracer.WriteJsonl(os);
-  EXPECT_EQ(os.str(), tracer.ToJsonl());
-  EXPECT_NE(os.str().find("\"t\":\"fetch\""), std::string::npos);
-}
-
-TEST(TracerTest, EventCapCountsDrops) {
-  Tracer tracer(/*max_events_per_span=*/2);
-  QuerySpan* s = tracer.StartSpan(1);
-  for (int i = 0; i < 5; ++i) {
-    tracer.AddEvent(s, TraceEventType::kFetch, i, 0.0);
-  }
-  tracer.EndSpan();
-  EXPECT_EQ(tracer.spans()[0].events.size(), 2u);
-  EXPECT_EQ(tracer.spans()[0].dropped_events, 3u);
-}
-
-TEST(TracerTest, AggregatesOnlyMode) {
-  Tracer tracer(/*max_events_per_span=*/4096, /*record_events=*/false);
-  QuerySpan* s = tracer.StartSpan(1);
-  tracer.AddEvent(s, TraceEventType::kFetch, 1, 0.0);
-  tracer.EndSpan();
-  EXPECT_TRUE(tracer.spans()[0].events.empty());
-  EXPECT_EQ(tracer.spans()[0].dropped_events, 1u);
-}
-
-TEST(TracerTest, StartSpanClosesLeakedSpan) {
-  Tracer tracer;
-  tracer.StartSpan(1);  // never ended (error path)
-  tracer.StartSpan(2);
-  tracer.EndSpan();
-  ASSERT_EQ(tracer.spans().size(), 2u);
-  EXPECT_EQ(tracer.spans()[0].k, 1u);
-  EXPECT_EQ(tracer.spans()[1].k, 2u);
+  line.clear();
+  AppendTraceJson(0, e, {}, &line);
+  EXPECT_NE(line.find("\"events\":[]}"), std::string::npos) << line;
 }
 
 // ------------------------------------------------------ System end-to-end --
@@ -609,22 +565,22 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
 
   core::SystemOptions opt;
   opt.lsh.beta_candidates = 100;
+  opt.engine.trace_events = true;
   std::unique_ptr<core::System> system;
   ASSERT_TRUE(core::System::Create(storage::Env::Default(), dir, data,
                                    log.workload, opt, &system)
                   .ok());
 
   MetricsRegistry metrics;
-  Tracer tracer;
   system->EnableMetrics(&metrics);
-  system->SetTracer(&tracer);
   // Deliberately tiny: misses and refinement fetches must occur so the
   // storage counters see traffic.
   ASSERT_TRUE(
       system->ConfigureCache(core::CacheMethod::kHcO, 4096).ok());
 
   core::AggregateResult agg;
-  ASSERT_TRUE(system->RunQueries(log.test, 10, &agg).ok());
+  std::vector<core::QueryResult> results;
+  ASSERT_TRUE(system->RunQueries(log.test, 10, &agg, &results).ok());
 
   // Batch-level instruments.
   EXPECT_EQ(metrics.GetCounter("system.queries")->value(), log.test.size());
@@ -646,14 +602,12 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
   EXPECT_EQ(metrics.GetCounter("engine.cache_hits")->value(),
             metrics.GetCounter("cache.hits")->value());
 
-  // One span per query, with the batch runner's modeled time attached.
-  ASSERT_EQ(tracer.spans().size(), log.test.size());
-  for (const QuerySpan& s : tracer.spans()) {
-    EXPECT_EQ(s.k, 10u);
-    EXPECT_GT(s.candidates, 0u);
-    EXPECT_GT(s.response_seconds, 0.0);
-    EXPECT_GE(s.response_seconds, s.modeled_io_seconds);
-    EXPECT_FALSE(s.events.empty());
+  // Every query carries its record and, with trace_events on, its events.
+  ASSERT_EQ(results.size(), log.test.size());
+  for (const core::QueryResult& r : results) {
+    EXPECT_EQ(r.k, 10u);
+    EXPECT_GT(r.candidates, 0u);
+    EXPECT_FALSE(r.events.empty());
   }
 
   // The histogram percentiles surfaced in AggregateResult are ordered.
@@ -667,7 +621,6 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
   const std::string json = ExportJson(metrics);
   EXPECT_NE(json.find("\"system.response_seconds\""), std::string::npos);
 
-  system->SetTracer(nullptr);
   system->EnableMetrics(nullptr);
   ASSERT_TRUE(system->RunQueries(log.test, 10, &agg).ok());  // detached ok
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -37,12 +38,20 @@ double Quantize(double seconds) {
       obs::LatencyHistogram::BucketIndex(seconds));
 }
 
-obs::QuerySample Sample(double seconds, uint64_t candidates = 0,
-                        uint64_t hits = 0) {
-  obs::QuerySample s;
+// One executed query as the sink hands it to the window.
+obs::QueryRecord Sample(double seconds, uint32_t candidates = 0,
+                        uint32_t hits = 0) {
+  obs::QueryRecord s;
   s.response_seconds = seconds;
-  s.candidates = candidates;
-  s.cache_hits = hits;
+  s.explain.candidates = candidates;
+  s.explain.cache_hits = hits;
+  return s;
+}
+
+// One arrival dropped by admission control.
+obs::QueryRecord Shed() {
+  obs::QueryRecord s;
+  s.explain.shed_cause = obs::ShedCause::kQueueFull;
   return s;
 }
 
@@ -362,10 +371,8 @@ TEST(WindowedMetricsTest, ShedSamplesCountInShedRateButNotLatency) {
   w.RecordQuery(Sample(0.010, /*candidates=*/100, /*hits=*/40));
   w.RecordQuery(Sample(0.030, /*candidates=*/100, /*hits=*/40));
   w.RecordQuery(Sample(0.020, /*candidates=*/100, /*hits=*/40));
-  obs::QuerySample shed;
-  shed.shed = true;
-  w.RecordQuery(shed);
-  w.RecordQuery(shed);
+  w.RecordQuery(Shed());
+  w.RecordQuery(Shed());
   t = 2.0;
   const obs::WindowSnapshot snap = w.GetSnapshot();
 
@@ -400,9 +407,7 @@ TEST(WindowedMetricsTest, PublishToSetsShedAndQueueGauges) {
   opt.now = [&t] { return t; };
   obs::WindowedMetrics w(opt);
   w.RecordQuery(Sample(0.010, 10, 5));
-  obs::QuerySample shed;
-  shed.shed = true;
-  w.RecordQuery(shed);
+  w.RecordQuery(Shed());
   w.SampleQueueStats(8, 7, 3);
   t = 1.0;
 
@@ -418,9 +423,7 @@ TEST(WindowedMetricsTest, PublishToSetsShedAndQueueGauges) {
 TEST(WindowedMetricsTest, SnapshotJsonCarriesShedAndQueueFields) {
   obs::WindowedMetrics w;
   w.RecordQuery(Sample(0.010, 10, 5));
-  obs::QuerySample shed;
-  shed.shed = true;
-  w.RecordQuery(shed);
+  w.RecordQuery(Shed());
   w.SampleQueueStats(16, 14, 9);
   const std::string line =
       obs::WindowSnapshotJson(w.GetSnapshot(), /*uptime=*/1.0);
@@ -662,7 +665,7 @@ TEST(ExplainJsonTest, RendersEveryFunnelFieldAndCauseName) {
   e.candidates = 120;
   e.cache_hits = 80;
   e.pruned = 50;
-  e.true_results = 10;
+  e.true_hits = 10;
   e.remaining = 60;
   e.fetched = 55;
   e.point_reads = 55;
@@ -739,27 +742,70 @@ struct TelemetryRig {
 
 TEST(TelemetryEndToEndTest, ExplainMirrorsQueryResultScalars) {
   TelemetryRig rig;
+  obs::FlightRecorder recorder;
+  rig.system->SetRecorder(&recorder);
   core::QueryResult r;
   ASSERT_TRUE(rig.system->Query(rig.log.test[0], 10, &r).ok());
 
-  const obs::QueryExplain& e = r.explain;
-  EXPECT_EQ(e.k, 10u);
-  EXPECT_EQ(e.candidates, r.candidates);
-  EXPECT_EQ(e.cache_hits, r.cache_hits);
-  EXPECT_EQ(e.pruned, r.pruned);
-  EXPECT_EQ(e.true_results, r.true_hits);
-  EXPECT_EQ(e.remaining, r.remaining);
-  EXPECT_EQ(e.fetched, r.fetched);
-  EXPECT_EQ(e.substituted, r.substituted);
-  EXPECT_EQ(e.read_failures, r.read_failures);
-  EXPECT_EQ(e.degraded_cause, obs::DegradedCause::kNone);
-  // ConfigureCache published generation 1; the explain names it.
-  EXPECT_EQ(e.cache_generation, 1u);
-  EXPECT_GT(e.candidates, 0u);
+  EXPECT_EQ(r.k, 10u);
+  EXPECT_GT(r.candidates, 0u);
+  EXPECT_EQ(r.point_reads, r.refine_io.point_reads);
+  EXPECT_EQ(r.pages_read, r.refine_io.page_reads);
+  EXPECT_EQ(r.degraded_cause, obs::DegradedCause::kNone);
+  EXPECT_TRUE(r.events.empty());  // trace events are off by default
+  // ConfigureCache published generation 1; the record names it.
+  EXPECT_EQ(r.cache_generation, 1u);
+  // The recorder stores the result's own record, byte for byte.
+  const std::vector<obs::QueryRecord> recent = recorder.SnapshotRecent();
+  ASSERT_EQ(recent.size(), 1u);
+  const obs::QueryExplain& record = r;
+  EXPECT_EQ(std::memcmp(&recent[0].explain, &record, sizeof(record)), 0);
   // Reconfiguring bumps the generation the next query reports.
   ASSERT_TRUE(rig.system->ReconfigureCache().ok());
   ASSERT_TRUE(rig.system->Query(rig.log.test[0], 10, &r).ok());
-  EXPECT_EQ(r.explain.cache_generation, 2u);
+  EXPECT_EQ(r.cache_generation, 2u);
+}
+
+TEST(TelemetryEndToEndTest, DirectQueriesFeedSystemMetrics) {
+  // A server calling System::Query directly (no batch entry point) must
+  // see the same system.* figures as the engine.* ones.
+  TelemetryRig rig;
+  obs::MetricsRegistry metrics;
+  rig.system->EnableMetrics(&metrics);
+  const size_t n = 12;
+  for (size_t i = 0; i < n; ++i) {
+    core::QueryResult r;
+    ASSERT_TRUE(rig.system->Query(rig.log.test[i], 10, &r).ok());
+  }
+  EXPECT_EQ(metrics.GetCounter("engine.queries")->value(), n);
+  EXPECT_EQ(metrics.GetCounter("system.queries")->value(), n);
+  EXPECT_EQ(metrics.GetHistogram("system.response_seconds")->count(), n);
+  EXPECT_EQ(metrics.GetHistogram("engine.gen_seconds")->count(), n);
+  EXPECT_GT(metrics.GetGauge("system.modeled_io_seconds")->value(), 0.0);
+}
+
+TEST(TelemetryEndToEndTest, SerialRunRecordsEachBatchIndexOnce) {
+  TelemetryRig rig;
+  obs::FlightRecorder::Options ropt;
+  ropt.ring_capacity = 256;
+  obs::FlightRecorder recorder(ropt);
+  rig.system->SetRecorder(&recorder);
+
+  core::AggregateResult agg;
+  ASSERT_TRUE(rig.system->RunQueries(rig.log.test, 10, &agg).ok());
+
+  // Same check as the concurrent run below: the recorder names each query
+  // by its slot in the batch.
+  EXPECT_EQ(recorder.recorded(), rig.log.test.size());
+  const std::vector<obs::QueryRecord> recent = recorder.SnapshotRecent();
+  ASSERT_EQ(recent.size(), rig.log.test.size());
+  std::set<uint64_t> indices;
+  for (const obs::QueryRecord& r : recent) indices.insert(r.query_index);
+  EXPECT_EQ(indices.size(), rig.log.test.size());  // each index once
+  // One thread runs the batch in order, so seq order is batch order.
+  for (size_t i = 0; i < recent.size(); ++i) {
+    EXPECT_EQ(recent[i].query_index, i);
+  }
 }
 
 TEST(TelemetryEndToEndTest, ConcurrentRunReconcilesWindowAgainstCounters) {

@@ -1002,7 +1002,7 @@ int RunOverloadSuite(const std::string& out_path,
     size_t flagged_shed = 0;
     c.answers_ok = per_query.size() == serial.size();
     for (size_t i = 0; i < per_query.size() && c.answers_ok; ++i) {
-      if (per_query[i].shed) {
+      if (per_query[i].shed()) {
         ++flagged_shed;
         continue;
       }

@@ -20,7 +20,8 @@
 // cache) in a temp directory and reports the paper-style statistics. When
 // --queries is omitted a Zipf query log is synthesized from the data.
 // --metrics-out / --metrics-prom dump the full metrics registry (JSON /
-// Prometheus text); --trace-out writes one JSON span per query;
+// Prometheus text); --trace-out writes one JSON line per executed query
+// (its explain record plus per-candidate events), on every serving path;
 // --profile-out writes the hierarchical phase profile as JSON.
 //
 // Live serving mode: --threads fans the test batch over a worker pool,
@@ -55,7 +56,6 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 #include "obs/window.h"
 #include "workload/fvecs.h"
 #include "workload/generator.h"
@@ -242,6 +242,7 @@ int CmdQuery(const Args& args) {
   opt.integral_values = args.Int("integral", 1) != 0;
   opt.engine.eager_miss_fetch = args.Has("eager");
   opt.engine.deadline_ms = args.Dbl("deadline-ms", 0.0);
+  opt.engine.trace_events = args.Has("trace-out");
   opt.io_retry.max_retries =
       static_cast<int>(args.Int("io-retries", opt.io_retry.max_retries));
   std::unique_ptr<core::System> system;
@@ -250,12 +251,10 @@ int CmdQuery(const Args& args) {
   if (!st.ok()) Die(st, "build system");
 
   obs::MetricsRegistry metrics;
-  obs::Tracer tracer;
   obs::Profiler prof;
   const bool want_metrics =
       args.Has("metrics-out") || args.Has("metrics-prom");
   if (want_metrics) system->EnableMetrics(&metrics);
-  if (args.Has("trace-out")) system->SetTracer(&tracer);
   if (args.Has("profile-out")) system->SetProfiler(&prof);
 
   // Live serving mode: worker threads, periodic live.* snapshots, flight
@@ -263,16 +262,9 @@ int CmdQuery(const Args& args) {
   const size_t threads = static_cast<size_t>(args.Int("threads", 0));
   const long repeat = std::max<long>(1, args.Int("repeat", 1));
   const bool explain = args.Has("explain");
+  const bool trace = args.Has("trace-out");
   const bool live_stats =
       args.Has("stats-interval-ms") || args.Has("stats-out");
-  if ((threads > 0 || explain) && args.Has("trace-out")) {
-    // The tracer is single-threaded by contract and --explain routes
-    // through the concurrent path.
-    std::fprintf(stderr,
-                 "query: --trace-out is incompatible with --threads/"
-                 "--explain\n");
-    return 2;
-  }
   obs::WindowedMetrics window;
   obs::FlightRecorder recorder;
   system->SetWindow(&window);
@@ -353,7 +345,11 @@ int CmdQuery(const Args& args) {
                           args.Has("admission-timeout-ms");
   core::AggregateResult agg;
   core::ServeReport serve_report;
+  // --explain and --trace-out both read the per-query results.
   std::vector<core::QueryResult> per_query;
+  std::vector<core::QueryResult>* const want_per_query =
+      explain || trace ? &per_query : nullptr;
+  std::string trace_jsonl;
   for (long r = 0; r < repeat; ++r) {
     if (serve_mode) {
       core::ServeOptions sopt;
@@ -365,19 +361,20 @@ int CmdQuery(const Args& args) {
       // budget; without it, engine-configured semantics (same as --threads).
       sopt.deadline_ms =
           args.Has("deadline-ms") ? args.Dbl("deadline-ms", 0.0) : -1.0;
-      st = system->Serve(log.test, k, sopt, &serve_report,
-                         explain ? &per_query : nullptr);
+      st = system->Serve(log.test, k, sopt, &serve_report, want_per_query);
       agg = serve_report.agg;
-    } else if (threads > 0 || explain) {
-      // --explain needs per-query results; the concurrent path is bit-exact
-      // with the serial one, so one worker is a faithful substitute.
-      st = system->RunQueriesConcurrent(log.test, k,
-                                        std::max<size_t>(1, threads), &agg,
-                                        explain ? &per_query : nullptr);
+    } else if (threads > 0) {
+      st = system->RunQueriesConcurrent(log.test, k, threads, &agg,
+                                        want_per_query);
     } else {
-      st = system->RunQueries(log.test, k, &agg);
+      st = system->RunQueries(log.test, k, &agg, want_per_query);
     }
     if (!st.ok()) Die(st, "run queries");
+    for (size_t i = 0; trace && i < per_query.size(); ++i) {
+      if (per_query[i].shed()) continue;  // never executed: nothing to trace
+      obs::AppendTraceJson(i, per_query[i], per_query[i].events, &trace_jsonl);
+      trace_jsonl.push_back('\n');
+    }
   }
   if (publisher != nullptr) publisher->Stop();
 
@@ -396,8 +393,8 @@ int CmdQuery(const Args& args) {
                                 obs::ExportPrometheus(metrics));
     if (!st.ok()) Die(st, "write metrics prom");
   }
-  if (args.Has("trace-out")) {
-    st = tracer.WriteJsonl(args.Str("trace-out", ""));
+  if (trace) {
+    st = obs::WriteStringToFile(args.Str("trace-out", ""), trace_jsonl);
     if (!st.ok()) Die(st, "write trace jsonl");
   }
   if (args.Has("profile-out")) {
@@ -417,7 +414,7 @@ int CmdQuery(const Args& args) {
   if (explain) {
     for (size_t i = 0; i < per_query.size(); ++i) {
       std::printf("explain[%zu] %s\n", i,
-                  obs::ExplainJson(per_query[i].explain).c_str());
+                  obs::ExplainJson(per_query[i]).c_str());
     }
   }
 

@@ -184,8 +184,7 @@ void CheckDroppedStatus(const std::string& path,
                         const Suppressions& sup,
                         std::vector<Finding>* findings) {
   // Methods whose name unambiguously means "returns Status" in this tree.
-  // (Append and WriteJsonl are deliberately absent: Dataset::Append returns
-  // a PointId and Tracer::WriteJsonl has a void ostream overload, either of
+  // (Append is deliberately absent: Dataset::Append returns a PointId,
   // which would drown the rule in false positives — the [[nodiscard]]
   // attribute is the authoritative enforcement; this rule is the redundant
   // net for code not compiled in the current configuration.)
