@@ -2,13 +2,16 @@
 // decoding, distance-bound evaluation, histogram lookup, Euclidean distance,
 // and histogram construction. These are the operations the candidate-
 // reduction phase performs per candidate, so their throughput bounds how
-// cheap "no-I/O pruning" really is.
+// cheap "no-I/O pruning" really is. BM_C2LshCandidates times candidate
+// generation, the phase that dominates a measured query at scale.
 
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "cache/code_store.h"
@@ -24,6 +27,7 @@
 #include "obs/prof.h"
 #include "storage/file_ordering.h"
 #include "storage/point_file.h"
+#include "workload/generator.h"
 
 namespace {
 
@@ -288,6 +292,72 @@ void BM_EngineQuery(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_EngineQuery)->Arg(0)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
+
+// C2LSH candidate generation alone: a default-option index over clustered
+// data, queried with the query-log generator's jittered data points.
+// Args: {n, dim}. Reports time per Candidates call and `entries_per_call`,
+// the mean index entries charged per call under the disk model
+// (lsh.entries_scanned) over one untimed pass of the whole query set. The
+// index is built once per shape and kept for the process, so the timing
+// trials do not rebuild it.
+struct LshFixture {
+  std::unique_ptr<index::C2Lsh> lsh;
+  std::vector<std::vector<Scalar>> queries;
+  double entries_per_call = 0.0;
+};
+
+const LshFixture* GetLshFixture(size_t n, size_t dim) {
+  static std::map<std::pair<size_t, size_t>, LshFixture> fixtures;
+  auto [it, inserted] = fixtures.try_emplace({n, dim});
+  LshFixture& f = it->second;
+  if (!inserted) return f.lsh != nullptr ? &f : nullptr;
+
+  workload::DatasetSpec spec;
+  spec.n = n;
+  spec.dim = dim;
+  const Dataset data = workload::GenerateClustered(spec);
+  f.queries = workload::GenerateQueryLog(data, {}).workload;
+  if (!index::C2Lsh::Build(data, index::C2LshOptions{}, &f.lsh).ok()) {
+    f.lsh.reset();
+    return nullptr;
+  }
+  obs::MetricsRegistry reg;
+  f.lsh->BindMetrics(&reg);
+  std::vector<PointId> cand;
+  for (const auto& q : f.queries) {
+    if (!f.lsh->Candidates(q, /*k=*/10, &cand, nullptr).ok()) {
+      f.lsh.reset();
+      return nullptr;
+    }
+  }
+  f.lsh->BindMetrics(nullptr);
+  f.entries_per_call =
+      static_cast<double>(reg.GetCounter("lsh.entries_scanned")->value()) /
+      static_cast<double>(f.queries.size());
+  return &f;
+}
+
+void BM_C2LshCandidates(benchmark::State& state) {
+  const LshFixture* f = GetLshFixture(state.range(0), state.range(1));
+  if (f == nullptr) {
+    state.SkipWithError("lsh setup failed");
+    return;
+  }
+  std::vector<PointId> cand;
+  size_t qi = 0;
+  for (auto _ : state) {
+    if (!f->lsh->Candidates(f->queries[qi], /*k=*/10, &cand, nullptr).ok()) {
+      state.SkipWithError("candidates failed");
+      break;
+    }
+    benchmark::DoNotOptimize(cand.data());
+    benchmark::ClobberMemory();
+    qi = (qi + 1) % f->queries.size();
+  }
+  state.counters["entries_per_call"] = f->entries_per_call;
+}
+BENCHMARK(BM_C2LshCandidates)->Args({50000, 64})->Args({200000, 128})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BuildVOptimal(benchmark::State& state) {

@@ -7,7 +7,9 @@
 //
 // The hash tables are conceptually disk-resident (bucket lists of ids); we
 // keep them in RAM for speed but charge index I/O per bucket-list visit so
-// the candidate-generation cost of paper Fig. 1 is reproduced.
+// the candidate-generation cost of paper Fig. 1 is reproduced. In RAM, each
+// function's table is a run of 4-byte ids sorted by (key, id) plus a bucket
+// directory (distinct keys and their start offsets).
 //
 // Concurrency: after Build the index is immutable; Candidates uses only
 // thread_local collision-count scratch, so concurrent queries are safe
@@ -30,8 +32,8 @@ namespace eeb::index {
 /// Tuning knobs; defaults follow the C2LSH paper's recommendations scaled to
 /// our surrogate datasets.
 struct C2LshOptions {
-  uint32_t num_functions = 16;     ///< m, number of atomic hash functions
-  uint32_t collision_threshold = 8;  ///< l, collisions to become candidate
+  uint32_t num_functions = 16;     ///< m (1..255), atomic hash functions
+  uint32_t collision_threshold = 8;  ///< l (1..m), collisions to candidacy
   double bucket_width = 1.0;       ///< w; scaled by data spread at build
   double approximation_ratio = 2.0;  ///< c, radius growth factor
   uint32_t beta_candidates = 200;  ///< stop after k + beta candidates
@@ -42,11 +44,16 @@ struct C2LshOptions {
   bool auto_scale_width = true;
 };
 
-/// In-memory C2LSH index with per-query collision counting.
+/// In-memory C2LSH index with per-query collision counting. Index I/O is
+/// charged under the disk model: `lsh.entries_scanned` counts every entry of
+/// each newly covered key range, including the final level's entries that
+/// the count kernel no longer visits once k + beta candidates are out.
 class C2Lsh : public CandidateIndex {
  public:
   /// Builds the index over `data`. The dataset reference must stay valid for
-  /// the index lifetime (only for dim(); keys are materialized).
+  /// the index lifetime (only for dim(); keys are materialized). Rejects
+  /// options under which no point could become a candidate: m == 0, m > 255
+  /// (collision counts are 8-bit), l == 0 or l > m.
   static Status Build(const Dataset& data, const C2LshOptions& options,
                       std::unique_ptr<C2Lsh>* out);
 
@@ -65,7 +72,9 @@ class C2Lsh : public CandidateIndex {
 
   /// Binds candidate-generation instruments (queries, bucket probes,
   /// entries scanned, sequential pages, candidates, terminal radius) in
-  /// `registry`; nullptr detaches.
+  /// `registry`; nullptr detaches. `lsh.entries_scanned` counts the entries
+  /// charged under the disk model, including those of the final level that
+  /// the kernel skips once k + beta candidates are out.
   void BindMetrics(obs::MetricsRegistry* registry);
 
   const C2LshOptions& options() const { return options_; }
@@ -81,19 +90,19 @@ class C2Lsh : public CandidateIndex {
   double width_;  // effective bucket width after auto-scaling
   size_t n_ = 0;
 
-  // Per function: projection vector, offset, and (key, id) pairs sorted by
-  // key for interval widening during virtual rehashing.
-  std::vector<std::vector<double>> proj_;
+  // Projection vectors, row-major m x d, and one offset per function.
+  std::vector<double> proj_;
   std::vector<double> shift_;
-  struct Entry {
-    int64_t key;
-    PointId id;
-    bool operator<(const Entry& o) const {
-      if (key != o.key) return key < o.key;
-      return id < o.id;
-    }
+  // Function i's run ids_[i*n, (i+1)*n) holds every point id sorted by
+  // (key, id), for interval widening during virtual rehashing.
+  std::vector<PointId> ids_;
+  // Function i's bucket directory: its distinct keys ascending, and each
+  // key's start offset within the run plus one closing sentinel (n).
+  struct Directory {
+    std::vector<int64_t> keys;
+    std::vector<uint32_t> starts;
   };
-  std::vector<std::vector<Entry>> tables_;
+  std::vector<Directory> dirs_;
 
   std::atomic<double> last_radius_{0.0};
 

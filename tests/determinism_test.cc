@@ -11,6 +11,7 @@
 #include "hist/serialize.h"
 #include "workload/generator.h"
 #include "workload/registry.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb {
 namespace {
@@ -44,10 +45,10 @@ Built BuildOne(const std::string& dir) {
 }
 
 TEST(DeterminismTest, TwoBuildsAgreeEndToEnd) {
-  const std::string base =
-      (std::filesystem::temp_directory_path() / "eeb_det").string();
-  Built a = BuildOne(base + "/a");
-  Built b = BuildOne(base + "/b");
+  ScopedTempDir tmp("eeb_det");
+  ASSERT_TRUE(tmp.ok());
+  Built a = BuildOne(tmp.File("a"));
+  Built b = BuildOne(tmp.File("b"));
 
   EXPECT_EQ(a.system->workload_stats().dmax, b.system->workload_stats().dmax);
   EXPECT_EQ(a.system->workload_stats().ids_by_freq,
@@ -80,21 +81,18 @@ TEST(DeterminismTest, TwoBuildsAgreeEndToEnd) {
   hist::AppendHistogram(ha, &blob_a);
   hist::AppendHistogram(hb, &blob_b);
   EXPECT_EQ(blob_a, blob_b);
-
-  std::filesystem::remove_all(base);
 }
 
 TEST(DeterminismTest, PercentilesOrdered) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_det_p").string();
-  Built b = BuildOne(dir);
+  ScopedTempDir tmp("eeb_det_p");
+  ASSERT_TRUE(tmp.ok());
+  Built b = BuildOne(tmp.path());
   ASSERT_TRUE(b.system->ConfigureCache(core::CacheMethod::kHcO, 40000).ok());
   core::AggregateResult agg;
   ASSERT_TRUE(b.system->RunQueries(b.log.test, 10, &agg).ok());
   EXPECT_LE(agg.p50_response_seconds, agg.p95_response_seconds);
   EXPECT_LE(agg.p95_response_seconds, agg.p99_response_seconds);
   EXPECT_GT(agg.p99_response_seconds, 0.0);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(RegistryEnvTest, EmptyQuickVarIgnored) {

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <set>
 
 #include "common/dataset.h"
@@ -15,14 +14,10 @@
 #include "hist/builders.h"
 #include "index/lsh/c2lsh.h"
 #include "storage/env.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb::core {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("eeb_engine_" + name))
-      .string();
-}
 
 class EngineTest : public ::testing::Test {
  protected:
@@ -45,7 +40,8 @@ class EngineTest : public ::testing::Test {
       data_.Append(p);
     }
 
-    path_ = TempPath("pf");
+    ASSERT_TRUE(tmp_.ok());
+    path_ = tmp_.File("pf");
     ASSERT_TRUE(
         storage::PointFile::Create(storage::Env::Default(), path_, data_)
             .ok());
@@ -71,10 +67,6 @@ class EngineTest : public ::testing::Test {
     }
   }
 
-  void TearDown() override {
-    storage::Env::Default()->DeleteFile(path_).IgnoreError();
-  }
-
   std::vector<PointId> AllIds() const {
     std::vector<PointId> ids(data_.size());
     for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<PointId>(i);
@@ -82,6 +74,7 @@ class EngineTest : public ::testing::Test {
   }
 
   Dataset data_;
+  ScopedTempDir tmp_{"eeb_engine"};
   std::string path_;
   std::unique_ptr<storage::PointFile> points_;
   std::unique_ptr<index::C2Lsh> lsh_;

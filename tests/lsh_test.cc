@@ -1,15 +1,20 @@
 // Tests for the C2LSH index: option validation, determinism, candidate
-// volume, recall against ground truth, radius growth, and I/O accounting.
+// volume, recall against ground truth, radius growth, I/O accounting, and
+// golden hashes that pin C(q) and the engine's results bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "common/dataset.h"
 #include "common/random.h"
+#include "core/knn_engine.h"
 #include "index/linear_scan.h"
 #include "index/lsh/c2lsh.h"
+#include "storage/mem_env.h"
+#include "storage/point_file.h"
 
 namespace eeb::index {
 namespace {
@@ -57,6 +62,24 @@ TEST(C2LshTest, RejectsBadOptions) {
   EXPECT_TRUE(C2Lsh::Build(data, o, &idx).IsInvalidArgument());
   EXPECT_TRUE(C2Lsh::Build(Dataset(8), DefaultOptions(), &idx)
                   .IsInvalidArgument());
+  // Options under which every query would return an empty C(q): no hash
+  // functions, a zero collision threshold, or more functions than the
+  // 8-bit collision counters can count.
+  o = DefaultOptions();
+  o.num_functions = 0;
+  o.collision_threshold = 0;
+  EXPECT_TRUE(C2Lsh::Build(data, o, &idx).IsInvalidArgument());
+  o = DefaultOptions();
+  o.collision_threshold = 0;
+  EXPECT_TRUE(C2Lsh::Build(data, o, &idx).IsInvalidArgument());
+  o = DefaultOptions();
+  o.num_functions = 300;
+  o.collision_threshold = 280;
+  EXPECT_TRUE(C2Lsh::Build(data, o, &idx).IsInvalidArgument());
+  o = DefaultOptions();
+  o.num_functions = 255;
+  o.collision_threshold = 255;
+  EXPECT_TRUE(C2Lsh::Build(data, o, &idx).ok()) << "m = 255 still fits";
 }
 
 TEST(C2LshTest, ReportsEnoughCandidates) {
@@ -160,6 +183,80 @@ TEST(C2LshTest, QueryDimMismatchRejected) {
   std::vector<Scalar> q(4, 0);
   std::vector<PointId> cand;
   EXPECT_TRUE(idx->Candidates(q, 5, &cand, nullptr).IsInvalidArgument());
+}
+
+// FNV-1a 64 over little-endian 64-bit words.
+class Fnv1a {
+ public:
+  void Add(uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (v >> (8 * b)) & 0xff;
+      h_ *= 1099511628211ull;
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+// Pins C(q), its modeled index I/O and the terminal radius for a fixed
+// build and query set, plus the NO-CACHE engine's answers over them. Any
+// layout or kernel change to C2LSH must leave both hashes unchanged: every
+// paper figure depends on C(q).
+TEST(C2LshTest, GoldenCandidateSets) {
+  const size_t dim = 32;
+  Dataset data = ClusteredData(20000, dim, 29);
+  storage::MemEnv env;
+  ASSERT_TRUE(storage::PointFile::Create(&env, "/golden", data).ok());
+  std::unique_ptr<storage::PointFile> pf;
+  ASSERT_TRUE(storage::PointFile::Open(&env, "/golden", &pf).ok());
+
+  // 120 queries: even ones perturb a data point, odd ones are uniform.
+  Rng rng(31);
+  std::vector<std::vector<Scalar>> queries;
+  for (int t = 0; t < 120; ++t) {
+    std::vector<Scalar> q(dim);
+    if (t % 2 == 0) {
+      auto src = data.point(static_cast<PointId>(rng.Uniform(data.size())));
+      for (size_t j = 0; j < dim; ++j) {
+        q[j] = static_cast<Scalar>(std::max(
+            0.0, std::min(255.0, src[j] + rng.NextGaussian() * 3)));
+      }
+    } else {
+      for (auto& v : q) v = static_cast<Scalar>(rng.Uniform(256));
+    }
+    queries.push_back(std::move(q));
+  }
+  const size_t ks[] = {1, 10, 100};
+
+  Fnv1a cand_hash, result_hash;
+  for (const C2LshOptions& o : {C2LshOptions{}, DefaultOptions()}) {
+    std::unique_ptr<C2Lsh> idx;
+    ASSERT_TRUE(C2Lsh::Build(data, o, &idx).ok());
+    core::KnnEngine engine(idx.get(), pf.get(), nullptr);
+    for (size_t t = 0; t < queries.size(); ++t) {
+      const size_t k = ks[t % 3];
+      std::vector<PointId> cand;
+      storage::IoStats stats;
+      ASSERT_TRUE(idx->Candidates(queries[t], k, &cand, &stats).ok());
+      cand_hash.Add(cand.size());
+      for (PointId id : cand) cand_hash.Add(id);
+      cand_hash.Add(stats.page_reads);
+      cand_hash.Add(stats.seq_page_reads);
+      cand_hash.Add(stats.bytes_read);
+      cand_hash.Add(std::bit_cast<uint64_t>(idx->last_radius()));
+
+      core::QueryResult r;
+      ASSERT_TRUE(engine.Query(queries[t], k, &r).ok());
+      result_hash.Add(r.result_ids.size());
+      for (PointId id : r.result_ids) result_hash.Add(id);
+    }
+  }
+  EXPECT_EQ(cand_hash.value(), 0x4bcf00cddee52013ull)
+      << std::hex << cand_hash.value();
+  EXPECT_EQ(result_hash.value(), 0xcdf947dd7ebb4207ull)
+      << std::hex << result_hash.value();
 }
 
 TEST(LinearScanTest, ExactOnTinyInput) {

@@ -3,10 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "core/maintenance.h"
 #include "workload/generator.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb::core {
 namespace {
@@ -49,8 +48,7 @@ TEST(DriftTest, SymmetricAndBounded) {
 class MaintainerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "eeb_maint").string();
-    std::filesystem::create_directories(dir_);
+    ASSERT_TRUE(tmp_.ok());
 
     workload::DatasetSpec dspec;
     dspec.n = 5000;
@@ -73,14 +71,14 @@ class MaintainerTest : public ::testing::Test {
 
     core::SystemOptions opt;
     opt.lsh.beta_candidates = 100;
-    ASSERT_TRUE(System::Create(storage::Env::Default(), dir_, data_,
+    ASSERT_TRUE(System::Create(storage::Env::Default(), tmp_.path(), data_,
                                log_a_.workload, opt, &system_)
                     .ok());
     ASSERT_TRUE(
         system_->ConfigureCache(CacheMethod::kHcO, 50000).ok());
   }
 
-  std::string dir_;
+  ScopedTempDir tmp_{"eeb_maint"};
   Dataset data_;
   workload::QueryLog log_a_;
   workload::QueryLog log_b_;

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <set>
 
 #include "common/zipf.h"
@@ -16,6 +15,7 @@
 #include "storage/file_ordering.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb {
 namespace {
@@ -40,9 +40,8 @@ TEST(ZipfEdgeTest, SingleItem) {
 }
 
 TEST(SystemErrorsTest, RejectsHugeTauAndServesWithoutCache) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_sys_err").string();
-  std::filesystem::create_directories(dir);
+  ScopedTempDir tmp("eeb_sys_err");
+  ASSERT_TRUE(tmp.ok());
   workload::DatasetSpec dspec;
   dspec.n = 1000;
   dspec.dim = 8;
@@ -54,7 +53,7 @@ TEST(SystemErrorsTest, RejectsHugeTauAndServesWithoutCache) {
   qspec.test_size = 3;
   auto log = workload::GenerateQueryLog(data, qspec);
   std::unique_ptr<core::System> sys;
-  ASSERT_TRUE(core::System::Create(storage::Env::Default(), dir, data,
+  ASSERT_TRUE(core::System::Create(storage::Env::Default(), tmp.path(), data,
                                    log.workload, {}, &sys)
                   .ok());
   EXPECT_TRUE(sys->ConfigureCache(core::CacheMethod::kHcO, 10000, 30)
@@ -64,7 +63,6 @@ TEST(SystemErrorsTest, RejectsHugeTauAndServesWithoutCache) {
   core::QueryResult r;
   ASSERT_TRUE(sys->Query(log.test[0], 5, &r).ok());
   EXPECT_EQ(r.result_ids.size(), 5u);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ApproximateDbscanTest, LshNeighborhoodsStillCluster) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <numeric>
 #include <set>
 
@@ -15,6 +14,7 @@
 #include "index/lsh/multiprobe.h"
 #include "index/mtree/mtree.h"
 #include "workload/generator.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb::index {
 namespace {
@@ -52,16 +52,14 @@ class MTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     data_ = MakeData(3000, 31);
-    path_ = (std::filesystem::temp_directory_path() / "eeb_mtree").string();
-    ASSERT_TRUE(
-        MTree::Build(storage::Env::Default(), path_, data_, {}, &idx_).ok());
-  }
-  void TearDown() override {
-    storage::Env::Default()->DeleteFile(path_).IgnoreError();
+    ASSERT_TRUE(tmp_.ok());
+    ASSERT_TRUE(MTree::Build(storage::Env::Default(), tmp_.File("mtree"),
+                             data_, {}, &idx_)
+                    .ok());
   }
 
   Dataset data_;
-  std::string path_;
+  ScopedTempDir tmp_{"eeb_mtree"};
   std::unique_ptr<MTree> idx_;
 };
 

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -29,6 +28,7 @@
 #include "obs/window.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb::obs {
 namespace {
@@ -502,14 +502,14 @@ TEST(ExportTest, JsonEscapesMetricNames) {
 }
 
 TEST(ExportTest, WriteStringToFileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "eeb_obs_write.txt").string();
+  ScopedTempDir tmp("eeb_obs_write");
+  ASSERT_TRUE(tmp.ok());
+  const std::string path = tmp.File("out.txt");
   ASSERT_TRUE(WriteStringToFile(path, "payload\n").ok());
   std::ifstream in(path);
   std::stringstream ss;
   ss << in.rdbuf();
   EXPECT_EQ(ss.str(), "payload\n");
-  std::filesystem::remove(path);
   EXPECT_TRUE(WriteStringToFile("/nonexistent/dir/x.txt", "x").IsIOError());
 }
 
@@ -545,9 +545,8 @@ TEST(TraceJsonTest, ExplainAndEventsOnOneLine) {
 // ------------------------------------------------------ System end-to-end --
 
 TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_obs_system").string();
-  std::filesystem::create_directories(dir);
+  ScopedTempDir tmp("eeb_obs_system");
+  ASSERT_TRUE(tmp.ok());
 
   workload::DatasetSpec dspec;
   dspec.n = 3000;
@@ -567,7 +566,7 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
   opt.lsh.beta_candidates = 100;
   opt.engine.trace_events = true;
   std::unique_ptr<core::System> system;
-  ASSERT_TRUE(core::System::Create(storage::Env::Default(), dir, data,
+  ASSERT_TRUE(core::System::Create(storage::Env::Default(), tmp.path(), data,
                                    log.workload, opt, &system)
                   .ok());
 
@@ -623,8 +622,6 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
 
   system->EnableMetrics(nullptr);
   ASSERT_TRUE(system->RunQueries(log.test, 10, &agg).ok());  // detached ok
-
-  std::filesystem::remove_all(dir);
 }
 
 // One thread drives a cache (probe / admit / publish) while another exports

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <tuple>
 
 #include "common/dataset.h"
@@ -17,6 +16,7 @@
 #include "hist/builders.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb {
 namespace {
@@ -156,9 +156,8 @@ using CellParam = std::tuple<core::CacheMethod, uint32_t /*tau*/>;
 class EngineCellP : public ::testing::TestWithParam<CellParam> {
  protected:
   static void SetUpTestSuite() {
-    dir_ = (std::filesystem::temp_directory_path() / "eeb_param_sys")
-               .string();
-    std::filesystem::create_directories(dir_);
+    tmp_ = new ScopedTempDir("eeb_param_sys");
+    ASSERT_TRUE(tmp_->ok());
     workload::DatasetSpec dspec;
     dspec.n = 4000;
     dspec.dim = 24;
@@ -175,8 +174,8 @@ class EngineCellP : public ::testing::TestWithParam<CellParam> {
     core::SystemOptions opt;
     opt.lsh.beta_candidates = 120;
     std::unique_ptr<core::System> sys;
-    ASSERT_TRUE(core::System::Create(storage::Env::Default(), dir_, *data_,
-                                     log_->workload, opt, &sys)
+    ASSERT_TRUE(core::System::Create(storage::Env::Default(), tmp_->path(),
+                                     *data_, log_->workload, opt, &sys)
                     .ok());
     system_ = sys.release();
 
@@ -195,17 +194,26 @@ class EngineCellP : public ::testing::TestWithParam<CellParam> {
     delete system_;
     delete log_;
     delete data_;
-    std::filesystem::remove_all(dir_);
+    delete tmp_;
   }
 
-  static std::string dir_;
+  // A failed ASSERT in SetUpTestSuite only returns from it; fail each case
+  // here instead of dereferencing a system that was never built.
+  void SetUp() override {
+    ASSERT_TRUE(system_ != nullptr && reference_ != nullptr &&
+                reference_->size() == log_->test.size())
+        << "suite setup failed before the system and its NO-CACHE reference "
+           "were built; see the SetUpTestSuite failure above";
+  }
+
+  static ScopedTempDir* tmp_;
   static Dataset* data_;
   static workload::QueryLog* log_;
   static core::System* system_;
   static std::vector<std::vector<PointId>>* reference_;
 };
 
-std::string EngineCellP::dir_;
+ScopedTempDir* EngineCellP::tmp_ = nullptr;
 Dataset* EngineCellP::data_ = nullptr;
 workload::QueryLog* EngineCellP::log_ = nullptr;
 core::System* EngineCellP::system_ = nullptr;

@@ -9,7 +9,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -19,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "workload/generator.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb::obs {
 namespace {
@@ -203,9 +203,8 @@ TEST(ProfilerTest, ExportProfileJsonShape) {
 // ------------------------------------------------- System integration ----
 
 TEST(ProfilerSystemTest, PipelinePhasesAppearAndNestCorrectly) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_prof_system").string();
-  std::filesystem::create_directories(dir);
+  ScopedTempDir tmp("eeb_prof_system");
+  ASSERT_TRUE(tmp.ok());
 
   workload::DatasetSpec dspec;
   dspec.n = 3000;
@@ -224,7 +223,7 @@ TEST(ProfilerSystemTest, PipelinePhasesAppearAndNestCorrectly) {
   core::SystemOptions opt;
   opt.lsh.beta_candidates = 100;
   std::unique_ptr<core::System> system;
-  ASSERT_TRUE(core::System::Create(storage::Env::Default(), dir, data,
+  ASSERT_TRUE(core::System::Create(storage::Env::Default(), tmp.path(), data,
                                    log.workload, opt, &system)
                   .ok());
   // Tiny cache so misses and refinement fetches occur.
@@ -257,7 +256,6 @@ TEST(ProfilerSystemTest, PipelinePhasesAppearAndNestCorrectly) {
   prof.Reset();
   ASSERT_TRUE(system->RunQueries(log.test, /*k=*/10, &agg).ok());
   EXPECT_EQ(ByPath(prof).at("run_queries").calls, 0u);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -5,11 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "common/random.h"
 #include "core/system.h"
 #include "workload/generator.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb {
 namespace {
@@ -47,18 +46,15 @@ TEST_P(SeedSweep, CachingInvariantsHoldEndToEnd) {
   qspec.seed = seed * 7 + 1;
   auto log = workload::GenerateQueryLog(data, qspec);
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("eeb_seed_" + std::to_string(seed)))
-          .string();
-  std::filesystem::create_directories(dir);
+  ScopedTempDir tmp("eeb_seed_" + std::to_string(seed));
+  ASSERT_TRUE(tmp.ok());
 
   core::SystemOptions opt;
   opt.integral_values = !continuous;
   opt.lsh.beta_candidates = 80;
   opt.lsh.seed = seed + 3;
   std::unique_ptr<core::System> sys;
-  ASSERT_TRUE(core::System::Create(storage::Env::Default(), dir, data,
+  ASSERT_TRUE(core::System::Create(storage::Env::Default(), tmp.path(), data,
                                    log.workload, opt, &sys)
                   .ok());
 
@@ -85,7 +81,6 @@ TEST_P(SeedSweep, CachingInvariantsHoldEndToEnd) {
       EXPECT_LE(r.fetched, r.remaining);
     }
   }
-  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,

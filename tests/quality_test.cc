@@ -3,11 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 
 #include "core/quality.h"
 #include "core/system.h"
 #include "workload/generator.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb::core {
 namespace {
@@ -66,9 +66,8 @@ TEST(QualityTest, BatchAverages) {
 TEST(QualityTest, CachingDoesNotAffectQualityEndToEnd) {
   // The paper's Sec. 2.2 claim, measured: LSH quality (recall, ratio) is
   // identical with and without the cache.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_quality").string();
-  std::filesystem::create_directories(dir);
+  ScopedTempDir tmp("eeb_quality");
+  ASSERT_TRUE(tmp.ok());
   workload::DatasetSpec dspec;
   dspec.n = 4000;
   dspec.dim = 16;
@@ -84,7 +83,7 @@ TEST(QualityTest, CachingDoesNotAffectQualityEndToEnd) {
   core::SystemOptions opt;
   opt.lsh.beta_candidates = 150;
   std::unique_ptr<System> sys;
-  ASSERT_TRUE(System::Create(storage::Env::Default(), dir, data,
+  ASSERT_TRUE(System::Create(storage::Env::Default(), tmp.path(), data,
                              log.workload, opt, &sys)
                   .ok());
 
@@ -107,7 +106,6 @@ TEST(QualityTest, CachingDoesNotAffectQualityEndToEnd) {
   // And the LSH layer itself finds most true neighbors on this data.
   EXPECT_GT(plain.mean_recall, 0.6);
   EXPECT_LT(plain.mean_overall_ratio, 1.3);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

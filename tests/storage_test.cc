@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <numeric>
 #include <set>
 
@@ -14,13 +13,16 @@
 #include "storage/file_ordering.h"
 #include "storage/io_stats.h"
 #include "storage/point_file.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb::storage {
 namespace {
 
+// Every case's files live in one directory private to this process.
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("eeb_test_" + name))
-      .string();
+  static const ScopedTempDir dir("eeb_test");
+  EXPECT_TRUE(dir.ok()) << "could not create a temp directory";
+  return dir.File(name);
 }
 
 Dataset RandomData(size_t n, size_t dim, uint64_t seed) {

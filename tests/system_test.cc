@@ -9,6 +9,7 @@
 
 #include "core/system.h"
 #include "workload/generator.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb::core {
 namespace {
@@ -16,9 +17,8 @@ namespace {
 class SystemTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = (std::filesystem::temp_directory_path() / "eeb_system_test")
-               .string();
-    std::filesystem::create_directories(dir_);
+    tmp_ = new ScopedTempDir("eeb_system_test");
+    ASSERT_TRUE(tmp_->ok());
 
     workload::DatasetSpec dspec;
     dspec.n = 6000;
@@ -39,7 +39,7 @@ class SystemTest : public ::testing::Test {
     opt.lsh.collision_threshold = 8;
     opt.lsh.beta_candidates = 150;
     std::unique_ptr<System> sys;
-    ASSERT_TRUE(System::Create(storage::Env::Default(), dir_, *data_,
+    ASSERT_TRUE(System::Create(storage::Env::Default(), tmp_->path(), *data_,
                                log_->workload, opt, &sys)
                     .ok());
     system_ = sys.release();
@@ -49,7 +49,15 @@ class SystemTest : public ::testing::Test {
     delete system_;
     delete log_;
     delete data_;
-    std::filesystem::remove_all(dir_);
+    delete tmp_;
+  }
+
+  // A failed ASSERT in SetUpTestSuite only returns from it; fail each case
+  // here instead of dereferencing a system that was never built.
+  void SetUp() override {
+    ASSERT_NE(system_, nullptr)
+        << "suite setup failed before the system was built; see the "
+           "SetUpTestSuite failure above";
   }
 
   // Runs the test queries under a method and returns the aggregate.
@@ -62,13 +70,13 @@ class SystemTest : public ::testing::Test {
     return agg;
   }
 
-  static std::string dir_;
+  static ScopedTempDir* tmp_;
   static Dataset* data_;
   static workload::QueryLog* log_;
   static System* system_;
 };
 
-std::string SystemTest::dir_;
+ScopedTempDir* SystemTest::tmp_ = nullptr;
 Dataset* SystemTest::data_ = nullptr;
 workload::QueryLog* SystemTest::log_ = nullptr;
 System* SystemTest::system_ = nullptr;
@@ -221,7 +229,7 @@ TEST_F(SystemTest, OrderingVariantsProduceSameResults) {
   // Fig. 9 precondition: physical ordering affects I/O only, not answers.
   for (FileOrdering ord :
        {FileOrdering::kClustered, FileOrdering::kSortedKey}) {
-    const std::string d2 = dir_ + "/ord" + std::to_string((int)ord);
+    const std::string d2 = tmp_->File("ord" + std::to_string((int)ord));
     std::filesystem::create_directories(d2);
     SystemOptions opt;
     opt.lsh.num_functions = 16;

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <numeric>
 #include <set>
 
@@ -17,13 +16,16 @@
 #include "index/linear_scan.h"
 #include "index/tree_common.h"
 #include "index/vptree/vptree.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb::index {
 namespace {
 
+// Every case's files live in one directory private to this process.
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("eeb_tree_" + name))
-      .string();
+  static const ScopedTempDir dir("eeb_tree");
+  EXPECT_TRUE(dir.ok()) << "could not create a temp directory";
+  return dir.File(name);
 }
 
 Dataset ClusteredData(size_t n, size_t dim, uint64_t seed) {

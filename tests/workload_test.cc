@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <map>
 #include <set>
 
@@ -14,6 +13,7 @@
 #include "index/lsh/c2lsh.h"
 #include "workload/generator.h"
 #include "workload/registry.h"
+#include "scoped_temp_dir.h"
 
 namespace eeb {
 namespace {
@@ -193,8 +193,9 @@ TEST(WorkloadAnalysisTest, TreeWorkloadCountsLeaves) {
   dspec.n = 2000;
   dspec.dim = 16;
   Dataset d = workload::GenerateClustered(dspec);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "eeb_wl_tree").string();
+  ScopedTempDir tmp("eeb_wl_tree");
+  ASSERT_TRUE(tmp.ok());
+  const std::string path = tmp.File("idist");
   index::IDistanceOptions opt;
   opt.num_partitions = 8;
   std::unique_ptr<index::IDistance> idx;
@@ -222,7 +223,6 @@ TEST(WorkloadAnalysisTest, TreeWorkloadCountsLeaves) {
   // Hottest leaf first.
   EXPECT_GE(stats.leaf_freq[stats.leaves_by_freq[0]],
             stats.leaf_freq[stats.leaves_by_freq.back()]);
-  storage::Env::Default()->DeleteFile(path).IgnoreError();
 }
 
 }  // namespace
