@@ -120,8 +120,9 @@ core::AggregateResult RunCell(Workbench& wb, core::CacheMethod method,
                               bool lru) {
   Check(wb.system->ConfigureCache(method, cache_bytes, tau, lru),
         "ConfigureCache");
-  core::AggregateResult agg;
-  Check(wb.system->RunQueries(wb.log.test, k, &agg), "RunQueries");
+  core::ServeReport report;
+  Check(wb.system->Serve(wb.log.test, k, {}, &report), "Serve");
+  const core::AggregateResult& agg = report.agg;
 
   if (g_metrics_file != nullptr) {
     // One line per cell: config, headline aggregates, and a cumulative

@@ -47,8 +47,8 @@ void Banner(const std::string& id, const std::string& what);
 /// Dies with a message if `st` is not OK.
 void Check(const Status& st, const char* what);
 
-/// Aggregate of one (method, config) cell, via System::RunQueries on the
-/// test query set at result size k.
+/// Aggregate of one (method, config) cell, via System::Serve on the test
+/// query set at result size k.
 core::AggregateResult RunCell(Workbench& wb, core::CacheMethod method,
                               size_t cache_bytes, size_t k, uint32_t tau = 0,
                               bool lru = false);

@@ -24,7 +24,6 @@
 #include "hist/builders.h"
 #include "index/lsh/c2lsh.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
 #include "storage/file_ordering.h"
 #include "storage/point_file.h"
 #include "workload/generator.h"
@@ -220,13 +219,12 @@ BENCHMARK(BM_CacheProbe)->Arg(0)->Arg(1);
 
 // Arg(0): uninstrumented seed path; Arg(1): the component metrics a bare
 // engine can carry (cache + LSH + point file; the per-query engine.*
-// instruments live in System's sink, and trace events stay off); Arg(2):
-// metrics plus the hierarchical phase profiler. The acceptance criterion
-// compares whole-query time, where the once-per-query instrument updates
-// are amortized over hundreds of per-candidate operations.
+// instruments live in System's sink, and trace events stay off). The
+// acceptance criterion compares whole-query time, where the once-per-query
+// instrument updates are amortized over hundreds of per-candidate
+// operations.
 void BM_EngineQuery(benchmark::State& state) {
   const bool instrumented = state.range(0) != 0;
-  const bool profiled = state.range(0) >= 2;
   const size_t d = 32;
   const size_t n = 2000;
   Rng rng(10);
@@ -265,15 +263,10 @@ void BM_EngineQuery(benchmark::State& state) {
   }
   core::KnnEngine engine(lsh.get(), points.get(), &cache);
   obs::MetricsRegistry reg;
-  obs::Profiler prof;
   if (instrumented) {
     cache.BindMetrics(&reg);
     lsh->BindMetrics(&reg);
     points->BindMetrics(&reg);
-  }
-  if (profiled) {
-    engine.set_profiler(&prof);
-    points->BindProfiler(&prof);
   }
 
   std::vector<std::vector<Scalar>> queries;
@@ -291,8 +284,7 @@ void BM_EngineQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_EngineQuery)->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_EngineQuery)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // C2LSH candidate generation alone: a default-option index over clustered
 // data, queried with the query-log generator's jittered data points.

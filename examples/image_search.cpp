@@ -83,13 +83,13 @@ int main() {
       std::fprintf(stderr, "configure failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    core::AggregateResult agg;
-    st = system->RunQueries(log.test, /*k=*/10, &agg);
+    core::ServeReport served;
+    st = system->Serve(log.test, /*k=*/10, {}, &served);
     if (!st.ok()) {
       std::fprintf(stderr, "queries failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    Report(c.name, agg);
+    Report(c.name, served.agg);
   }
 
   std::printf(

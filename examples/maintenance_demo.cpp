@@ -53,11 +53,11 @@ int main() {
 
   auto report = [&](const char* label,
                     const std::vector<std::vector<Scalar>>& queries) {
-    core::AggregateResult agg;
-    Status s = system->RunQueries(queries, 10, &agg);
+    core::ServeReport served;
+    Status s = system->Serve(queries, 10, {}, &served);
     if (!s.ok()) std::exit(1);
     std::printf("%-34s hit %5.1f%%  refine %.3f s\n", label,
-                100 * agg.hit_ratio, agg.avg_refine_seconds);
+                100 * served.agg.hit_ratio, served.agg.avg_refine_seconds);
   };
 
   core::CacheMaintainer maintainer(system.get(), {.rebuild_threshold = 0.15});

@@ -40,7 +40,6 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
     cache_ref = cache_;
   }
   cache::KnnCache* const cache = cache_ref.get();
-  obs::ProfScope query_scope(prof_, "query");
   Timer timer;
   Timer deadline_timer;  // wall clock across all phases, for the deadline
   // Effective per-call deadline: the context overrides the engine default,
@@ -71,10 +70,7 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
 
   // ---- Phase 1: candidate generation -----------------------------------
   std::vector<PointId> cand;
-  {
-    obs::ProfScope gen_scope(prof_, "gen");
-    EEB_RETURN_IF_ERROR(index_->Candidates(q, k, &cand, &out->gen_io));
-  }
+  EEB_RETURN_IF_ERROR(index_->Candidates(q, k, &cand, &out->gen_io));
   out->candidates = static_cast<uint32_t>(cand.size());
   out->gen_seconds = timer.ElapsedSeconds();
   // Generation-boundary cut: generation itself is one in-memory index scan
@@ -111,13 +107,11 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
   // ---- Phase 2: candidate reduction (no I/O) ----------------------------
   timer.Start();
   {
-    obs::ProfScope reduce_scope(prof_, "reduce");
     const double inf = std::numeric_limits<double>::infinity();
     std::vector<double> lbs(cand.size(), 0.0);
     std::vector<double> ubs(cand.size(), inf);
     std::vector<bool> resolved(cand.size(), false);
     if (cache != nullptr) {
-      obs::ProfScope probes_scope(prof_, "cache_probes");
       // eeb-hot-begin(reduce-probe-loop): one iteration per candidate; any
       // allocation here multiplies by |C(q)| and shows in reduce_seconds.
       for (size_t i = 0; i < cand.size(); ++i) {
@@ -199,68 +193,65 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
 
   // ---- Phase 3: multi-step refinement ------------------------------------
   timer.Start();
-  {
-    obs::ProfScope refine_scope(prof_, "refine");
-    out->result_ids = std::move(sure);
-    if (out->result_ids.size() < k) {
-      const size_t kprime = k - out->result_ids.size();
-      if (remaining.size() <= kprime) {
-        // Everything left is a result; no fetch can change the id set.
-        for (const Pending& p : remaining) out->result_ids.push_back(p.id);
-      } else {
-        std::sort(remaining.begin(), remaining.end(),
-                  [](const Pending& a, const Pending& b) {
-                    if (a.lb != b.lb) return a.lb < b.lb;
-                    return a.id < b.id;
-                  });
-        TopK top(kprime);
-        // Degraded fallback: rank the candidate by its cached upper bound
-        // (pessimistic — a cache miss means +inf) instead of aborting.
-        auto substitute = [&](const Pending& p) {
-          out->degraded = true;
-          out->substituted++;
-          top.Push(p.id, p.ub);
-          trace(obs::TraceEventType::kDegraded, p.id, p.ub);
-        };
-        // eeb-hot-begin(refine-fetch-loop): the multi-step kNN inner loop —
-        // per-candidate work must stay fetch + distance only.
-        for (const Pending& p : remaining) {
-          if (top.Full() && p.lb > top.Threshold()) break;  // optimal stop
-          if (p.resolved) {
-            top.Push(p.id, p.lb);  // lb == exact distance; no I/O needed
-            continue;
-          }
-          if (!out->deadline_hit && deadline_expired()) cut_deadline(p.id);
-          if (out->deadline_hit) {
-            substitute(p);
-            continue;
-          }
-          Status rs = points_->ReadPoint(p.id, buf, &out->refine_io, &tracker);
-          if (!rs.ok()) {
-            if (!options_.degraded_fallback || !DegradableFailure(rs)) {
-              return rs;
-            }
-            out->read_failures++;
-            saw_corruption |= rs.IsCorruption();
-            trace(obs::TraceEventType::kReadFailure, p.id, 0.0);
-            substitute(p);
-            continue;
-          }
-          out->fetched++;
-          const double d = L2(q, buf);
-          top.Push(p.id, d);
-          if (cache != nullptr) cache->Admit(p.id, buf);
-          trace(obs::TraceEventType::kFetch, p.id, d);
-          note_pages(p.id);
+  out->result_ids = std::move(sure);
+  if (out->result_ids.size() < k) {
+    const size_t kprime = k - out->result_ids.size();
+    if (remaining.size() <= kprime) {
+      // Everything left is a result; no fetch can change the id set.
+      for (const Pending& p : remaining) out->result_ids.push_back(p.id);
+    } else {
+      std::sort(remaining.begin(), remaining.end(),
+                [](const Pending& a, const Pending& b) {
+                  if (a.lb != b.lb) return a.lb < b.lb;
+                  return a.id < b.id;
+                });
+      TopK top(kprime);
+      // Degraded fallback: rank the candidate by its cached upper bound
+      // (pessimistic — a cache miss means +inf) instead of aborting.
+      auto substitute = [&](const Pending& p) {
+        out->degraded = true;
+        out->substituted++;
+        top.Push(p.id, p.ub);
+        trace(obs::TraceEventType::kDegraded, p.id, p.ub);
+      };
+      // eeb-hot-begin(refine-fetch-loop): the multi-step kNN inner loop —
+      // per-candidate work must stay fetch + distance only.
+      for (const Pending& p : remaining) {
+        if (top.Full() && p.lb > top.Threshold()) break;  // optimal stop
+        if (p.resolved) {
+          top.Push(p.id, p.lb);  // lb == exact distance; no I/O needed
+          continue;
         }
-        // eeb-hot-end
-        for (const Neighbor& nb : top.TakeSorted()) {
-          out->result_ids.push_back(nb.id);
+        if (!out->deadline_hit && deadline_expired()) cut_deadline(p.id);
+        if (out->deadline_hit) {
+          substitute(p);
+          continue;
         }
+        Status rs = points_->ReadPoint(p.id, buf, &out->refine_io, &tracker);
+        if (!rs.ok()) {
+          if (!options_.degraded_fallback || !DegradableFailure(rs)) {
+            return rs;
+          }
+          out->read_failures++;
+          saw_corruption |= rs.IsCorruption();
+          trace(obs::TraceEventType::kReadFailure, p.id, 0.0);
+          substitute(p);
+          continue;
+        }
+        out->fetched++;
+        const double d = L2(q, buf);
+        top.Push(p.id, d);
+        if (cache != nullptr) cache->Admit(p.id, buf);
+        trace(obs::TraceEventType::kFetch, p.id, d);
+        note_pages(p.id);
+      }
+      // eeb-hot-end
+      for (const Neighbor& nb : top.TakeSorted()) {
+        out->result_ids.push_back(nb.id);
       }
     }
-    std::sort(out->result_ids.begin(), out->result_ids.end());
   }
+  std::sort(out->result_ids.begin(), out->result_ids.end());
   out->refine_seconds = timer.ElapsedSeconds();
 
   out->point_reads = static_cast<uint32_t>(out->refine_io.point_reads);

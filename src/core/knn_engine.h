@@ -33,7 +33,6 @@
 #include "cache/shadow_cache.h"
 #include "index/candidate_index.h"
 #include "obs/cache_analytics.h"
-#include "obs/prof.h"
 #include "obs/recorder.h"
 #include "storage/io_stats.h"
 #include "storage/point_file.h"
@@ -143,11 +142,6 @@ class KnnEngine {
     cache_ = std::move(cache);
   }
 
-  /// Attaches a phase profiler; every subsequent Query() records a "query"
-  /// scope with "gen" / "reduce" (and its "cache_probes") / "refine"
-  /// children. nullptr (default) disables profiling.
-  void set_profiler(obs::Profiler* profiler) { prof_ = profiler; }
-
   /// Attaches the cache-introspection instrument; every cache probe then
   /// feeds OnAccess(candidate, hit) — reuse-distance sampling, miss
   /// classification, working-set sketches. nullptr (default) disables it.
@@ -165,8 +159,6 @@ class KnnEngine {
   Mutex cache_mu_;  // guards cache_ publication vs. query snapshots
   std::shared_ptr<cache::KnnCache> cache_ EEB_GUARDED_BY(cache_mu_);
   const EngineOptions options_;
-  obs::Profiler* prof_ EEB_UNGUARDED(
-      "attached by single-threaded setup before queries run") = nullptr;
   obs::CacheAnalytics* analytics_ EEB_UNGUARDED(
       "attached by single-threaded setup before queries run; the instrument "
       "itself is thread-safe on its access path") = nullptr;

@@ -150,12 +150,6 @@ void System::EnableMetrics(obs::MetricsRegistry* registry) {
   };
 }
 
-void System::SetProfiler(obs::Profiler* profiler) {
-  profiler_ = profiler;
-  engine_->set_profiler(profiler);
-  points_->BindProfiler(profiler);
-}
-
 void System::SetWindow(obs::WindowedMetrics* window) {
   window_ = window;
   InstallCacheTap();
@@ -599,60 +593,16 @@ Status System::Query(std::span<const Scalar> q, size_t k, QueryResult* out) {
   return Execute(q, k, QueryContext{}, 0, out);
 }
 
-Status System::RunQueries(const std::vector<std::vector<Scalar>>& queries,
-                          size_t k, AggregateResult* out,
-                          std::vector<QueryResult>* per_query) {
-  *out = AggregateResult{};
-  if (per_query != nullptr) per_query->clear();
-  if (queries.empty()) return Status::OK();
-  obs::ProfScope batch_scope(profiler_, "run_queries");
-  std::vector<QueryResult> results(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EEB_RETURN_IF_ERROR(Execute(queries[i], k, QueryContext{}, i, &results[i]));
-  }
-  AggregateResults(results, out);
-  if (per_query != nullptr) *per_query = std::move(results);
-  return Status::OK();
-}
-
-Status System::RunQueriesConcurrent(
-    const std::vector<std::vector<Scalar>>& queries, size_t k,
-    size_t n_threads, AggregateResult* out,
-    std::vector<QueryResult>* per_query) {
-  *out = AggregateResult{};
-  // Blocking admission with no end-to-end deadline: nothing sheds, and the
-  // engine runs with a default QueryContext, so results and the aggregate
-  // stay bit-exact with the serial path (docs/CONCURRENCY.md).
-  ServeOptions options;
-  options.n_threads = n_threads;
-  options.admission = AdmissionPolicy::kBlock;
-  options.deadline_ms = -1.0;
-  ServeReport report;
-  EEB_RETURN_IF_ERROR(ServeInternal(queries, k, options,
-                                    "run_queries_concurrent", &report,
-                                    per_query));
-  *out = report.agg;
-  return Status::OK();
-}
-
 Status System::Serve(const std::vector<std::vector<Scalar>>& queries,
                      size_t k, const ServeOptions& options,
                      ServeReport* report,
                      std::vector<QueryResult>* per_query) {
-  return ServeInternal(queries, k, options, "serve", report, per_query);
-}
-
-Status System::ServeInternal(const std::vector<std::vector<Scalar>>& queries,
-                             size_t k, const ServeOptions& options,
-                             const char* scope_name, ServeReport* report,
-                             std::vector<QueryResult>* per_query) {
   *report = ServeReport{};
   if (per_query != nullptr) per_query->clear();
   if (options.n_threads == 0) {
     return Status::InvalidArgument("n_threads must be positive");
   }
   if (queries.empty()) return Status::OK();
-  obs::ProfScope batch_scope(profiler_, scope_name);
 
   // Brownout shedding only applies on the open-loop policies: blocking
   // admission is the closed-loop batch contract, where dropping a query
@@ -672,7 +622,7 @@ Status System::ServeInternal(const std::vector<std::vector<Scalar>>& queries,
 
   // Every query writes only its own slot, so no result-side synchronization
   // is needed; aggregation then folds the slots in query order, making the
-  // aggregate bit-exact with the serial path when nothing sheds.
+  // aggregate bit-exact at any thread count when nothing sheds.
   std::vector<QueryResult> results(queries.size());
   std::vector<Status> statuses(queries.size());
   // Admission timestamps: started right before each Submit so queue wait —

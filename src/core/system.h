@@ -30,7 +30,6 @@
 #include "index/lsh/c2lsh.h"
 #include "obs/cache_analytics.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
 #include "obs/recorder.h"
 #include "obs/window.h"
 #include "storage/circuit_breaker_env.h"
@@ -129,7 +128,8 @@ enum class AdmissionPolicy : uint8_t {
 
 const char* AdmissionPolicyName(AdmissionPolicy policy);
 
-/// Configuration for System::Serve.
+/// Configuration for System::Serve. The defaults are the closed-loop batch
+/// contract: one worker, blocking admission, no queue-wait accounting.
 struct ServeOptions {
   size_t n_threads = 1;
   /// Backlog bound for admitted-but-unstarted queries; 0 picks 2*n_threads.
@@ -141,8 +141,8 @@ struct ServeOptions {
   /// queue wait counts against it, and the remaining budget is passed into
   /// the engine. A query whose wait alone exceeds the deadline is shed on
   /// dequeue without touching the engine. Negative means "engine-configured
-  /// deadline, no queue-wait accounting" (the RunQueriesConcurrent
-  /// contract); 0 disables the deadline.
+  /// deadline, no queue-wait accounting" (the batch contract); 0 disables
+  /// the deadline.
   double deadline_ms = -1.0;
 };
 
@@ -197,33 +197,19 @@ class System {
   /// query pins the cache generation published at its start.
   Status Query(std::span<const Scalar> q, size_t k, QueryResult* out);
 
-  /// Runs a batch and aggregates, converting I/O counts into modeled time
-  /// with the disk model. `per_query`, when non-null, receives the result
-  /// of queries[i] at index i.
-  Status RunQueries(const std::vector<std::vector<Scalar>>& queries, size_t k,
-                    AggregateResult* out,
-                    std::vector<QueryResult>* per_query = nullptr);
-
-  /// Runs the batch through a fixed pool of `n_threads` workers fed by a
-  /// bounded task queue, then aggregates exactly like RunQueries — the
-  /// aggregate and every per-query result are bit-exact with the serial
-  /// path (docs/CONCURRENCY.md). A ConfigureCache/ReconfigureCache from a
-  /// maintenance thread may run concurrently; queries keep the generation
-  /// they started with. `per_query`, when non-null, receives the result of
-  /// queries[i] at index i.
-  Status RunQueriesConcurrent(const std::vector<std::vector<Scalar>>& queries,
-                              size_t k, size_t n_threads, AggregateResult* out,
-                              std::vector<QueryResult>* per_query = nullptr);
-
-  /// Open-loop serving entry (docs/ROBUSTNESS.md): runs the batch through a
-  /// worker pool like RunQueriesConcurrent, but admits each arrival under
-  /// `options.admission` instead of unconditionally blocking, charges queue
-  /// wait against `options.deadline_ms`, and sheds instead of failing when
-  /// the process is saturated. Shed queries come back as first-class
-  /// results (`QueryResult::shed()`, with a cause) in `per_query`, never as
-  /// errors; the report reconciles exactly (completed + shed == submitted).
-  /// With the default blocking options this is bit-exact with
-  /// RunQueriesConcurrent.
+  /// The one batch entry: runs `queries` on a pool of `options.n_threads`
+  /// workers, then folds the results into `report->agg` (I/O converted to
+  /// modeled time with the disk model); `per_query`, when non-null,
+  /// receives the result of queries[i] at index i. Under blocking admission
+  /// (the default) every result and the aggregate are bit-exact at any
+  /// thread count (docs/CONCURRENCY.md). The open-loop options
+  /// (docs/ROBUSTNESS.md) charge queue wait against the deadline and shed
+  /// instead of failing when saturated; shed queries are first-class
+  /// results (`QueryResult::shed()`), and the report reconciles exactly
+  /// (completed + shed == submitted). Maintenance may rebuild the cache
+  /// meanwhile; each query keeps the generation it started with. A failing
+  /// query does not stop the batch: Serve drains it, then returns the first
+  /// error in query order.
   Status Serve(const std::vector<std::vector<Scalar>>& queries, size_t k,
                const ServeOptions& options, ServeReport* report,
                std::vector<QueryResult>* per_query = nullptr);
@@ -265,17 +251,11 @@ class System {
   /// by later ConfigureCache calls are bound automatically.
   void EnableMetrics(obs::MetricsRegistry* registry);
 
-  /// Attaches a phase profiler to the whole pipeline: RunQueries opens a
-  /// "run_queries" scope, the engine nests "query"/"gen"/"reduce"/"refine"
-  /// under it, and the point file nests "read_point" under whichever phase
-  /// fetches. nullptr detaches.
-  void SetProfiler(obs::Profiler* profiler);
-
   /// Attaches the live-telemetry window (docs/OBSERVABILITY.md): every
   /// finished query is folded into it (modeled response, candidate funnel,
   /// degraded flags), and a cache tap is installed so windowed hit/admit/
-  /// evict ratios follow the live cache generation across rebuilds. Safe on
-  /// both the serial and concurrent paths. nullptr detaches.
+  /// evict ratios follow the live cache generation across rebuilds. Safe at
+  /// any thread count. nullptr detaches.
   void SetWindow(obs::WindowedMetrics* window);
 
   /// Attaches the flight recorder: every finished query lands in the ring;
@@ -307,9 +287,9 @@ class System {
   storage::CircuitBreakerEnv* breaker_env() { return breaker_env_.get(); }
 
   /// Samples queue depth, worker occupancy and queue-lifetime stats from the
-  /// pool currently running RunQueriesConcurrent/Serve (zeros when idle)
-  /// into the attached window, then feeds the attached HealthMonitor one
-  /// snapshot. Wired as the StatsPublisher pre-sample hook.
+  /// pool currently running Serve (zeros when idle) into the attached
+  /// window, then feeds the attached HealthMonitor one snapshot. Wired as
+  /// the StatsPublisher pre-sample hook.
   void SampleWorkerGauges();
 
   /// Cost-model prediction for the currently configured cache at the
@@ -353,8 +333,8 @@ class System {
   /// SetShadowCaches.
   void InstallShadowTap();
 
-  /// Runs one query through the engine, then the sink. Every entry point
-  /// (Query, RunQueries, RunQueriesConcurrent, Serve) executes through it.
+  /// Runs one query through the engine, then the sink. Both entry points
+  /// (Query, and Serve's workers) execute through it.
   Status Execute(std::span<const Scalar> q, size_t k, const QueryContext& ctx,
                  uint64_t query_index, QueryResult* out);
 
@@ -374,19 +354,11 @@ class System {
   double ModeledResponse(const QueryResult& r,
                          double* modeled_io = nullptr) const;
 
-  /// Shared RunQueriesConcurrent/Serve body; `scope_name` labels the
-  /// profiler scope so both entries keep their distinct names.
-  Status ServeInternal(const std::vector<std::vector<Scalar>>& queries,
-                       size_t k, const ServeOptions& options,
-                       const char* scope_name, ServeReport* report,
-                       std::vector<QueryResult>* per_query);
-
   Status BuildCacheObject(CacheMethod method, size_t cache_bytes, uint32_t tau,
                           bool lru, std::shared_ptr<CacheGeneration>* out);
 
-  /// Shared serial/concurrent aggregation: a pure fold of per-query
-  /// results in query order (identical floating-point accumulation on both
-  /// paths).
+  /// Batch aggregation: a pure fold of per-query results in query order
+  /// (identical floating-point accumulation at any thread count).
   void AggregateResults(const std::vector<QueryResult>& results,
                         AggregateResult* out) const;
 
@@ -439,7 +411,6 @@ class System {
   // the pointers are internally atomic.
   obs::MetricsRegistry* metrics_ EEB_UNGUARDED("attached before serving") =
       nullptr;
-  obs::Profiler* profiler_ EEB_UNGUARDED("attached before serving") = nullptr;
   obs::WindowedMetrics* window_ EEB_UNGUARDED("attached before serving") =
       nullptr;
   obs::FlightRecorder* recorder_ EEB_UNGUARDED("attached before serving") =
@@ -474,8 +445,8 @@ class System {
   } instruments_ EEB_UNGUARDED(
       "bound before serving; the instruments are internally atomic");
 
-  // Pool currently executing RunQueriesConcurrent (nullptr when idle);
-  // lets SampleWorkerGauges observe queue depth / busy workers from the
+  // Pool currently executing Serve (nullptr when idle); lets
+  // SampleWorkerGauges observe queue depth / busy workers from the
   // stats-publisher thread while a batch is in flight.
   mutable Mutex pool_mu_;
   ThreadPool* active_pool_ EEB_GUARDED_BY(pool_mu_) = nullptr;

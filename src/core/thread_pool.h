@@ -2,7 +2,7 @@
 // Workers are spawned once at construction and live until destruction —
 // a query server keeps its threads warm instead of paying spawn latency
 // per request. Submit applies queue backpressure; Drain is the batch
-// barrier System::RunQueriesConcurrent uses between fan-out and the
+// barrier System::Serve uses between fan-out and the
 // deterministic aggregation pass.
 
 #ifndef EEB_CORE_THREAD_POOL_H_

@@ -8,6 +8,10 @@ namespace {
 
 constexpr uint32_t kHistMagic = 0x48454542;  // "BEEH"
 constexpr uint32_t kBundleMagic = 0x49454542;  // "BEEI"
+// Wire bytes of one bucket (lo, hi) and of the smallest valid histogram
+// (magic, ndom, count, one bucket).
+constexpr uint64_t kBucketBytes = 8;
+constexpr uint64_t kMinHistogramBytes = 12 + kBucketBytes;
 
 void PutU32(uint32_t v, std::string* out) {
   char buf[4];
@@ -43,6 +47,11 @@ Status ParseHistogram(std::string_view* in, Histogram* out) {
   if (count == 0 || count > ndom) {
     return Status::Corruption("bad histogram bucket count");
   }
+  // Both counts come from the blob: size nothing from them until the blob
+  // is known to hold that many buckets.
+  if (count * kBucketBytes > in->size()) {
+    return Status::Corruption("histogram blob truncated");
+  }
   std::vector<Bucket> buckets(count);
   for (uint32_t i = 0; i < count; ++i) {
     EEB_RETURN_IF_ERROR(GetU32(in, &buckets[i].lo));
@@ -64,6 +73,9 @@ Status ParseIndividual(std::string_view* in, IndividualHistograms* out) {
   EEB_RETURN_IF_ERROR(GetU32(in, &magic));
   if (magic != kBundleMagic) return Status::Corruption("bad bundle magic");
   EEB_RETURN_IF_ERROR(GetU32(in, &dims));
+  if (dims * kMinHistogramBytes > in->size()) {
+    return Status::Corruption("histogram bundle truncated");
+  }
   std::vector<Histogram> parsed(dims);
   for (uint32_t j = 0; j < dims; ++j) {
     EEB_RETURN_IF_ERROR(ParseHistogram(in, &parsed[j]));

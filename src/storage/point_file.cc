@@ -177,9 +177,13 @@ Status PointFile::Init(Env* env, const std::string& path) {
   dim_ = h.dim;
   page_size_ = h.page_size;
   n_slots_ = h.n_slots;
-  record_bytes_ = dim_ * sizeof(Scalar);
-  if (record_bytes_ == 0 || page_size_ <= footer_bytes_ ||
-      page_size_ < sizeof(Header)) {
+  // Until the header is proved (v2 checks its page CRC below; v1 never
+  // can), every field is hostile: the geometry is computed overflow-safely
+  // and must fit inside the file before anything is sized from it.
+  const uint64_t file_size = file_->Size();
+  if (__builtin_mul_overflow(dim_, sizeof(Scalar), &record_bytes_) ||
+      record_bytes_ == 0 || page_size_ <= footer_bytes_ ||
+      page_size_ < sizeof(Header) || page_size_ > file_size) {
     return Status::Corruption("bad point file geometry");
   }
   payload_bytes_ = page_size_ - footer_bytes_;
@@ -187,13 +191,26 @@ Status PointFile::Init(Env* env, const std::string& path) {
       record_bytes_ <= payload_bytes_ ? payload_bytes_ / record_bytes_ : 0;
   pages_per_point_ = points_per_page_ > 0
                          ? 1
-                         : (record_bytes_ + payload_bytes_ - 1) /
-                               payload_bytes_;
+                         : record_bytes_ / payload_bytes_ +
+                               (record_bytes_ % payload_bytes_ != 0);
   data_start_ = page_size_;
   if (points_per_page_ > 0) {
-    data_pages_ = (n_slots_ + points_per_page_ - 1) / points_per_page_;
-  } else {
-    data_pages_ = n_slots_ * pages_per_point_;
+    data_pages_ = n_slots_ / points_per_page_ +
+                  (n_slots_ % points_per_page_ != 0);
+  } else if (__builtin_mul_overflow(n_slots_, pages_per_point_,
+                                    &data_pages_)) {
+    return Status::Corruption("bad point file geometry");
+  }
+  // The slot table and, on v2, its CRC close the file.
+  const uint64_t table_crc_bytes = footer_bytes_ > 0 ? sizeof(uint32_t) : 0;
+  uint64_t table_off, table_bytes, table_end;
+  if (__builtin_mul_overflow(data_pages_, page_size_, &table_off) ||
+      __builtin_add_overflow(table_off, data_start_, &table_off) ||
+      __builtin_mul_overflow(n_, sizeof(uint32_t), &table_bytes) ||
+      __builtin_add_overflow(table_off, table_bytes, &table_end) ||
+      __builtin_add_overflow(table_end, table_crc_bytes, &table_end) ||
+      table_end > file_size) {
+    return Status::Corruption("point file slot table runs past the file end");
   }
 
   if (footer_bytes_ > 0) {
@@ -205,8 +222,6 @@ Status PointFile::Init(Env* env, const std::string& path) {
   }
 
   id_to_slot_.resize(n_);
-  const uint64_t table_off = data_start_ + data_pages_ * page_size_;
-  const size_t table_bytes = n_ * sizeof(uint32_t);
   EEB_RETURN_IF_ERROR(file_->Read(table_off, table_bytes,
                                   reinterpret_cast<char*>(id_to_slot_.data())));
   if (footer_bytes_ > 0) {
@@ -228,7 +243,6 @@ uint64_t PointFile::PageOfPoint(PointId id) const {
 
 Status PointFile::ReadPoint(PointId id, std::span<Scalar> out, IoStats* stats,
                             PageTracker* tracker) const {
-  obs::ProfScope prof_scope(prof_, "read_point");
   if (id >= n_) return Status::InvalidArgument("point id out of range");
   if (out.size() != dim_) return Status::InvalidArgument("bad output span");
   const uint32_t slot = id_to_slot_[id];

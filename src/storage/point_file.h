@@ -22,7 +22,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
 #include "storage/env.h"
 #include "storage/io_stats.h"
 
@@ -97,12 +96,6 @@ class PointFile {
   /// when unbound.
   void PublishIo(const IoStats& delta) const;
 
-  /// Attaches a phase profiler: every ReadPoint records a "read_point"
-  /// scope nested under whatever phase the caller has open (refinement,
-  /// eager miss fetch, ...). nullptr (default) detaches; detached reads pay
-  /// one branch.
-  void BindProfiler(obs::Profiler* profiler) { prof_ = profiler; }
-
  private:
   PointFile() = default;
 
@@ -128,7 +121,6 @@ class PointFile {
   obs::Counter* obs_point_reads_ = nullptr;
   obs::Counter* obs_page_reads_ = nullptr;
   obs::Counter* obs_bytes_read_ = nullptr;
-  obs::Profiler* prof_ = nullptr;
 };
 
 }  // namespace eeb::storage

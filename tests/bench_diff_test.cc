@@ -30,7 +30,7 @@ std::string Artifact(double avg, double p95, double refine_pages,
       "\"io\":{\"avg_refine_pages\":%g,\"avg_gen_pages\":92,"
       "\"avg_gen_seq_pages\":30},"
       "\"cache\":{\"hit_ratio\":%g,\"prune_ratio\":0.9},"
-      "\"phase_profile\":{\"schema_version\":1,\"phases\":[]},"
+      "\"phase_seconds\":{\"gen\":0.001,\"reduce\":0.0005,\"refine\":0.002},"
       "\"model_error\":null}",
       avg, avg, p95, p95, refine_pages, hit_ratio);
   return std::string("{\"schema_version\":1,\"suite\":\"") + suite +
@@ -207,7 +207,7 @@ std::string ArtifactWithDegraded(double degraded_rate) {
       "\"cache\":{\"hit_ratio\":0.95,\"prune_ratio\":0.9},"
       "\"robustness\":{\"degraded_rate\":%g,\"degraded_queries\":%d,"
       "\"avg_substituted\":0,\"read_failures\":0},"
-      "\"phase_profile\":{\"schema_version\":1,\"phases\":[]},"
+      "\"phase_seconds\":{\"gen\":0.001,\"reduce\":0.0005,\"refine\":0.002},"
       "\"model_error\":null}",
       degraded_rate, degraded_rate > 0 ? 1 : 0);
   return std::string(

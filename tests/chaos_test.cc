@@ -200,11 +200,12 @@ TEST(ChaosTest, EightThreadsFaultyDiskNeverAbortsAndReconciles) {
   plan.seed = 29;
   rig.env.set_plan(plan);
 
-  core::AggregateResult agg;
+  core::ServeReport report;
+  const core::AggregateResult& agg = report.agg;
   std::vector<core::QueryResult> results;
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, &results)
+                  ->Serve(rig.log.test, k, {.n_threads = 8}, &report,
+                          &results)
                   .ok());
 
   uint64_t reported_failures = 0;
@@ -235,8 +236,8 @@ TEST(ChaosTest, EightThreadsFaultyDiskNeverAbortsAndReconciles) {
   storage::FaultPlan healthy;
   rig.env.set_plan(healthy);
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, &results)
+                  ->Serve(rig.log.test, k, {.n_threads = 8}, &report,
+                          &results)
                   .ok());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_FALSE(results[i].degraded);
@@ -338,11 +339,12 @@ TEST(ChaosTest, BreakerSoakUnderConcurrentLoadStaysAccountable) {
   ASSERT_TRUE(rig.system->Query(rig.log.test[0], k, &r).ok());
   EXPECT_EQ(rig.system->breaker_env()->state(),
             storage::CircuitBreakerEnv::State::kClosed);
-  core::AggregateResult agg;
+  core::ServeReport report;
+  const core::AggregateResult& agg = report.agg;
   std::vector<core::QueryResult> results;
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, &results)
+                  ->Serve(rig.log.test, k, {.n_threads = 8}, &report,
+                          &results)
                   .ok());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_FALSE(results[i].degraded) << "query " << i;
@@ -374,11 +376,11 @@ TEST(ChaosTest, FlightRecorderCapturesEveryDegradedQueryWithItsCause) {
   plan.seed = 31;
   rig.env.set_plan(plan);
 
-  core::AggregateResult agg;
+  core::ServeReport report;
   std::vector<core::QueryResult> results;
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, &results)
+                  ->Serve(rig.log.test, k, {.n_threads = 8}, &report,
+                          &results)
                   .ok());
   EXPECT_EQ(recorder.recorded(), results.size());
 
@@ -445,8 +447,9 @@ TEST(ChaosTest, AggregateDegradedAccountingMatchesPerQuery) {
   }
 
   rig.env.set_plan(plan);  // replay the exact same fault sequence
-  core::AggregateResult agg;
-  ASSERT_TRUE(rig.system->RunQueries(rig.log.test, 10, &agg).ok());
+  core::ServeReport report;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, 10, {}, &report).ok());
+  const core::AggregateResult& agg = report.agg;
   EXPECT_EQ(agg.degraded_queries, degraded);
   EXPECT_EQ(agg.read_failures, failures);
   EXPECT_DOUBLE_EQ(agg.degraded_rate,

@@ -1,9 +1,11 @@
 // Concurrency tests (docs/CONCURRENCY.md): the worker-pool primitives, and
-// the backbone invariant of the concurrent query path — N threads hammering
-// RunQueriesConcurrent produce bit-exact per-query results, bit-exact
-// I/O-derived aggregates, and merged HFF cache counters equal to the serial
-// totals. A final test races queries against maintenance-style cache
-// rebuilds: publication is atomic, so every answer stays exact.
+// the backbone invariant of the batch entry — N workers in one System::Serve
+// call produce bit-exact per-query results, bit-exact I/O-derived
+// aggregates, and merged HFF cache counters equal to the serial totals, for
+// every static cache method. One test races queries against
+// maintenance-style cache rebuilds: publication is atomic, so every answer
+// stays exact. A golden hash pins what a one-worker batch does to an LRU
+// cache.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include "hist/frequency.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
+#include "fnv1a.h"
 
 namespace eeb {
 namespace {
@@ -400,59 +403,77 @@ TEST(ConcurrencyTest, EightThreadsBitExactVsSerialReference) {
   ConcurrencyRig rig;
   const size_t k = 10;
 
-  // Serial reference pass, plus the serial HFF counter totals.
-  const cache::CacheStats before_serial = rig.system->cache()->stats();
-  std::vector<core::QueryResult> serial(rig.log.test.size());
-  for (size_t i = 0; i < rig.log.test.size(); ++i) {
-    ASSERT_TRUE(rig.system->Query(rig.log.test[i], k, &serial[i]).ok());
+  // Every static method at 6 KB and tau = 4, a budget at which each one
+  // both hits and misses on this rig.
+  for (const core::CacheMethod method :
+       {core::CacheMethod::kExact, core::CacheMethod::kHcW,
+        core::CacheMethod::kHcV, core::CacheMethod::kHcM,
+        core::CacheMethod::kHcD, core::CacheMethod::kHcO,
+        core::CacheMethod::kIHcW, core::CacheMethod::kIHcD,
+        core::CacheMethod::kIHcO, core::CacheMethod::kMHcR,
+        core::CacheMethod::kCVa}) {
+    SCOPED_TRACE(core::CacheMethodName(method));
+    ASSERT_TRUE(
+        rig.system->ConfigureCache(method, /*cache_bytes=*/6 << 10, /*tau=*/4)
+            .ok());
+
+    // Serial reference pass, plus the serial HFF counter totals.
+    const cache::CacheStats before_serial = rig.system->cache()->stats();
+    std::vector<core::QueryResult> serial(rig.log.test.size());
+    for (size_t i = 0; i < rig.log.test.size(); ++i) {
+      ASSERT_TRUE(rig.system->Query(rig.log.test[i], k, &serial[i]).ok());
+    }
+    const cache::CacheStats after_serial = rig.system->cache()->stats();
+    const uint64_t serial_hits = after_serial.hits - before_serial.hits;
+    const uint64_t serial_misses = after_serial.misses - before_serial.misses;
+
+    // Concurrent pass over the same shared system, 8 workers.
+    core::ServeReport report;
+    std::vector<core::QueryResult> conc;
+    ASSERT_TRUE(rig.system
+                    ->Serve(rig.log.test, k, {.n_threads = kThreads}, &report,
+                            &conc)
+                    .ok());
+    const cache::CacheStats after_conc = rig.system->cache()->stats();
+
+    // Every query is bit-exact vs the serial reference: ids and every count
+    // that feeds the modeled-latency pipeline.
+    ASSERT_EQ(conc.size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(conc[i].result_ids, serial[i].result_ids) << "query " << i;
+      EXPECT_EQ(conc[i].candidates, serial[i].candidates) << "query " << i;
+      EXPECT_EQ(conc[i].cache_hits, serial[i].cache_hits) << "query " << i;
+      EXPECT_EQ(conc[i].pruned, serial[i].pruned) << "query " << i;
+      EXPECT_EQ(conc[i].true_hits, serial[i].true_hits) << "query " << i;
+      EXPECT_EQ(conc[i].remaining, serial[i].remaining) << "query " << i;
+      EXPECT_EQ(conc[i].fetched, serial[i].fetched) << "query " << i;
+      EXPECT_FALSE(conc[i].degraded) << "query " << i;
+      ExpectSameIo(conc[i].gen_io, serial[i].gen_io);
+      ExpectSameIo(conc[i].refine_io, serial[i].refine_io);
+    }
+
+    // Merged sharded counters equal the serial totals exactly.
+    EXPECT_EQ(after_conc.hits - after_serial.hits, serial_hits);
+    EXPECT_EQ(after_conc.misses - after_serial.misses, serial_misses);
+    EXPECT_GT(serial_hits, 0u);
+    EXPECT_GT(serial_misses, 0u);
   }
-  const cache::CacheStats after_serial = rig.system->cache()->stats();
-  const uint64_t serial_hits = after_serial.hits - before_serial.hits;
-  const uint64_t serial_misses = after_serial.misses - before_serial.misses;
-
-  // Concurrent pass over the same shared system, 8 workers.
-  core::AggregateResult agg;
-  std::vector<core::QueryResult> conc;
-  ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, kThreads, &agg,
-                                         &conc)
-                  .ok());
-  const cache::CacheStats after_conc = rig.system->cache()->stats();
-
-  // Every query is bit-exact vs the serial reference: ids and every count
-  // that feeds the modeled-latency pipeline.
-  ASSERT_EQ(conc.size(), serial.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(conc[i].result_ids, serial[i].result_ids) << "query " << i;
-    EXPECT_EQ(conc[i].candidates, serial[i].candidates) << "query " << i;
-    EXPECT_EQ(conc[i].cache_hits, serial[i].cache_hits) << "query " << i;
-    EXPECT_EQ(conc[i].pruned, serial[i].pruned) << "query " << i;
-    EXPECT_EQ(conc[i].true_hits, serial[i].true_hits) << "query " << i;
-    EXPECT_EQ(conc[i].remaining, serial[i].remaining) << "query " << i;
-    EXPECT_EQ(conc[i].fetched, serial[i].fetched) << "query " << i;
-    EXPECT_FALSE(conc[i].degraded) << "query " << i;
-    ExpectSameIo(conc[i].gen_io, serial[i].gen_io);
-    ExpectSameIo(conc[i].refine_io, serial[i].refine_io);
-  }
-
-  // Merged sharded counters equal the serial totals exactly.
-  EXPECT_EQ(after_conc.hits - after_serial.hits, serial_hits);
-  EXPECT_EQ(after_conc.misses - after_serial.misses, serial_misses);
-  EXPECT_GT(serial_hits, 0u);
 }
 
-TEST(ConcurrencyTest, AggregateBitExactVsSerialRunQueries) {
+TEST(ConcurrencyTest, AggregateBitExactOneVsEightWorkers) {
   ConcurrencyRig rig;
   const size_t k = 10;
 
-  core::AggregateResult serial, conc;
-  ASSERT_TRUE(rig.system->RunQueries(rig.log.test, k, &serial).ok());
+  core::ServeReport one, eight;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, {}, &one).ok());
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, kThreads, &conc)
+                  ->Serve(rig.log.test, k, {.n_threads = kThreads}, &eight)
                   .ok());
+  const core::AggregateResult& serial = one.agg;
+  const core::AggregateResult& conc = eight.agg;
 
-  // Aggregation folds per-query results in query order on both paths, so
-  // every deterministic (non-CPU-time) field matches bit for bit.
+  // Aggregation folds per-query results in query order at any worker
+  // count, so every deterministic (non-CPU-time) field matches bit for bit.
   EXPECT_EQ(conc.queries, serial.queries);
   EXPECT_DOUBLE_EQ(conc.avg_candidates, serial.avg_candidates);
   EXPECT_DOUBLE_EQ(conc.avg_remaining, serial.avg_remaining);
@@ -472,11 +493,11 @@ TEST(ConcurrencyTest, SingleWorkerDegeneratesToSerial) {
   ConcurrencyRig rig;
   core::QueryResult serial;
   ASSERT_TRUE(rig.system->Query(rig.log.test[0], 10, &serial).ok());
-  core::AggregateResult agg;
+  core::ServeReport report;
   std::vector<core::QueryResult> conc;
   const std::vector<std::vector<Scalar>> one{rig.log.test[0]};
-  ASSERT_TRUE(
-      rig.system->RunQueriesConcurrent(one, 10, 1, &agg, &conc).ok());
+  ASSERT_TRUE(rig.system->Serve(one, 10, {}, &report, &conc).ok());
+  const core::AggregateResult& agg = report.agg;
   ASSERT_EQ(conc.size(), 1u);
   EXPECT_EQ(conc[0].result_ids, serial.result_ids);
   EXPECT_EQ(agg.queries, 1u);
@@ -484,11 +505,11 @@ TEST(ConcurrencyTest, SingleWorkerDegeneratesToSerial) {
 
 TEST(ConcurrencyTest, RejectsZeroThreads) {
   ConcurrencyRig rig;
-  core::AggregateResult agg;
+  core::ServeReport report;
   EXPECT_FALSE(
-      rig.system->RunQueriesConcurrent(rig.log.test, 10, 0, &agg).ok());
+      rig.system->Serve(rig.log.test, 10, {.n_threads = 0}, &report).ok());
   EXPECT_TRUE(
-      rig.system->RunQueriesConcurrent(rig.log.test, 10, 2, &agg).ok());
+      rig.system->Serve(rig.log.test, 10, {.n_threads = 2}, &report).ok());
 }
 
 TEST(ConcurrencyTest, TraceEventsMatchSerialAndTheFunnel) {
@@ -496,12 +517,11 @@ TEST(ConcurrencyTest, TraceEventsMatchSerialAndTheFunnel) {
   // on a static cache every query's event stream is the serial one.
   ConcurrencyRig rig(/*trace_events=*/true);
   const size_t k = 10;
-  core::AggregateResult agg;
+  core::ServeReport report;
   std::vector<core::QueryResult> serial, conc;
-  ASSERT_TRUE(rig.system->RunQueries(rig.log.test, k, &agg, &serial).ok());
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, {}, &report, &serial).ok());
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/4,
-                                         &agg, &conc)
+                  ->Serve(rig.log.test, k, {.n_threads = 4}, &report, &conc)
                   .ok());
   ASSERT_EQ(conc.size(), serial.size());
   size_t hits = 0;
@@ -546,11 +566,11 @@ TEST(ConcurrencyTest, QueriesStayExactWhileMaintenanceRebuildsCache) {
   });
 
   for (int round = 0; round < 3; ++round) {
-    core::AggregateResult agg;
+    core::ServeReport report;
     std::vector<core::QueryResult> conc;
     ASSERT_TRUE(rig.system
-                    ->RunQueriesConcurrent(rig.log.test, k, kThreads, &agg,
-                                           &conc)
+                    ->Serve(rig.log.test, k, {.n_threads = kThreads}, &report,
+                            &conc)
                     .ok());
     for (size_t i = 0; i < truth.size(); ++i) {
       EXPECT_EQ(conc[i].result_ids, truth[i])
@@ -646,7 +666,7 @@ void ExpectServeReconciles(const core::ServeReport& report,
   EXPECT_EQ(report.agg.queries, report.completed);
 }
 
-TEST(ServeTest, BlockingServeIsBitExactWithRunQueriesConcurrent) {
+TEST(ServeTest, BlockingServeIsBitExactAcrossWorkerCounts) {
   ConcurrencyRig rig;
   const size_t k = 10;
   const auto serial = SerialReference(&rig, k);
@@ -663,11 +683,10 @@ TEST(ServeTest, BlockingServeIsBitExactWithRunQueriesConcurrent) {
   EXPECT_EQ(report.completed, rig.log.test.size());
   ExpectServeReconciles(report, per_query, serial, /*check_exact=*/true);
 
-  // And the aggregate matches RunQueriesConcurrent bit for bit.
-  core::AggregateResult conc;
-  ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, kThreads, &conc)
-                  .ok());
+  // And the aggregate matches a one-worker Serve bit for bit.
+  core::ServeReport one;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, {}, &one).ok());
+  const core::AggregateResult& conc = one.agg;
   // CPU-time-bearing fields (avg_response_seconds) are excluded: only the
   // deterministic, I/O-derived aggregates are contractually bit-exact.
   EXPECT_EQ(report.agg.queries, conc.queries);
@@ -808,6 +827,61 @@ TEST(ServeTest, BrownoutShedsAtAdmissionOnOpenLoopPoliciesOnly) {
       rig.system->Serve(rig.log.test, k, opt, &report, &per_query).ok());
   EXPECT_EQ(report.shed, 0u);
   ExpectServeReconciles(report, per_query, serial, /*check_exact=*/true);
+}
+
+// Pins what a one-worker batch does to an LRU cache: each query's answer,
+// funnel and I/O in query order, the cache's hit/miss/admit/evict totals,
+// and the ids resident afterwards. Admission order decides evictions, so
+// any change to the order in which a serial batch touches the cache moves
+// one of the two hashes. Never re-pin them to make a change pass: a new
+// value means serial batches now leave a different cache behind.
+TEST(ServeTest, DefaultOptionsKeepTheGoldenSerialLruBatch) {
+  ConcurrencyRig rig;
+  ASSERT_TRUE(rig.system
+                  ->ConfigureCache(core::CacheMethod::kHcO,
+                                   /*cache_bytes=*/8 << 10, /*tau=*/4,
+                                   /*lru=*/true)
+                  .ok());
+  core::ServeReport report;
+  std::vector<core::QueryResult> per_query;
+  ASSERT_TRUE(
+      rig.system->Serve(rig.log.test, 10, {}, &report, &per_query).ok());
+  ASSERT_EQ(per_query.size(), rig.log.test.size());
+
+  Fnv1a funnel;
+  for (const core::QueryResult& r : per_query) {
+    funnel.Add(r.result_ids.size());
+    for (PointId id : r.result_ids) funnel.Add(id);
+    funnel.Add(r.candidates);
+    funnel.Add(r.cache_hits);
+    funnel.Add(r.pruned);
+    funnel.Add(r.true_hits);
+    funnel.Add(r.remaining);
+    funnel.Add(r.fetched);
+    funnel.Add(r.refine_io.point_reads);
+    funnel.Add(r.refine_io.page_reads);
+  }
+  cache::KnnCache* cache = rig.system->cache();
+  const cache::KnnCache::CacheActivity a = cache->activity();
+  funnel.Add(a.hits);
+  funnel.Add(a.misses);
+  funnel.Add(a.admits);
+  funnel.Add(a.evictions);
+  EXPECT_GT(a.evictions, 0u);  // the batch overflowed the cache
+
+  // A probe refreshes recency but never admits, so probing every id after
+  // the funnel hash reads the resident set without changing it.
+  Fnv1a resident;
+  for (size_t id = 0; id < rig.data.size(); ++id) {
+    double lb, ub;
+    if (cache->Probe(rig.log.test[0], static_cast<PointId>(id), &lb, &ub)) {
+      resident.Add(id);
+    }
+  }
+  EXPECT_EQ(funnel.value(), 0xb8f4045d1849249aull)
+      << std::hex << funnel.value();
+  EXPECT_EQ(resident.value(), 0x5968e524f60b2077ull)
+      << std::hex << resident.value();
 }
 
 }  // namespace

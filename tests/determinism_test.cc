@@ -88,8 +88,9 @@ TEST(DeterminismTest, PercentilesOrdered) {
   ASSERT_TRUE(tmp.ok());
   Built b = BuildOne(tmp.path());
   ASSERT_TRUE(b.system->ConfigureCache(core::CacheMethod::kHcO, 40000).ok());
-  core::AggregateResult agg;
-  ASSERT_TRUE(b.system->RunQueries(b.log.test, 10, &agg).ok());
+  core::ServeReport report;
+  ASSERT_TRUE(b.system->Serve(b.log.test, 10, {}, &report).ok());
+  const core::AggregateResult& agg = report.agg;
   EXPECT_LE(agg.p50_response_seconds, agg.p95_response_seconds);
   EXPECT_LE(agg.p95_response_seconds, agg.p99_response_seconds);
   EXPECT_GT(agg.p99_response_seconds, 0.0);

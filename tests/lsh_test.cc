@@ -15,6 +15,7 @@
 #include "index/lsh/c2lsh.h"
 #include "storage/mem_env.h"
 #include "storage/point_file.h"
+#include "fnv1a.h"
 
 namespace eeb::index {
 namespace {
@@ -184,21 +185,6 @@ TEST(C2LshTest, QueryDimMismatchRejected) {
   std::vector<PointId> cand;
   EXPECT_TRUE(idx->Candidates(q, 5, &cand, nullptr).IsInvalidArgument());
 }
-
-// FNV-1a 64 over little-endian 64-bit words.
-class Fnv1a {
- public:
-  void Add(uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h_ ^= (v >> (8 * b)) & 0xff;
-      h_ *= 1099511628211ull;
-    }
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 14695981039346656037ull;
-};
 
 // Pins C(q), its modeled index I/O and the terminal radius for a fixed
 // build and query set, plus the NO-CACHE engine's answers over them. Any

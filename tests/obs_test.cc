@@ -408,10 +408,10 @@ TEST(MetricNames, AllRegisteredNamesAreValid) {
   system->SetShadowCaches(&shadows);
   ASSERT_TRUE(system->ConfigureCache(core::CacheMethod::kHcO, 4096).ok());
 
-  core::AggregateResult agg;
-  ASSERT_TRUE(system->RunQueries(log.test, 10, &agg).ok());
+  core::ServeReport report;
+  ASSERT_TRUE(system->Serve(log.test, 10, {}, &report).ok());
   ASSERT_TRUE(system->ReconfigureCache().ok());  // generation-swap gauges
-  ASSERT_TRUE(system->RunQueries(log.test, 10, &agg).ok());
+  ASSERT_TRUE(system->Serve(log.test, 10, {}, &report).ok());
   analytics.PublishMetrics();
   window.PublishTo(&metrics);
 
@@ -577,9 +577,10 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
   ASSERT_TRUE(
       system->ConfigureCache(core::CacheMethod::kHcO, 4096).ok());
 
-  core::AggregateResult agg;
+  core::ServeReport report;
   std::vector<core::QueryResult> results;
-  ASSERT_TRUE(system->RunQueries(log.test, 10, &agg, &results).ok());
+  ASSERT_TRUE(system->Serve(log.test, 10, {}, &report, &results).ok());
+  const core::AggregateResult& agg = report.agg;
 
   // Batch-level instruments.
   EXPECT_EQ(metrics.GetCounter("system.queries")->value(), log.test.size());
@@ -621,7 +622,7 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
   EXPECT_NE(json.find("\"system.response_seconds\""), std::string::npos);
 
   system->EnableMetrics(nullptr);
-  ASSERT_TRUE(system->RunQueries(log.test, 10, &agg).ok());  // detached ok
+  ASSERT_TRUE(system->Serve(log.test, 10, {}, &report).ok());  // detached ok
 }
 
 // One thread drives a cache (probe / admit / publish) while another exports

@@ -79,6 +79,23 @@ TEST(HistSerializeTest, RejectsCorruptBlobs) {
   evil[12] = static_cast<char>(evil[12] + 1);  // first bucket's lo
   std::string_view evilview(evil);
   EXPECT_FALSE(hist::ParseHistogram(&evilview, &out).ok());
+
+  // Counts read from the blob must not size an allocation the blob cannot
+  // back: a 12-byte blob claiming 2^32 - 1 buckets over a 2^32 - 1 domain,
+  // and an 8-byte bundle claiming 2^32 - 1 dimensions.
+  auto u32 = [](uint32_t v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  std::string huge = blob.substr(0, 4) + u32(0xffffffffu) + u32(0xffffffffu);
+  std::string_view hugeview(huge);
+  EXPECT_TRUE(hist::ParseHistogram(&hugeview, &out).IsCorruption());
+
+  std::string bundle;
+  hist::AppendIndividual(hist::IndividualHistograms({h}), &bundle);
+  std::string wide = bundle.substr(0, 4) + u32(0xffffffffu);
+  std::string_view wideview(wide);
+  hist::IndividualHistograms parsed;
+  EXPECT_TRUE(hist::ParseIndividual(&wideview, &parsed).IsCorruption());
 }
 
 TEST(FvecsTest, RoundTrip) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <set>
 
@@ -349,6 +350,52 @@ TEST(PointFileTest, CorruptMultiPageRecordDetected) {
   ASSERT_TRUE(pf->ReadPoint(0, buf, nullptr, nullptr).ok());
   EXPECT_EQ(buf[0], data.point(0)[0]);
   Env::Default()->DeleteFile(path).IgnoreError();
+}
+
+// Overwrites the 8 bytes at `offset` with `value`, through the Env.
+void PatchU64At(Env* env, const std::string& path, uint64_t offset,
+                uint64_t value) {
+  std::unique_ptr<RandomAccessFile> r;
+  ASSERT_TRUE(env->NewRandomAccessFile(path, &r).ok());
+  std::vector<char> all(r->Size());
+  ASSERT_TRUE(r->Read(0, all.size(), all.data()).ok());
+  r.reset();
+  ASSERT_LE(offset + sizeof(value), all.size());
+  std::memcpy(all.data() + offset, &value, sizeof(value));
+  std::unique_ptr<WritableFile> w;
+  ASSERT_TRUE(env->NewWritableFile(path, &w).ok());
+  ASSERT_TRUE(w->Append(all.data(), all.size()).ok());
+  ASSERT_TRUE(w->Close().ok());
+}
+
+TEST(PointFileTest, HostileHeaderGeometryRejectedBeforeAllocating) {
+  // Header words: magic, n, dim, page_size, n_slots.
+  constexpr uint64_t kNOffset = 8;
+  constexpr uint64_t kPageSizeOffset = 24;
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  Env* env = Env::Default();
+  Dataset data = RandomData(64, 4, 139);
+  std::unique_ptr<PointFile> pf;
+
+  // v2: a page size larger than the file must be refused before Open
+  // allocates a buffer of that size to check the header page's CRC.
+  const std::string v2 = TempPath("pf_hostile_page_size");
+  ASSERT_TRUE(PointFile::Create(env, v2, data).ok());
+  PatchU64At(env, v2, kPageSizeOffset, kHuge);
+  EXPECT_TRUE(PointFile::Open(env, v2, &pf).IsCorruption());
+
+  // v1 has no CRC at all: a point count whose slot table cannot fit in the
+  // file must be refused before the table is allocated.
+  const std::string v1 = TempPath("pf_hostile_n");
+  std::vector<PointId> order(data.size());
+  std::iota(order.begin(), order.end(), 0);
+  ASSERT_TRUE(PointFile::Create(env, v1, data, order, kDefaultPageSize,
+                                PointFile::kFormatLegacy)
+                  .ok());
+  PatchU64At(env, v1, kNOffset, kHuge);
+  EXPECT_TRUE(PointFile::Open(env, v1, &pf).IsCorruption());
+  env->DeleteFile(v2).IgnoreError();
+  env->DeleteFile(v1).IgnoreError();
 }
 
 // ---------------------------------------------------------- file ordering --

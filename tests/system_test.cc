@@ -65,9 +65,9 @@ class SystemTest : public ::testing::Test {
                       uint32_t tau = 0, bool lru = false) {
     EXPECT_TRUE(
         system_->ConfigureCache(method, cache_bytes, tau, lru).ok());
-    AggregateResult agg;
-    EXPECT_TRUE(system_->RunQueries(log_->test, 10, &agg).ok());
-    return agg;
+    ServeReport report;
+    EXPECT_TRUE(system_->Serve(log_->test, 10, {}, &report).ok());
+    return report.agg;
   }
 
   static ScopedTempDir* tmp_;

@@ -791,8 +791,8 @@ TEST(TelemetryEndToEndTest, SerialRunRecordsEachBatchIndexOnce) {
   obs::FlightRecorder recorder(ropt);
   rig.system->SetRecorder(&recorder);
 
-  core::AggregateResult agg;
-  ASSERT_TRUE(rig.system->RunQueries(rig.log.test, 10, &agg).ok());
+  core::ServeReport report;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, 10, {}, &report).ok());
 
   // Same check as the concurrent run below: the recorder names each query
   // by its slot in the batch.
@@ -802,7 +802,7 @@ TEST(TelemetryEndToEndTest, SerialRunRecordsEachBatchIndexOnce) {
   std::set<uint64_t> indices;
   for (const obs::QueryRecord& r : recent) indices.insert(r.query_index);
   EXPECT_EQ(indices.size(), rig.log.test.size());  // each index once
-  // One thread runs the batch in order, so seq order is batch order.
+  // One worker runs the batch in order, so seq order is batch order.
   for (size_t i = 0; i < recent.size(); ++i) {
     EXPECT_EQ(recent[i].query_index, i);
   }
@@ -823,12 +823,13 @@ TEST(TelemetryEndToEndTest, ConcurrentRunReconcilesWindowAgainstCounters) {
   rig.system->SetWindow(&window);
   rig.system->SetRecorder(&recorder);
 
-  core::AggregateResult agg;
+  core::ServeReport report;
   std::vector<core::QueryResult> results;
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, &results)
+                  ->Serve(rig.log.test, k, {.n_threads = 8}, &report,
+                          &results)
                   .ok());
+  const core::AggregateResult& agg = report.agg;
 
   // Windowed totals == cumulative registry counters, to the last event.
   const obs::WindowSnapshot snap = window.GetSnapshot();
@@ -885,8 +886,8 @@ TEST(TelemetryEndToEndTest, GenerationSwapMidWindowRebasesTapsAndAnalytics) {
   rig.system->SetWindow(&window);
   rig.system->SetCacheAnalytics(&analytics);
 
-  core::AggregateResult agg;
-  ASSERT_TRUE(rig.system->RunQueries(rig.log.test, k, &agg).ok());
+  core::ServeReport report;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, {}, &report).ok());
   const obs::WindowSnapshot before = window.GetSnapshot();
   const uint64_t accesses_gen1 = analytics.total_accesses();
   EXPECT_GT(accesses_gen1, 0u);
@@ -900,7 +901,7 @@ TEST(TelemetryEndToEndTest, GenerationSwapMidWindowRebasesTapsAndAnalytics) {
                   ->ConfigureCache(core::CacheMethod::kExact,
                                    /*cache_bytes=*/2 << 10)
                   .ok());
-  ASSERT_TRUE(rig.system->RunQueries(rig.log.test, k, &agg).ok());
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, {}, &report).ok());
 
   const obs::WindowSnapshot after = window.GetSnapshot();
   EXPECT_EQ(after.total_queries, 2 * rig.log.test.size());
@@ -942,11 +943,9 @@ TEST(TelemetryEndToEndTest, ConcurrentAnalyticsAndShadowsReconcile) {
   rig.system->SetCacheAnalytics(&analytics);
   rig.system->SetShadowCaches(&shadows);
 
-  core::AggregateResult agg;
-  ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, /*results=*/nullptr)
-                  .ok());
+  core::ServeReport report;
+  ASSERT_TRUE(
+      rig.system->Serve(rig.log.test, k, {.n_threads = 8}, &report).ok());
 
   // Every probe reached every instrument exactly once.
   const obs::WindowSnapshot snap = window.GetSnapshot();
@@ -1001,13 +1000,12 @@ TEST(TelemetryEndToEndTest, PublisherEmitsPeriodicSnapshotsDuringServing) {
     // Serve concurrently until the publisher has ticked at least twice
     // (plus its final line on Stop). Bounded by rounds, not wall clock, so
     // a loaded single-core box cannot starve the assertion into flaking.
-    core::AggregateResult agg;
+    core::ServeReport report;
     int rounds = 0;
     while (publisher.lines_published() < 3 && rounds < 500) {
-      ASSERT_TRUE(rig.system
-                      ->RunQueriesConcurrent(rig.log.test, 10,
-                                             /*n_threads=*/8, &agg)
-                      .ok());
+      ASSERT_TRUE(
+          rig.system->Serve(rig.log.test, 10, {.n_threads = 8}, &report)
+              .ok());
       ++rounds;
     }
     publisher.Stop();

@@ -3,7 +3,7 @@
 // figure benches use, and emits one canonical, schema-versioned
 // BENCH_<suite>.json artifact per run: per-cell latency percentiles (from
 // the observability histograms), candidate-reduction ratios, modeled page
-// I/O, cache hit rate, the hierarchical phase profile, and a cost-model
+// I/O, cache hit rate, measured per-phase wall time, and a cost-model
 // validation section (predicted vs observed rho_hit / rho_prune / Crefine).
 // bench_diff compares two such artifacts and gates CI on regressions.
 //
@@ -44,7 +44,6 @@
 #include "core/system.h"
 #include "obs/cache_analytics.h"
 #include "obs/export.h"
-#include "obs/prof.h"
 #include "obs/recorder.h"
 #include "obs/window.h"
 #include "workload/registry.h"
@@ -190,7 +189,6 @@ struct CellResult {
   size_t cache_bytes = 0;
   uint32_t effective_tau = 0;
   core::AggregateResult agg;
-  std::string phase_profile_json;
   bool model_supported = false;
   core::ModelValidation model;
 };
@@ -227,9 +225,11 @@ void AppendCellJson(std::string* out, const CellResult& c) {
           "\"avg_substituted\":%.9g,\"read_failures\":%zu},",
           c.agg.degraded_rate, c.agg.degraded_queries, c.agg.avg_substituted,
           c.agg.read_failures);
-  out->append("\"phase_profile\":");
-  out->append(c.phase_profile_json);
-  out->push_back(',');
+  // Measured wall seconds per query and phase, from the per-query records;
+  // informational (machine-dependent), so bench_diff never reads them.
+  AppendF(out,
+          "\"phase_seconds\":{\"gen\":%.9g,\"reduce\":%.9g,\"refine\":%.9g},",
+          c.agg.avg_gen_cpu, c.agg.avg_reduce_cpu, c.agg.avg_refine_cpu);
   if (c.model_supported) {
     AppendF(out,
             "\"model_error\":{\"predicted_hit\":%.9g,\"observed_hit\":%.9g,"
@@ -254,9 +254,6 @@ int RunSuite(const SuiteSpec& suite, const std::string& out_path) {
   auto wb = bench::MakeWorkbench(suite.dataset);
   const size_t file_bytes = wb->spec.n * wb->spec.dim * sizeof(float);
 
-  obs::Profiler prof;
-  wb->system->SetProfiler(&prof);
-
   // Telemetry stays attached for the gated runs: the bench numbers are the
   // overhead budget, so the artifact must be produced with the windowed
   // metrics and the flight recorder live, exactly like a serving process.
@@ -269,10 +266,9 @@ int RunSuite(const SuiteSpec& suite, const std::string& out_path) {
   for (const CellSpec& cell : suite.cells) {
     std::fprintf(stderr, "[%s] cell %s...\n", suite.name.c_str(),
                  cell.name.c_str());
-    // Per-cell epoch: instruments and phase tree restart at zero so the
-    // recorded percentiles/profile describe exactly this cell.
+    // Per-cell epoch: instruments restart at zero so the recorded
+    // percentiles describe exactly this cell.
     wb->metrics.ResetAll();
-    prof.Reset();
 
     CellResult r;
     r.spec = cell;
@@ -280,9 +276,6 @@ int RunSuite(const SuiteSpec& suite, const std::string& out_path) {
     r.agg = bench::RunCell(*wb, cell.method, r.cache_bytes, cell.k, cell.tau,
                            cell.lru);
     r.effective_tau = wb->system->last_tau();
-
-    prof.PublishTo(&wb->metrics);
-    r.phase_profile_json = obs::ExportProfileJson(prof);
 
     core::CostEstimate est;
     if (wb->system->EstimateCurrentCache(cell.k, &est).ok()) {
@@ -357,7 +350,7 @@ int RunSuite(const SuiteSpec& suite, const std::string& out_path) {
 // FCFS makespan over n servers (all queries arrive at t=0, each runs on the
 // earliest-free server), and the open-loop percentiles replay the same
 // service times against a fixed-rate arrival process at 80% of capacity.
-// Wall-clock QPS from a real RunQueriesConcurrent run is recorded per cell
+// Wall-clock QPS from a real n-worker Serve run is recorded per cell
 // (wall_qps) but informational only — bench_diff never gates on it. Every
 // cell also re-checks the concurrent results bit-exact against the serial
 // reference; a mismatch fails the run AND marks the artifact so bench_diff
@@ -472,12 +465,12 @@ int RunConcurrencySuite(const std::string& out_path,
     c.p95 = SortedPercentile(sojourns, 0.95);
     c.p99 = SortedPercentile(sojourns, 0.99);
 
-    core::AggregateResult agg;
+    core::ServeReport report;
     std::vector<core::QueryResult> results;
     Timer wall;
     bench::Check(
-        wb->system->RunQueriesConcurrent(wb->log.test, k, n, &agg, &results),
-        "RunQueriesConcurrent");
+        wb->system->Serve(wb->log.test, k, {.n_threads = n}, &report, &results),
+        "Serve");
     const double wall_seconds = wall.ElapsedSeconds();
     c.wall_qps = wall_seconds > 0
                      ? static_cast<double>(results.size()) / wall_seconds
@@ -657,8 +650,9 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
         cache::DefaultShadowConfigs(c.capacity_items));
     wb->system->SetShadowCaches(&shadows);
 
-    bench::Check(wb->system->RunQueries(wb->log.test, kK, &c.agg),
-                 "RunQueries");
+    core::ServeReport report;
+    bench::Check(wb->system->Serve(wb->log.test, kK, {}, &report), "Serve");
+    c.agg = report.agg;
 
     c.predicted_miss = analytics.PredictedMissRatioAt(c.capacity_items);
     c.measured_miss = 1.0 - c.agg.hit_ratio;

@@ -8,7 +8,7 @@
 //                 [--cache-mb 8] [--tau 0] [--workload 1000] [--test 50]
 //                 [--lru] [--eager] [--deadline-ms MS] [--io-retries N]
 //                 [--metrics-out m.json] [--metrics-prom m.prom]
-//                 [--trace-out t.jsonl] [--profile-out p.json]
+//                 [--trace-out t.jsonl]
 //                 [--threads N] [--repeat R] [--explain]
 //                 [--admission block|shed|timeout]
 //                 [--admission-timeout-ms MS] [--queue-cap N]
@@ -21,18 +21,18 @@
 // --queries is omitted a Zipf query log is synthesized from the data.
 // --metrics-out / --metrics-prom dump the full metrics registry (JSON /
 // Prometheus text); --trace-out writes one JSON line per executed query
-// (its explain record plus per-candidate events), on every serving path;
-// --profile-out writes the hierarchical phase profile as JSON.
+// (its explain record plus per-candidate events).
 //
-// Live serving mode: --threads fans the test batch over a worker pool,
-// --repeat re-runs it (a long-lived run), --stats-interval-ms/--stats-out
-// stream one live.* JSON snapshot line per interval, --explain prints a
-// per-query explain record, and --recorder-out dumps the flight recorder
-// (recent ring + retained slow/degraded/shed queries).
+// The test batch runs through System::Serve. Live serving mode: --threads
+// sets its worker count (default 1), --repeat re-runs it (a long-lived
+// run), --stats-interval-ms/--stats-out stream one live.* JSON snapshot
+// line per interval, --explain prints a per-query explain record, and
+// --recorder-out dumps the flight recorder (recent ring + retained
+// slow/degraded/shed queries).
 //
-// Overload mode (docs/ROBUSTNESS.md): --admission switches the batch onto
-// System::Serve — "shed" drops arrivals on a full queue, "timeout" waits up
-// to --admission-timeout-ms first; --queue-cap bounds the backlog, and with
+// Overload mode (docs/ROBUSTNESS.md): --admission sets how Serve admits
+// arrivals — "shed" drops them on a full queue, "timeout" waits up to
+// --admission-timeout-ms first; --queue-cap bounds the backlog, and with
 // --deadline-ms the queue wait counts against each query's end-to-end
 // deadline. The summary then reports the shed reconciliation.
 
@@ -54,7 +54,6 @@
 #include "obs/cache_analytics.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
 #include "obs/recorder.h"
 #include "obs/window.h"
 #include "workload/fvecs.h"
@@ -251,15 +250,12 @@ int CmdQuery(const Args& args) {
   if (!st.ok()) Die(st, "build system");
 
   obs::MetricsRegistry metrics;
-  obs::Profiler prof;
   const bool want_metrics =
       args.Has("metrics-out") || args.Has("metrics-prom");
   if (want_metrics) system->EnableMetrics(&metrics);
-  if (args.Has("profile-out")) system->SetProfiler(&prof);
 
-  // Live serving mode: worker threads, periodic live.* snapshots, flight
-  // recorder + per-query explain (docs/OBSERVABILITY.md).
-  const size_t threads = static_cast<size_t>(args.Int("threads", 0));
+  // Live serving mode: periodic live.* snapshots, flight recorder +
+  // per-query explain (docs/OBSERVABILITY.md).
   const long repeat = std::max<long>(1, args.Int("repeat", 1));
   const bool explain = args.Has("explain");
   const bool trace = args.Has("trace-out");
@@ -343,7 +339,18 @@ int CmdQuery(const Args& args) {
   const size_t k = static_cast<size_t>(args.Int("k", 10));
   const bool serve_mode = args.Has("admission") || args.Has("queue-cap") ||
                           args.Has("admission-timeout-ms");
-  core::AggregateResult agg;
+  core::ServeOptions sopt;
+  sopt.n_threads =
+      static_cast<size_t>(std::max<long>(1, args.Int("threads", 1)));
+  sopt.queue_capacity = static_cast<size_t>(args.Int("queue-cap", 0));
+  sopt.admission = ParseAdmission(args.Str("admission", "block"));
+  sopt.admission_timeout_ms = args.Dbl("admission-timeout-ms", 1.0);
+  // Queue wait counts against --deadline-ms only in overload mode. Otherwise
+  // the engine applies the deadline alone, or a one-worker batch would
+  // charge each query the time its predecessors spent in the engine.
+  sopt.deadline_ms = serve_mode && args.Has("deadline-ms")
+                         ? args.Dbl("deadline-ms", 0.0)
+                         : -1.0;
   core::ServeReport serve_report;
   // --explain and --trace-out both read the per-query results.
   std::vector<core::QueryResult> per_query;
@@ -351,24 +358,7 @@ int CmdQuery(const Args& args) {
       explain || trace ? &per_query : nullptr;
   std::string trace_jsonl;
   for (long r = 0; r < repeat; ++r) {
-    if (serve_mode) {
-      core::ServeOptions sopt;
-      sopt.n_threads = std::max<size_t>(1, threads);
-      sopt.queue_capacity = static_cast<size_t>(args.Int("queue-cap", 0));
-      sopt.admission = ParseAdmission(args.Str("admission", "block"));
-      sopt.admission_timeout_ms = args.Dbl("admission-timeout-ms", 1.0);
-      // With --deadline-ms the queue wait counts against the end-to-end
-      // budget; without it, engine-configured semantics (same as --threads).
-      sopt.deadline_ms =
-          args.Has("deadline-ms") ? args.Dbl("deadline-ms", 0.0) : -1.0;
-      st = system->Serve(log.test, k, sopt, &serve_report, want_per_query);
-      agg = serve_report.agg;
-    } else if (threads > 0) {
-      st = system->RunQueriesConcurrent(log.test, k, threads, &agg,
-                                        want_per_query);
-    } else {
-      st = system->RunQueries(log.test, k, &agg, want_per_query);
-    }
+    st = system->Serve(log.test, k, sopt, &serve_report, want_per_query);
     if (!st.ok()) Die(st, "run queries");
     for (size_t i = 0; trace && i < per_query.size(); ++i) {
       if (per_query[i].shed()) continue;  // never executed: nothing to trace
@@ -378,10 +368,9 @@ int CmdQuery(const Args& args) {
   }
   if (publisher != nullptr) publisher->Stop();
 
-  // Mirror the phase profile and the final live window (incl. the
-  // live.shadow.* panels) into gauges before the registry dumps, so
-  // --metrics-out is self-contained without --stats-interval-ms.
-  if (args.Has("profile-out") && want_metrics) prof.PublishTo(&metrics);
+  // Mirror the final live window (incl. the live.shadow.* panels) into
+  // gauges before the registry dumps, so --metrics-out is self-contained
+  // without --stats-interval-ms.
   if (want_metrics) window.PublishTo(&metrics);
   if (args.Has("metrics-out")) {
     st = obs::WriteStringToFile(args.Str("metrics-out", ""),
@@ -396,11 +385,6 @@ int CmdQuery(const Args& args) {
   if (trace) {
     st = obs::WriteStringToFile(args.Str("trace-out", ""), trace_jsonl);
     if (!st.ok()) Die(st, "write trace jsonl");
-  }
-  if (args.Has("profile-out")) {
-    st = obs::WriteStringToFile(args.Str("profile-out", ""),
-                                obs::ExportProfileJson(prof));
-    if (!st.ok()) Die(st, "write profile json");
   }
   if (args.Has("recorder-out")) {
     st = obs::WriteStringToFile(args.Str("recorder-out", ""),
@@ -418,6 +402,7 @@ int CmdQuery(const Args& args) {
     }
   }
 
+  const core::AggregateResult& agg = serve_report.agg;
   std::printf("dataset: %zu x %zu-d, ndom=%u | cache: %s %.1f MB tau=%u\n",
               data.size(), data.dim(), ndom, core::CacheMethodName(method),
               cache_bytes / double(1 << 20), system->last_tau());
@@ -497,7 +482,6 @@ void Usage() {
                "        [--lru] [--eager] [--deadline-ms MS] [--io-retries N]\n"
                "        [--metrics-out F.json] [--metrics-prom F.prom] "
                "[--trace-out F.jsonl]\n"
-               "        [--profile-out F.json]\n"
                "        [--threads N] [--repeat R] [--explain]\n"
                "        [--admission block|shed|timeout] "
                "[--admission-timeout-ms MS] [--queue-cap N]\n"

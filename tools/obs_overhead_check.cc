@@ -92,8 +92,8 @@ int Main(int argc, char** argv) {
   };
 
   auto run_batch = [&] {
-    core::AggregateResult agg;
-    bench::Check(wb->system->RunQueries(wb->log.test, k, &agg), "RunQueries");
+    core::ServeReport report;
+    bench::Check(wb->system->Serve(wb->log.test, k, {}, &report), "Serve");
   };
 
   // Warmup both configurations (page allocations, first-touch shards).
