@@ -2,8 +2,9 @@
 // decoding, distance-bound evaluation, histogram lookup, Euclidean distance,
 // and histogram construction. These are the operations the candidate-
 // reduction phase performs per candidate, so their throughput bounds how
-// cheap "no-I/O pruning" really is. BM_C2LshCandidates times candidate
-// generation, the phase that dominates a measured query at scale.
+// cheap "no-I/O pruning" really is. BM_CacheProbe and BM_CacheAdmit time
+// whole cache calls through the public API. BM_C2LshCandidates times
+// candidate generation, the phase that dominates a measured query at scale.
 
 #include <benchmark/benchmark.h>
 
@@ -183,39 +184,88 @@ void BM_ObsHistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsHistogramRecord);
 
-// Arg(0): plain probe; Arg(1): probe with bound instruments. Compare the
-// two rows to verify the <=5% instrumented-overhead criterion.
+// Static HC probe hits, args {instrumented, items, d, tau} over a domain of
+// 2^tau values. 4096 x 64 at tau = 8 fits in L2: compare its instr:0 and
+// instr:1 rows to verify the <=5% instrumented-overhead criterion.
+// 73000 x 128 at tau = 10 is the shape of sogou_hot's HC-O cache, 11.7 MB
+// of codes.
 void BM_CacheProbe(benchmark::State& state) {
   const bool instrumented = state.range(0) != 0;
-  const size_t d = 64;
-  const size_t n = 4096;
+  const size_t n = state.range(1);
+  const size_t d = state.range(2);
+  const uint32_t ndom = 1u << state.range(3);
   Rng rng(9);
   Dataset data(d);
-  for (size_t i = 0; i < n; ++i) data.Append(RandomPoint(rng, d, 256));
+  for (size_t i = 0; i < n; ++i) data.Append(RandomPoint(rng, d, ndom));
   hist::Histogram h;
-  (void)hist::BuildEquiWidth(256, 256, &h);
-  cache::HistCodeCache cache(&h, d, /*capacity_bytes=*/1 << 22,
+  (void)hist::BuildEquiWidth(ndom, ndom, &h);
+  cache::HistCodeCache cache(&h, d, /*capacity_bytes=*/size_t{1} << 24,
                              /*lru=*/false, /*integral_values=*/true);
   std::vector<PointId> ids(n);
   for (size_t i = 0; i < n; ++i) ids[i] = static_cast<PointId>(i);
-  if (!cache.Fill(data, ids).ok()) {
+  if (!cache.Fill(data, ids).ok() || cache.size() != n) {
     state.SkipWithError("cache fill failed");
     return;
   }
   obs::MetricsRegistry reg;
   if (instrumented) cache.BindMetrics(&reg);
 
-  const auto q = RandomPoint(rng, d, 256);
+  const auto q = RandomPoint(rng, d, ndom);
   double lb, ub;
   PointId id = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.Probe(q, id, &lb, &ub));
     benchmark::DoNotOptimize(lb);
-    id = (id + 257) & (n - 1);
+    id += 257;
+    if (id >= n) id -= n;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheProbe)->Arg(0)->Arg(1);
+BENCHMARK(BM_CacheProbe)
+    ->ArgNames({"instr", "items", "d", "tau"})
+    ->Args({0, 4096, 64, 8})
+    ->Args({1, 4096, 64, 8})
+    ->Args({0, 73000, 128, 10});
+
+// An LRU HC cache at the shape of nusw_churn's: d = 64, tau = 8, 4267
+// items, ids uniform over 50k. Each iteration is one probe, which misses
+// ~91% of the time, and one admit: what a refinement fetch costs a full
+// LRU cache.
+void BM_CacheAdmit(benchmark::State& state) {
+  const size_t d = 64;
+  const size_t items = 4267;
+  const uint32_t n = 50000;
+  Rng rng(12);
+  hist::Histogram h;
+  (void)hist::BuildEquiWidth(1024, 256, &h);
+  // 64 codes of 8 bits: 64 B per item.
+  cache::HistCodeCache cache(&h, d, /*capacity_bytes=*/items * 64,
+                             /*lru=*/true, /*integral_values=*/true);
+  std::vector<std::vector<Scalar>> points(1024);
+  for (auto& p : points) p = RandomPoint(rng, d, 1024);
+  std::vector<PointId> ids(1 << 16);
+  for (auto& id : ids) id = static_cast<PointId>(rng.Uniform(n));
+  for (size_t i = 0; i < items; ++i) {
+    cache.Admit(static_cast<PointId>(i), points[i % points.size()]);
+  }
+  if (cache.size() != items) {
+    state.SkipWithError("cache did not fill");
+    return;
+  }
+
+  const auto q = RandomPoint(rng, d, 1024);
+  double lb, ub;
+  size_t i = 0;
+  for (auto _ : state) {
+    const PointId id = ids[i & (ids.size() - 1)];
+    benchmark::DoNotOptimize(cache.Probe(q, id, &lb, &ub));
+    cache.Admit(id, points[i & (points.size() - 1)]);
+    benchmark::ClobberMemory();
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheAdmit);
 
 // Arg(0): uninstrumented seed path; Arg(1): the component metrics a bare
 // engine can carry (cache + LSH + point file; the per-query engine.*

@@ -33,14 +33,12 @@ void EncodeIndividual(const hist::IndividualHistograms& hs,
   }
 }
 
-CodeCacheBase::CodeCacheBase(size_t dim, uint32_t tau, size_t capacity_bytes,
-                             bool lru)
-    : dim_(dim),
-      lru_(lru),
-      store_(dim, tau),
-      capacity_items_(store_.item_bytes() == 0
-                          ? 0
-                          : capacity_bytes / store_.item_bytes()) {}
+CodeCacheBase::CodeCacheBase(size_t codes_per_item, uint32_t tau,
+                             size_t capacity_bytes, bool lru)
+    : SlotCache(capacity_bytes, CodeStore(codes_per_item, tau).item_bytes(),
+                lru),
+      dim_(codes_per_item),
+      store_(codes_per_item, tau) {}
 
 std::span<BucketId> CodeCacheBase::Scratch() const {
   thread_local std::vector<BucketId> buf;
@@ -48,84 +46,17 @@ std::span<BucketId> CodeCacheBase::Scratch() const {
   return {buf.data(), dim_};
 }
 
-// Static fill runs before the cache is published to engine threads; the
-// Fill callers nevertheless hold mu_ (uncontended, once per build) so the
-// analysis can prove the slot-table writes instead of suppressing them.
-void CodeCacheBase::InsertStatic(PointId id, std::span<const BucketId> codes) {
-  if (slot_of_.size() >= capacity_items_ || slot_of_.count(id)) return;
-  const uint32_t slot = store_.AllocateSlot();
-  store_.Write(slot, codes);
-  slot_of_[id] = slot;
-  if (lru_) lru_list_.Insert(id);
-  item_count_.store(slot_of_.size(), std::memory_order_relaxed);
-  NoteFillInsert();
-}
-
 void CodeCacheBase::AdmitCodes(PointId id, std::span<const BucketId> codes) {
-  if (capacity_items_ == 0) return;
   MutexLock lock(mu_);
-  auto it = slot_of_.find(id);
-  if (it != slot_of_.end()) {
-    lru_list_.Touch(id);
-    return;
-  }
-  uint32_t slot;
-  if (slot_of_.size() < capacity_items_) {
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      slot = store_.AllocateSlot();
-    }
-  } else {
-    const PointId victim = lru_list_.EvictBack();
-    auto vit = slot_of_.find(victim);
-    slot = vit->second;
-    slot_of_.erase(vit);
-    NoteEviction();
-  }
-  store_.Write(slot, codes);
-  slot_of_[id] = slot;
-  lru_list_.Insert(id);
-  item_count_.store(slot_of_.size(), std::memory_order_relaxed);
-  NoteAdmit();
+  const uint32_t slot = AdmitSlot(id);
+  if (slot != kNoSlot) store_.Write(slot, codes);
 }
 
-bool CodeCacheBase::LookupCodes(PointId id, std::span<BucketId> codes) {
-  if (lru_) {
-    // The recency touch and the slot read mutate/follow shared state; the
-    // whole lookup holds the lock so a concurrent eviction cannot recycle
-    // the slot mid-decode.
-    MutexLock lock(mu_);
-    return LookupLocked(id, codes);
-  }
-  return LookupStatic(id, codes);
-}
+uint32_t CodeCacheBase::AppendSlot() { return store_.AllocateSlot(); }
 
-bool CodeCacheBase::LookupLocked(PointId id, std::span<BucketId> codes) {
-  auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) {
-    NoteMiss();
-    return false;
-  }
-  NoteHit();
-  lru_list_.Touch(id);
-  store_.Read(it->second, codes);
-  return true;
-}
-
-// Static cache: slot table and store are immutable after Fill, which runs
-// before the generation is published to engine threads — the unlocked
-// reads the suppression on the declaration admits race with nothing.
-bool CodeCacheBase::LookupStatic(PointId id, std::span<BucketId> codes) {
-  auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) {
-    NoteMiss();
-    return false;
-  }
-  NoteHit();
-  store_.Read(it->second, codes);
-  return true;
+void CodeCacheBase::ReadSlot(uint32_t slot, std::span<const Scalar>, double*,
+                             double*) {
+  store_.Read(slot, Scratch());
 }
 
 HistCodeCache::HistCodeCache(const hist::Histogram* h, size_t dim,
@@ -140,27 +71,26 @@ Status HistCodeCache::Fill(const Dataset& data,
     return Status::InvalidArgument("dataset dim mismatch");
   }
   std::span<BucketId> buf = Scratch();
-  // Pre-publication, so the lock is uncontended; holding it lets the
-  // analysis prove the fill path instead of exempting it.
-  MutexLock lock(mu_);
+  MutexLock lock(mu_);  // pre-publication, uncontended (see FillSlot)
   for (PointId id : ids_by_freq) {
-    if (slot_of_.size() >= capacity_items_) break;
+    if (full()) break;
+    const uint32_t slot = FillSlot(id);
+    if (slot == kNoSlot) continue;
     EncodeGlobal(*hist_, data.point(id), buf);
-    InsertStatic(id, buf);
+    store_.Write(slot, buf);
   }
   return Status::OK();
 }
 
 bool HistCodeCache::Probe(std::span<const Scalar> q, PointId id, double* lb,
                           double* ub) {
-  std::span<BucketId> codes = Scratch();
-  if (!LookupCodes(id, codes)) return false;
-  hist::CodeBoundsGlobal(*hist_, q, codes, lb, ub, integral_);
+  if (!Lookup(q, id, lb, ub)) return false;
+  hist::CodeBoundsGlobal(*hist_, q, Scratch(), lb, ub, integral_);
   return true;
 }
 
 void HistCodeCache::Admit(PointId id, std::span<const Scalar> exact) {
-  if (!lru_) return;
+  if (!admits()) return;
   std::span<BucketId> codes = Scratch();
   EncodeGlobal(*hist_, exact, codes);
   AdmitCodes(id, codes);
@@ -180,26 +110,26 @@ Status IndividualCodeCache::Fill(const Dataset& data,
     return Status::InvalidArgument("dataset dim mismatch");
   }
   std::span<BucketId> buf = Scratch();
-  // Pre-publication; see HistCodeCache::Fill.
-  MutexLock lock(mu_);
+  MutexLock lock(mu_);  // pre-publication, uncontended (see FillSlot)
   for (PointId id : ids_by_freq) {
-    if (slot_of_.size() >= capacity_items_) break;
+    if (full()) break;
+    const uint32_t slot = FillSlot(id);
+    if (slot == kNoSlot) continue;
     EncodeIndividual(*hists_, data.point(id), buf);
-    InsertStatic(id, buf);
+    store_.Write(slot, buf);
   }
   return Status::OK();
 }
 
 bool IndividualCodeCache::Probe(std::span<const Scalar> q, PointId id,
                                 double* lb, double* ub) {
-  std::span<BucketId> codes = Scratch();
-  if (!LookupCodes(id, codes)) return false;
-  hist::CodeBoundsIndividual(*hists_, q, codes, lb, ub, integral_);
+  if (!Lookup(q, id, lb, ub)) return false;
+  hist::CodeBoundsIndividual(*hists_, q, Scratch(), lb, ub, integral_);
   return true;
 }
 
 void IndividualCodeCache::Admit(PointId id, std::span<const Scalar> exact) {
-  if (!lru_) return;
+  if (!admits()) return;
   std::span<BucketId> codes = Scratch();
   EncodeIndividual(*hists_, exact, codes);
   AdmitCodes(id, codes);

@@ -7,28 +7,23 @@
 //   IndividualCodeCache — d per-dimension histograms (iHC-*); also used to
 //                         realize the C-VA baseline (VA-file = per-dimension
 //                         equi-depth encoding of all points).
+// mHC-R (multidim_cache.h) is the same cache with one code per item.
 //
-// Concurrency (docs/CONCURRENCY.md): a statically filled (HFF) cache is
-// immutable after Fill, so probes are lock-free — they only touch the
-// read-only slot table / code store plus the per-thread counter shards and
-// a thread_local decode buffer. Under the LRU policy probes and admissions
-// mutate the slot table, recency list and store, so the whole mutating path
-// serializes behind `mu_`.
+// Concurrency (docs/CONCURRENCY.md): SlotCache owns the slot map, the
+// policies and the lock. A static (HFF) probe is lock-free; an LRU probe
+// decodes its slot under `mu_` into a thread_local buffer, and the bounds
+// are computed from that buffer after the lock is released.
 
 #ifndef EEB_CACHE_CODE_CACHE_H_
 #define EEB_CACHE_CODE_CACHE_H_
 
-#include <atomic>
 #include <span>
-#include <unordered_map>
-#include <vector>
 
 #include "common/dataset.h"
-#include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "cache/code_store.h"
-#include "cache/knn_cache.h"
+#include "cache/slot_cache.h"
 #include "hist/bounds.h"
 #include "hist/histogram.h"
 #include "hist/individual.h"
@@ -44,71 +39,42 @@ void EncodeGlobal(const hist::Histogram& h, std::span<const Scalar> p,
 void EncodeIndividual(const hist::IndividualHistograms& hs,
                       std::span<const Scalar> p, std::span<BucketId> out);
 
-/// Common machinery of the two code caches.
-class CodeCacheBase : public KnnCache {
+/// Common machinery of the code caches: the payload is a CodeStore of
+/// `codes_per_item` tau-bit codes per item, and a hit decodes its slot.
+class CodeCacheBase : public SlotCache {
  public:
   /// Immutable store config (fixed at construction); reading it through
   /// the mu_-guarded store_ member is lock-free by that invariant.
   size_t item_bytes() const override EEB_NO_THREAD_SAFETY_ANALYSIS {
     return store_.item_bytes();
   }
-  /// Items currently cached. Reads an atomic count maintained under `mu_`,
-  /// so it is safe to call concurrently with LRU probes/admissions (the
-  /// occupancy gauge publishes it once per query).
-  size_t size() const override {
-    return item_count_.load(std::memory_order_relaxed);
-  }
-  size_t capacity_items() const override { return capacity_items_; }
   /// Immutable store config, same invariant as item_bytes().
   uint32_t tau() const EEB_NO_THREAD_SAFETY_ANALYSIS {
     return store_.bits_per_code();
   }
 
  protected:
-  CodeCacheBase(size_t dim, uint32_t tau, size_t capacity_bytes, bool lru);
+  CodeCacheBase(size_t codes_per_item, uint32_t tau, size_t capacity_bytes,
+                bool lru);
 
-  /// Inserts codes for `id` (static fill path). No-op when full or present.
-  void InsertStatic(PointId id, std::span<const BucketId> codes)
-      EEB_REQUIRES(mu_);
-
-  /// LRU admission of codes for `id`. Takes `mu_`.
+  /// LRU admission of codes for `id` (encoded by the caller, outside the
+  /// lock). Takes `mu_`.
   void AdmitCodes(PointId id, std::span<const BucketId> codes)
       EEB_EXCLUDES(mu_);
 
-  /// Looks up `id`; on hit decodes into `codes` (dim_ entries) and returns
-  /// true. Lock-free on static caches; takes `mu_` under LRU (the recency
-  /// touch and the decode must see a consistent slot).
-  bool LookupCodes(PointId id, std::span<BucketId> codes) EEB_EXCLUDES(mu_);
-
   /// Thread-local decode/encode scratch of dim_ entries, shared across
-  /// cache instances (contents never outlive one call).
+  /// cache instances (contents never outlive one call). On a hit, Lookup
+  /// leaves the slot's codes here; the subclass's Probe turns them into
+  /// bounds after the lock is released.
   std::span<BucketId> Scratch() const;
 
-  Mutex mu_;  // guards the slot table / store / recency list (see below)
-  const size_t dim_;
-  const bool lru_;
+  const size_t dim_;  // codes per item: d, or 1 for mHC-R's bucket id
+  CodeStore store_ EEB_GUARDED_BY(mu_);
 
  private:
-  /// LRU lookup: the recency touch and the slot decode hold `mu_`.
-  bool LookupLocked(PointId id, std::span<BucketId> codes) EEB_REQUIRES(mu_);
-
-  /// Static (HFF) lookup. Invariant that makes the suppression sound: a
-  /// statically filled cache is immutable after Fill — ConfigureCache
-  /// builds the whole generation before publishing it to engine threads
-  /// (core/system.cc), so these unlocked reads race with nothing.
-  bool LookupStatic(PointId id, std::span<BucketId> codes)
-      EEB_NO_THREAD_SAFETY_ANALYSIS;
-
- protected:
-  CodeStore store_ EEB_GUARDED_BY(mu_);
-  std::unordered_map<PointId, uint32_t> slot_of_ EEB_GUARDED_BY(mu_);
-  std::vector<uint32_t> free_slots_ EEB_GUARDED_BY(mu_);
-  LruTracker lru_list_ EEB_GUARDED_BY(mu_);
-  // Mirror of slot_of_.size(), refreshed under mu_ at the end of every
-  // mutation; lets size() (and the per-query occupancy gauge behind it)
-  // read occupancy without taking the LRU lock.
-  std::atomic<size_t> item_count_{0};
-  const size_t capacity_items_;
+  uint32_t AppendSlot() override EEB_REQUIRES(mu_);
+  void ReadSlot(uint32_t slot, std::span<const Scalar> q, double* lb,
+                double* ub) override EEB_REQUIRES(mu_);
 };
 
 /// Cache of codes under one global histogram.

@@ -1,15 +1,15 @@
 // Bit-packed storage for cached code words ("exploit every bit", paper
 // Sec. 3.1 footnote 5): each cached item is `codes_per_item` fields of
-// `bits_per_code` bits packed into consecutive 64-bit words. Slots are
+// `bits_per_code` bits packed LSB-first into consecutive 64-bit words
+// (PackBits/UnpackBits; a field may straddle two words). Slots are
 // fixed-size so caches can recycle them under LRU eviction.
 
 #ifndef EEB_CACHE_CODE_STORE_H_
 #define EEB_CACHE_CODE_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitops.h"
@@ -48,17 +48,11 @@ class CodeStore {
 
   /// Overwrites slot contents with the given codes.
   void Write(uint32_t slot, std::span<const BucketId> codes) {
-    uint64_t* base = words_.data() + static_cast<size_t>(slot) * words_per_item_;
-    for (size_t w = 0; w < words_per_item_; ++w) base[w] = 0;
-    size_t bit = 0;
+    const size_t first = static_cast<size_t>(slot) * words_per_item_;
+    std::fill_n(words_.begin() + first, words_per_item_, 0);
+    size_t bit = first * 64;
     for (size_t j = 0; j < codes_per_item_; ++j) {
-      const size_t word = bit >> 6;
-      const unsigned shift = bit & 63;
-      const uint64_t value = codes[j];
-      base[word] |= value << shift;
-      if (shift + bits_per_code_ > 64) {
-        base[word + 1] |= value >> (64 - shift);
-      }
+      PackBits(words_, bit, bits_per_code_, codes[j]);
       bit += bits_per_code_;
     }
   }
@@ -79,45 +73,6 @@ class CodeStore {
   uint32_t bits_per_code_;
   size_t words_per_item_;
   std::vector<uint64_t> words_;
-};
-
-/// Simple LRU bookkeeping over point ids.
-class LruTracker {
- public:
-  /// Inserts id at the front (most recent). Id must not be present.
-  void Insert(PointId id) {
-    order_.push_front(id);
-    pos_[id] = order_.begin();
-  }
-
-  /// Moves an existing id to the front.
-  void Touch(PointId id) {
-    auto it = pos_.find(id);
-    if (it == pos_.end()) return;
-    order_.splice(order_.begin(), order_, it->second);
-  }
-
-  /// Removes and returns the least recently used id.
-  PointId EvictBack() {
-    PointId victim = order_.back();
-    order_.pop_back();
-    pos_.erase(victim);
-    return victim;
-  }
-
-  void Erase(PointId id) {
-    auto it = pos_.find(id);
-    if (it == pos_.end()) return;
-    order_.erase(it->second);
-    pos_.erase(it);
-  }
-
-  bool Contains(PointId id) const { return pos_.count(id) > 0; }
-  size_t size() const { return pos_.size(); }
-
- private:
-  std::list<PointId> order_;
-  std::unordered_map<PointId, std::list<PointId>::iterator> pos_;
 };
 
 }  // namespace eeb::cache

@@ -11,8 +11,8 @@
 // thread slot, so concurrent readers never bounce a shared line — and are
 // merged on snapshot (stats(), PublishMetrics()). Static (HFF) caches are
 // immutable after Fill and probe lock-free; LRU caches serialize their
-// mutating probe/admission path behind an internal mutex (see
-// CodeCacheBase / ExactCache).
+// mutating probe/admission path behind an internal mutex (see SlotCache,
+// the base of every point cache).
 
 #ifndef EEB_CACHE_KNN_CACHE_H_
 #define EEB_CACHE_KNN_CACHE_H_
@@ -157,8 +157,7 @@ class KnnCache {
     Shard().evictions.fetch_add(1, std::memory_order_relaxed);
   }
   // `size()` implementations must be safe to call concurrently with
-  // probes/admissions (the LRU caches keep an atomic item count for this;
-  // see CodeCacheBase::size / ExactCache::size).
+  // probes/admissions (SlotCache keeps an atomic item count for this).
   void SyncOccupancy() EEB_REQUIRES(publish_mu_) {
     if (obs_.items != nullptr) obs_.items->Set(static_cast<double>(size()));
   }

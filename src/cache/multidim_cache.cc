@@ -2,47 +2,33 @@
 
 #include <algorithm>
 
-#include "common/bitops.h"
-
 namespace eeb::cache {
 
 MultiDimCodeCache::MultiDimCodeCache(const hist::MultiDimHistogram* h,
                                      size_t capacity_bytes)
-    : hist_(h),
-      store_(/*codes_per_item=*/1,
-             std::max<uint32_t>(1, h->code_length())) {
-  capacity_items_ =
-      store_.item_bytes() == 0 ? 0 : capacity_bytes / store_.item_bytes();
-}
+    : CodeCacheBase(/*codes_per_item=*/1,
+                    std::max<uint32_t>(1, h->code_length()), capacity_bytes,
+                    /*lru=*/false),
+      hist_(h) {}
 
 Status MultiDimCodeCache::Fill(std::span<const PointId> ids_by_freq,
                                std::span<const BucketId> assignment) {
+  MutexLock lock(mu_);  // pre-publication, uncontended (see FillSlot)
   for (PointId id : ids_by_freq) {
-    if (slot_of_.size() >= capacity_items_) break;
+    if (full()) break;
     if (id >= assignment.size()) {
       return Status::InvalidArgument("assignment table too small");
     }
-    if (slot_of_.count(id)) continue;
-    const uint32_t slot = store_.AllocateSlot();
-    const BucketId code = assignment[id];
-    store_.Write(slot, {&code, 1});
-    slot_of_[id] = slot;
-    NoteFillInsert();
+    const uint32_t slot = FillSlot(id);
+    if (slot != kNoSlot) store_.Write(slot, assignment.subspan(id, 1));
   }
   return Status::OK();
 }
 
 bool MultiDimCodeCache::Probe(std::span<const Scalar> q, PointId id,
                               double* lb, double* ub) {
-  auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) {
-    NoteMiss();
-    return false;
-  }
-  NoteHit();
-  BucketId code;
-  store_.Read(it->second, {&code, 1});
-  const hist::Mbr& mbr = hist_->bucket(code);
+  if (!Lookup(q, id, lb, ub)) return false;
+  const hist::Mbr& mbr = hist_->bucket(Scratch()[0]);
   *lb = mbr.MinDist(q);
   *ub = mbr.MaxDist(q);
   return true;

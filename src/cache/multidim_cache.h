@@ -1,26 +1,24 @@
 // mHC-R cache (paper Sec. 3.6.2): the approximate representation of a point
 // is the identifier of the R-tree-leaf bucket enclosing it — a single
-// tau-bit code per point. Probing returns MinDist/MaxDist of the query to
-// the bucket's MBR. Static (HFF) policy only: assignments are fixed by the
-// build-time space partition.
+// tau-bit code per point, so it is a code cache with one code per item.
+// Probing returns MinDist/MaxDist of the query to the bucket's MBR. Static
+// (HFF) policy only: assignments are fixed by the build-time space
+// partition.
 
 #ifndef EEB_CACHE_MULTIDIM_CACHE_H_
 #define EEB_CACHE_MULTIDIM_CACHE_H_
 
 #include <span>
-#include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
-#include "cache/code_store.h"
-#include "cache/knn_cache.h"
+#include "cache/code_cache.h"
 #include "hist/multidim_histogram.h"
 
 namespace eeb::cache {
 
 /// Cache of single-code (bucket id) approximations under a multi-dimensional
 /// histogram.
-class MultiDimCodeCache : public KnnCache {
+class MultiDimCodeCache : public CodeCacheBase {
  public:
   /// The histogram must outlive the cache.
   MultiDimCodeCache(const hist::MultiDimHistogram* h, size_t capacity_bytes);
@@ -33,15 +31,8 @@ class MultiDimCodeCache : public KnnCache {
   bool Probe(std::span<const Scalar> q, PointId id, double* lb,
              double* ub) override;
 
-  size_t item_bytes() const override { return store_.item_bytes(); }
-  size_t size() const override { return slot_of_.size(); }
-  size_t capacity_items() const override { return capacity_items_; }
-
  private:
   const hist::MultiDimHistogram* hist_;
-  size_t capacity_items_;
-  CodeStore store_;
-  std::unordered_map<PointId, uint32_t> slot_of_;
 };
 
 }  // namespace eeb::cache

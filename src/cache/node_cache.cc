@@ -64,9 +64,7 @@ Status ApproxNodeCache::Fill(
     const Dataset& data, const std::vector<std::vector<PointId>>& leaf_points,
     std::span<const uint32_t> nodes_by_freq) {
   if (data.dim() != dim_) return Status::InvalidArgument("dim mismatch");
-  const size_t words_per_point = WordsForBits(dim_ * tau_);
-  const size_t per_point =
-      words_per_point * sizeof(uint64_t) + sizeof(PointId);
+  const size_t per_point = point_bytes() + sizeof(PointId);
   std::vector<BucketId> codes(dim_);
   for (uint32_t node : nodes_by_freq) {
     if (node >= leaf_points.size()) {
@@ -75,22 +73,10 @@ Status ApproxNodeCache::Fill(
     const auto& ids = leaf_points[node];
     const size_t node_bytes = ids.size() * per_point;
     if (bytes_used_ + node_bytes > capacity_bytes_) break;
-    NodeData nd;
-    nd.ids = ids;
-    nd.words.assign(ids.size() * words_per_point, 0);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      EncodeGlobal(*hist_, data.point(ids[i]), codes);
-      uint64_t* base = nd.words.data() + i * words_per_point;
-      size_t bit = 0;
-      for (size_t j = 0; j < dim_; ++j) {
-        const size_t word = bit >> 6;
-        const unsigned shift = bit & 63;
-        base[word] |= static_cast<uint64_t>(codes[j]) << shift;
-        if (shift + tau_ > 64) {
-          base[word + 1] |= static_cast<uint64_t>(codes[j]) >> (64 - shift);
-        }
-        bit += tau_;
-      }
+    NodeData nd{ids, CodeStore(dim_, tau_)};
+    for (PointId id : ids) {
+      EncodeGlobal(*hist_, data.point(id), codes);
+      nd.codes.Write(nd.codes.AllocateSlot(), codes);
     }
     nodes_.emplace(node, std::move(nd));
     bytes_used_ += node_bytes;
@@ -107,14 +93,8 @@ bool ApproxNodeCache::ProbeNode(uint32_t node, std::span<const Scalar> q,
   }
   stats_.hits++;
   const NodeData& nd = it->second;
-  const size_t words_per_point = WordsForBits(dim_ * tau_);
   for (size_t i = 0; i < nd.ids.size(); ++i) {
-    const uint64_t* base = nd.words.data() + i * words_per_point;
-    size_t bit = 0;
-    for (size_t j = 0; j < dim_; ++j) {
-      scratch_[j] = static_cast<BucketId>(UnpackBits(base, bit, tau_));
-      bit += tau_;
-    }
+    nd.codes.Read(static_cast<uint32_t>(i), scratch_);
     double lb, ub;
     hist::CodeBoundsGlobal(*hist_, q, scratch_, &lb, &ub, integral_);
     fn(nd.ids[i], lb, ub);

@@ -98,14 +98,12 @@ class ApproxNodeCache : public NodeCache {
   size_t bytes_used() const { return bytes_used_; }
 
   /// Bytes one point occupies in this cache (codes only).
-  size_t point_bytes() const {
-    return WordsForBits(dim_ * tau_) * sizeof(uint64_t);
-  }
+  size_t point_bytes() const { return CodeStore(dim_, tau_).item_bytes(); }
 
  private:
   struct NodeData {
     std::vector<PointId> ids;
-    std::vector<uint64_t> words;  // packed codes, per point
+    CodeStore codes;  // one slot per point, in `ids` order
   };
 
   const hist::Histogram* hist_;

@@ -1,6 +1,6 @@
 // Minimal filesystem abstraction (RocksDB-style Env): random-access readers
 // and append-only writers over POSIX files. All disk-resident structures
-// (point file, B+-tree, VA-file, tree nodes) go through this layer so that
+// (point file, VA-file, tree nodes) go through this layer so that
 // I/O accounting has a single choke point.
 
 #ifndef EEB_STORAGE_ENV_H_

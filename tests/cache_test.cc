@@ -1,5 +1,6 @@
-// Tests for the cache module: code store packing, LRU bookkeeping, the
-// exact / code / multi-dim / node caches, capacity accounting and policies.
+// Tests for the cache module: code store packing, the recency order behind
+// SlotCache's LRU policy, the exact / code / multi-dim / node caches,
+// capacity accounting and policies.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "cache/exact_cache.h"
 #include "cache/multidim_cache.h"
 #include "cache/node_cache.h"
+#include "cache/slot_cache.h"
 #include "hist/builders.h"
 #include "index/rtree/rtree_histogram.h"
 
@@ -102,16 +104,6 @@ TEST(LruTrackerTest, EvictsLeastRecent) {
   EXPECT_EQ(lru.EvictBack(), 2u);
   EXPECT_EQ(lru.EvictBack(), 3u);
   EXPECT_EQ(lru.EvictBack(), 1u);
-}
-
-TEST(LruTrackerTest, EraseRemoves) {
-  LruTracker lru;
-  lru.Insert(5);
-  lru.Insert(6);
-  lru.Erase(6);
-  EXPECT_FALSE(lru.Contains(6));
-  EXPECT_EQ(lru.size(), 1u);
-  EXPECT_EQ(lru.EvictBack(), 5u);
 }
 
 // ------------------------------------------------------------- ExactCache --

@@ -4,12 +4,13 @@
 // aggregates, and merged HFF cache counters equal to the serial totals, for
 // every static cache method. One test races queries against
 // maintenance-style cache rebuilds: publication is atomic, so every answer
-// stays exact. A golden hash pins what a one-worker batch does to an LRU
-// cache.
+// stays exact. Golden hashes pin what a one-worker batch does to an LRU
+// cache (EXACT, HC-O, iHC-O) and what a static fill leaves in every method.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -835,18 +836,24 @@ TEST(ServeTest, BrownoutShedsAtAdmissionOnOpenLoopPoliciesOnly) {
 // any change to the order in which a serial batch touches the cache moves
 // one of the two hashes. Never re-pin them to make a change pass: a new
 // value means serial batches now leave a different cache behind.
-TEST(ServeTest, DefaultOptionsKeepTheGoldenSerialLruBatch) {
+struct LruBatchPin {
+  uint64_t funnel = 0;
+  uint64_t resident = 0;
+  uint64_t evictions = 0;
+};
+
+LruBatchPin RunSerialLruBatch(core::CacheMethod method) {
   ConcurrencyRig rig;
-  ASSERT_TRUE(rig.system
-                  ->ConfigureCache(core::CacheMethod::kHcO,
-                                   /*cache_bytes=*/8 << 10, /*tau=*/4,
-                                   /*lru=*/true)
+  LruBatchPin pin;
+  EXPECT_TRUE(rig.system
+                  ->ConfigureCache(method, /*cache_bytes=*/8 << 10,
+                                   /*tau=*/4, /*lru=*/true)
                   .ok());
   core::ServeReport report;
   std::vector<core::QueryResult> per_query;
-  ASSERT_TRUE(
+  EXPECT_TRUE(
       rig.system->Serve(rig.log.test, 10, {}, &report, &per_query).ok());
-  ASSERT_EQ(per_query.size(), rig.log.test.size());
+  EXPECT_EQ(per_query.size(), rig.log.test.size());
 
   Fnv1a funnel;
   for (const core::QueryResult& r : per_query) {
@@ -878,10 +885,68 @@ TEST(ServeTest, DefaultOptionsKeepTheGoldenSerialLruBatch) {
       resident.Add(id);
     }
   }
-  EXPECT_EQ(funnel.value(), 0xb8f4045d1849249aull)
-      << std::hex << funnel.value();
-  EXPECT_EQ(resident.value(), 0x5968e524f60b2077ull)
-      << std::hex << resident.value();
+  pin.funnel = funnel.value();
+  pin.resident = resident.value();
+  pin.evictions = a.evictions;
+  return pin;
+}
+
+TEST(ServeTest, DefaultOptionsKeepTheGoldenSerialLruBatch) {
+  const LruBatchPin pin = RunSerialLruBatch(core::CacheMethod::kHcO);
+  EXPECT_EQ(pin.funnel, 0xb8f4045d1849249aull) << std::hex << pin.funnel;
+  EXPECT_EQ(pin.resident, 0x5968e524f60b2077ull) << std::hex << pin.resident;
+}
+
+TEST(ServeTest, DefaultOptionsKeepTheGoldenSerialLruBatchExact) {
+  const LruBatchPin pin = RunSerialLruBatch(core::CacheMethod::kExact);
+  EXPECT_EQ(pin.funnel, 0xe6acd4590fd0c26aull) << std::hex << pin.funnel;
+  EXPECT_EQ(pin.resident, 0x9a20899911f56a84ull) << std::hex << pin.resident;
+  EXPECT_EQ(pin.evictions, 11679u);
+}
+
+TEST(ServeTest, DefaultOptionsKeepTheGoldenSerialLruBatchIHcO) {
+  const LruBatchPin pin = RunSerialLruBatch(core::CacheMethod::kIHcO);
+  EXPECT_EQ(pin.funnel, 0x971bfa18bf725d96ull) << std::hex << pin.funnel;
+  EXPECT_EQ(pin.resident, 0xc9cb08d61a349b28ull) << std::hex << pin.resident;
+  EXPECT_EQ(pin.evictions, 6993u);
+}
+
+// Pins what a static (HFF) fill leaves in each cache: its occupancy and
+// geometry, the resident ids and the exact bounds a probe returns for each,
+// for every static method in EightThreadsBitExactVsSerialReference's order.
+// Same rule as the LRU pins: never re-pin to make a change pass.
+TEST(ServeTest, StaticFillKeepsTheGoldenResidentBounds) {
+  ConcurrencyRig rig;
+  Fnv1a all;
+  for (const core::CacheMethod method :
+       {core::CacheMethod::kExact, core::CacheMethod::kHcW,
+        core::CacheMethod::kHcV, core::CacheMethod::kHcM,
+        core::CacheMethod::kHcD, core::CacheMethod::kHcO,
+        core::CacheMethod::kIHcW, core::CacheMethod::kIHcD,
+        core::CacheMethod::kIHcO, core::CacheMethod::kMHcR,
+        core::CacheMethod::kCVa}) {
+    SCOPED_TRACE(core::CacheMethodName(method));
+    ASSERT_TRUE(
+        rig.system->ConfigureCache(method, /*cache_bytes=*/6 << 10, /*tau=*/4)
+            .ok());
+    cache::KnnCache* cache = rig.system->cache();
+    EXPECT_EQ(cache->size(), cache->capacity_items());  // the fill is full
+    Fnv1a h;
+    h.Add(static_cast<uint64_t>(method));
+    h.Add(cache->size());
+    h.Add(cache->capacity_items());
+    h.Add(cache->item_bytes());
+    for (size_t id = 0; id < rig.data.size(); ++id) {
+      double lb, ub;
+      if (cache->Probe(rig.log.test[0], static_cast<PointId>(id), &lb, &ub)) {
+        h.Add(id);
+        h.Add(std::bit_cast<uint64_t>(lb));
+        h.Add(std::bit_cast<uint64_t>(ub));
+      }
+    }
+    all.Add(h.value());
+  }
+  EXPECT_EQ(all.value(), 0xa4c9e6bfb63bde28ull) << std::hex << all.value();
 }
 
 }  // namespace

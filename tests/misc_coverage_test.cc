@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "common/distance.h"
 #include "common/zipf.h"
 #include "core/dbscan.h"
 #include "core/knn_join.h"
