@@ -7,22 +7,6 @@
 namespace eeb::cache {
 namespace {
 
-// SplitMix64 finalizer; good single-word avalanche for the key table.
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-size_t NextPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 ShadowConfig SanitizeConfig(ShadowConfig config) {
   config.capacity_items = std::max<size_t>(config.capacity_items, 1);
   config.name = SanitizeShadowName(config.name);
@@ -102,7 +86,8 @@ Status ParseShadowConfigs(const std::string& spec,
                                        "' is not a number");
       }
       items = items * 10 + static_cast<uint64_t>(c - '0');
-      if (items > (uint64_t{1} << 32)) {
+      // Node indexes are 32-bit with 0xffffffff as the list sentinel.
+      if (items >= (uint64_t{1} << 32)) {
         return Status::InvalidArgument("shadow config '" + entry +
                                        "': capacity too large");
       }
@@ -137,14 +122,13 @@ std::vector<ShadowConfig> DefaultShadowConfigs(size_t capacity_items) {
 
 ShadowCache::ShadowCache(ShadowConfig config)
     : config_(SanitizeConfig(std::move(config))),
-      table_mask_(NextPow2(config_.capacity_items * 2) - 1),
       nodes_(config_.capacity_items),
-      table_(table_mask_ + 1) {}
+      table_(config_.capacity_items) {}
 
 void ShadowCache::OnAccess(uint64_t key) {
   MutexLock lock(mu_);
-  const uint32_t node = TableFindLocked(key);
-  if (node != kNil) {
+  if (const uint32_t* found = table_.Find(key); found != nullptr) {
+    const uint32_t node = *found;
     hits_.fetch_add(1, std::memory_order_relaxed);
     if (config_.policy == ShadowConfig::Policy::kLru && head_ != node) {
       UnlinkLocked(node);
@@ -159,60 +143,16 @@ void ShadowCache::OnAccess(uint64_t key) {
   } else {
     n = tail_;  // oldest: LRU victim and FIFO victim coincide in this list
     UnlinkLocked(n);
-    TableEraseLocked(nodes_[n].key);
+    table_.Erase(nodes_[n].key);
   }
   nodes_[n].key = key;
   PushFrontLocked(n);
-  TableInsertLocked(key, n);
+  table_.Insert(key, n);
 }
 
 size_t ShadowCache::size() const {
   MutexLock lock(mu_);
   return size_;
-}
-
-uint32_t ShadowCache::TableFindLocked(uint64_t key) const {
-  size_t i = static_cast<size_t>(Mix64(key)) & table_mask_;
-  while (true) {
-    const Slot& s = table_[i];
-    if (s.key_plus1 == 0) return kNil;
-    if (s.key_plus1 == key + 1) return s.node;
-    i = (i + 1) & table_mask_;
-  }
-}
-
-void ShadowCache::TableInsertLocked(uint64_t key, uint32_t node) {
-  size_t i = static_cast<size_t>(Mix64(key)) & table_mask_;
-  while (table_[i].key_plus1 != 0) i = (i + 1) & table_mask_;
-  table_[i].key_plus1 = key + 1;
-  table_[i].node = node;
-}
-
-void ShadowCache::TableEraseLocked(uint64_t key) {
-  size_t i = static_cast<size_t>(Mix64(key)) & table_mask_;
-  while (table_[i].key_plus1 != key + 1) {
-    if (table_[i].key_plus1 == 0) return;  // not present
-    i = (i + 1) & table_mask_;
-  }
-  // Backward-shift deletion: probe chains stay intact with no tombstones,
-  // so lookup cost never degrades under eviction churn. An entry may stay
-  // put only if its home slot lies in the cyclic range (hole, j].
-  size_t hole = i;
-  table_[hole].key_plus1 = 0;
-  size_t j = hole;
-  while (true) {
-    j = (j + 1) & table_mask_;
-    const uint64_t kp = table_[j].key_plus1;
-    if (kp == 0) break;
-    const size_t home = static_cast<size_t>(Mix64(kp - 1)) & table_mask_;
-    const bool home_in_range =
-        hole < j ? (home > hole && home <= j) : (home > hole || home <= j);
-    if (!home_in_range) {
-      table_[hole] = table_[j];
-      table_[j].key_plus1 = 0;
-      hole = j;
-    }
-  }
 }
 
 void ShadowCache::UnlinkLocked(uint32_t node) {

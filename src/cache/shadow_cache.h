@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/key_table.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -81,23 +82,14 @@ class ShadowCache {
     uint32_t next = kNil;
   };
 
-  struct Slot {
-    uint64_t key_plus1 = 0;  // 0 = empty
-    uint32_t node = 0;
-  };
-
-  uint32_t TableFindLocked(uint64_t key) const EEB_REQUIRES(mu_);
-  void TableInsertLocked(uint64_t key, uint32_t node) EEB_REQUIRES(mu_);
-  void TableEraseLocked(uint64_t key) EEB_REQUIRES(mu_);
   void UnlinkLocked(uint32_t node) EEB_REQUIRES(mu_);
   void PushFrontLocked(uint32_t node) EEB_REQUIRES(mu_);
 
   const ShadowConfig config_;
-  const size_t table_mask_;
 
   mutable Mutex mu_;
   std::vector<Node> nodes_ EEB_GUARDED_BY(mu_);
-  std::vector<Slot> table_ EEB_GUARDED_BY(mu_);
+  KeyTable table_ EEB_GUARDED_BY(mu_);  // key -> node
   uint32_t head_ EEB_GUARDED_BY(mu_) = kNil;
   uint32_t tail_ EEB_GUARDED_BY(mu_) = kNil;
   size_t size_ EEB_GUARDED_BY(mu_) = 0;

@@ -9,6 +9,14 @@
 
 namespace eeb {
 
+/// SplitMix64 finalizer: a stateless single-word hash with good avalanche.
+/// Seeds Rng and hashes keys (KeyTable, the analytics sampling gate).
+inline uint64_t Mix64(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** generator seeded via SplitMix64. Fast, decent quality,
 /// fully deterministic across platforms (unlike std::mt19937 distributions).
 class Rng {
@@ -18,10 +26,7 @@ class Rng {
     uint64_t x = seed;
     for (int i = 0; i < 4; ++i) {
       x += 0x9e3779b97f4a7c15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      s_[i] = z ^ (z >> 31);
+      s_[i] = Mix64(x);
     }
   }
 

@@ -89,9 +89,8 @@ struct EngineOptions {
 
 /// Per-call execution budget, threaded in by the serving layer
 /// (docs/ROBUSTNESS.md). Lets the end-to-end deadline include time spent
-/// before the engine ran — queue wait under load — and lets the
-/// HealthMonitor tighten deadlines under pressure without reconfiguring the
-/// engine.
+/// before the engine ran — queue wait under load — without reconfiguring
+/// the engine.
 struct QueryContext {
   /// Effective deadline for this call in milliseconds. Negative means "use
   /// EngineOptions::deadline_ms" (the default); 0 disables the deadline for
@@ -120,9 +119,8 @@ class KnnEngine {
   }
 
   /// Executes a kNN query under an explicit per-call budget: the serving
-  /// layer charges queue wait against the deadline and may tighten it under
-  /// brownout. Identical to the two-argument overload when `ctx` is
-  /// default-constructed.
+  /// layer charges queue wait against the deadline. Identical to the
+  /// two-argument overload when `ctx` is default-constructed.
   Status Query(std::span<const Scalar> q, size_t k, const QueryContext& ctx,
                QueryResult* out);
 

@@ -86,15 +86,7 @@ Status System::Create(storage::Env* env, const std::string& dir,
   // wrapper is safe for Create too.
   sys->retry_env_ =
       std::make_unique<storage::RetryingEnv>(env, options.io_retry);
-  // Breaker outside retry: when open, reads fail before the retry ladder,
-  // so a dead disk costs one short-circuit per candidate instead of the
-  // whole backoff schedule.
   storage::Env* io_env = sys->retry_env_.get();
-  if (options.io_breaker.enabled) {
-    sys->breaker_env_ = std::make_unique<storage::CircuitBreakerEnv>(
-        io_env, options.io_breaker);
-    io_env = sys->breaker_env_.get();
-  }
   EEB_RETURN_IF_ERROR(storage::PointFile::Create(io_env, path, data, order,
                                                  options.page_size));
   EEB_RETURN_IF_ERROR(storage::PointFile::Open(io_env, path, &sys->points_));
@@ -120,8 +112,6 @@ void System::EnableMetrics(obs::MetricsRegistry* registry) {
   lsh_->BindMetrics(registry);
   points_->BindMetrics(registry);
   retry_env_->BindMetrics(registry);
-  if (breaker_env_ != nullptr) breaker_env_->BindMetrics(registry);
-  if (health_ != nullptr) health_->BindMetrics(registry);
   if (auto gen = generation(); gen != nullptr) {
     gen->cache->BindMetrics(registry);
   }
@@ -144,7 +134,6 @@ void System::EnableMetrics(obs::MetricsRegistry* registry) {
       .gen_seconds = registry->GetHistogram("engine.gen_seconds"),
       .reduce_seconds = registry->GetHistogram("engine.reduce_seconds"),
       .refine_seconds = registry->GetHistogram("engine.refine_seconds"),
-      .system_queries = registry->GetCounter("system.queries"),
       .response_seconds = registry->GetHistogram("system.response_seconds"),
       .modeled_io_seconds = registry->GetGauge("system.modeled_io_seconds"),
   };
@@ -158,13 +147,6 @@ void System::SetWindow(obs::WindowedMetrics* window) {
 
 void System::SetRecorder(obs::FlightRecorder* recorder) {
   recorder_ = recorder;
-}
-
-void System::SetHealthMonitor(HealthMonitor* health) {
-  health_ = health;
-  if (health_ != nullptr && metrics_ != nullptr) {
-    health_->BindMetrics(metrics_);
-  }
 }
 
 void System::SetCacheAnalytics(obs::CacheAnalytics* analytics) {
@@ -207,29 +189,24 @@ void System::InstallShadowTap() {
 
 void System::SampleWorkerGauges() {
   if (window_ == nullptr) return;
-  {
-    MutexLock lock(pool_mu_);
-    if (active_pool_ != nullptr) {
-      window_->SampleQueue(active_pool_->queue_depth(),
-                           active_pool_->busy_workers(),
-                           active_pool_->num_threads());
-      const QueueStats qs = active_pool_->queue_stats();
-      window_->SampleQueueStats(qs.capacity, qs.max_depth, qs.rejected);
-    } else {
-      window_->SampleQueue(0, 0, 0);
-      window_->SampleQueueStats(0, 0, 0);
-    }
+  MutexLock lock(pool_mu_);
+  if (active_pool_ != nullptr) {
+    window_->SampleQueue(active_pool_->queue_depth(),
+                         active_pool_->busy_workers(),
+                         active_pool_->num_threads());
+    const QueueStats qs = active_pool_->queue_stats();
+    window_->SampleQueueStats(qs.capacity, qs.max_depth, qs.rejected);
+  } else {
+    window_->SampleQueue(0, 0, 0);
+    window_->SampleQueueStats(0, 0, 0);
   }
-  // Feed the brownout state machine outside pool_mu_: GetSnapshot takes the
-  // window lock and needs nothing from the pool.
-  if (health_ != nullptr) health_->Evaluate(window_->GetSnapshot());
 }
 
 Status System::Execute(std::span<const Scalar> q, size_t k,
                        const QueryContext& ctx, uint64_t query_index,
                        QueryResult* out) {
   EEB_RETURN_IF_ERROR(engine_->Query(q, k, ctx, out));
-  OnQueryFinished(out, query_index);
+  OnQueryFinished(*out, query_index);
   return Status::OK();
 }
 
@@ -237,7 +214,7 @@ void System::MarkShed(QueryResult* r, obs::ShedCause cause,
                       double queue_wait_ms, uint64_t query_index) {
   r->shed_cause = cause;
   r->queue_wait_ms = queue_wait_ms;
-  OnQueryFinished(r, query_index);
+  OnQueryFinished(*r, query_index);
 }
 
 double System::ModeledResponse(const QueryResult& r,
@@ -249,34 +226,30 @@ double System::ModeledResponse(const QueryResult& r,
   return r.gen_seconds + r.reduce_seconds + r.refine_seconds + io_seconds;
 }
 
-void System::OnQueryFinished(QueryResult* r, uint64_t query_index) {
-  if (breaker_env_ != nullptr) {
-    r->breaker_state = static_cast<uint8_t>(breaker_env_->state());
-  }
+void System::OnQueryFinished(const QueryResult& r, uint64_t query_index) {
   obs::QueryRecord record;
   record.query_index = query_index;
-  record.explain = *r;
+  record.explain = r;
   double modeled_io = 0.0;
-  if (!r->shed()) record.response_seconds = ModeledResponse(*r, &modeled_io);
+  if (!r.shed()) record.response_seconds = ModeledResponse(r, &modeled_io);
   const QueryInstruments& m = instruments_;
-  if (m.queries != nullptr && !r->shed()) {
+  if (m.queries != nullptr && !r.shed()) {
     m.queries->Add(1);
-    m.candidates->Add(r->candidates);
-    if (r->cache_generation != 0) {  // a cache served the query
-      m.cache_hits->Add(r->cache_hits);
-      m.cache_misses->Add(r->candidates - r->cache_hits);
+    m.candidates->Add(r.candidates);
+    if (r.cache_generation != 0) {  // a cache served the query
+      m.cache_hits->Add(r.cache_hits);
+      m.cache_misses->Add(r.candidates - r.cache_hits);
     }
-    m.pruned->Add(r->pruned);
-    m.true_hits->Add(r->true_hits);
-    m.fetched->Add(r->fetched);
-    if (r->degraded) m.degraded_queries->Add(1);
-    m.substituted->Add(r->substituted);
-    m.read_failures->Add(r->read_failures);
-    if (r->deadline_hit) m.deadline_cuts->Add(1);
-    m.gen_seconds->Record(r->gen_seconds);
-    m.reduce_seconds->Record(r->reduce_seconds);
-    m.refine_seconds->Record(r->refine_seconds);
-    m.system_queries->Add(1);
+    m.pruned->Add(r.pruned);
+    m.true_hits->Add(r.true_hits);
+    m.fetched->Add(r.fetched);
+    if (r.degraded) m.degraded_queries->Add(1);
+    m.substituted->Add(r.substituted);
+    m.read_failures->Add(r.read_failures);
+    if (r.deadline_hit) m.deadline_cuts->Add(1);
+    m.gen_seconds->Record(r.gen_seconds);
+    m.reduce_seconds->Record(r.reduce_seconds);
+    m.refine_seconds->Record(r.refine_seconds);
     m.response_seconds->Record(record.response_seconds);
     m.modeled_io_seconds->Add(modeled_io);
   }
@@ -604,11 +577,6 @@ Status System::Serve(const std::vector<std::vector<Scalar>>& queries,
   }
   if (queries.empty()) return Status::OK();
 
-  // Brownout shedding only applies on the open-loop policies: blocking
-  // admission is the closed-loop batch contract, where dropping a query
-  // would silently change the batch.
-  const bool brownout_sheds =
-      health_ != nullptr && options.admission != AdmissionPolicy::kBlock;
   obs::Counter* admitted_counter = nullptr;
   obs::Counter* shed_counter = nullptr;
   obs::Counter* timeout_counter = nullptr;
@@ -640,20 +608,10 @@ Status System::Serve(const std::vector<std::vector<Scalar>>& queries,
     }
     for (size_t i = 0; i < queries.size(); ++i) {
       report->submitted++;
-      if (brownout_sheds && health_->ShouldShed()) {
-        report->shed_brownout++;
-        if (shed_counter != nullptr) shed_counter->Add(1);
-        MarkShed(&results[i], obs::ShedCause::kBrownout, 0.0, i);
-        continue;
-      }
       auto task = [this, &queries, &results, &statuses, &admitted_at,
                    &shed_expired, &options, expired_counter, i, k] {
         const double wait_ms = admitted_at[i].ElapsedMillis();
-        double deadline_ms = options.deadline_ms;
-        if (health_ != nullptr) {
-          deadline_ms = health_->EffectiveDeadlineMs(deadline_ms);
-        }
-        if (deadline_ms > 0.0 && wait_ms >= deadline_ms) {
+        if (options.deadline_ms > 0.0 && wait_ms >= options.deadline_ms) {
           // The whole budget burned in the queue: shed without touching the
           // engine — the deadline would cut every phase anyway.
           shed_expired.fetch_add(1, std::memory_order_relaxed);
@@ -663,7 +621,7 @@ Status System::Serve(const std::vector<std::vector<Scalar>>& queries,
         }
         QueryContext ctx;
         if (options.deadline_ms >= 0.0) {
-          ctx.deadline_ms = deadline_ms;
+          ctx.deadline_ms = options.deadline_ms;
           ctx.elapsed_ms = wait_ms;
         }
         // The sink runs on the worker, as a server's would: the window and
@@ -722,7 +680,7 @@ Status System::Serve(const std::vector<std::vector<Scalar>>& queries,
   }
   report->shed_expired = shed_expired.load(std::memory_order_relaxed);
   report->shed = report->shed_queue_full + report->shed_timeout +
-                 report->shed_expired + report->shed_brownout;
+                 report->shed_expired;
   report->completed = report->submitted - report->shed;
   AggregateResults(results, &report->agg);
   if (per_query != nullptr) *per_query = std::move(results);

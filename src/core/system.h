@@ -21,7 +21,6 @@
 #include "cache/multidim_cache.h"
 #include "cache/shadow_cache.h"
 #include "core/cost_model.h"
-#include "core/health.h"
 #include "core/knn_engine.h"
 #include "core/workload.h"
 #include "hist/builders.h"
@@ -32,7 +31,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/window.h"
-#include "storage/circuit_breaker_env.h"
 #include "storage/env.h"
 #include "storage/io_stats.h"
 #include "storage/point_file.h"
@@ -78,11 +76,6 @@ struct SystemOptions {
   /// Transient-IOError retry budget for point-file reads (Corruption is
   /// never retried). max_retries = 0 disables retrying.
   storage::RetryPolicy io_retry;
-  /// Storage circuit breaker composed OUTSIDE the retry wrapper, so an open
-  /// breaker short-circuits before any retry sleeps: a dead disk flips the
-  /// engine into cached-bound degraded mode immediately instead of paying
-  /// the full retry ladder per candidate. Disabled by default.
-  storage::CircuitBreakerPolicy io_breaker;
 };
 
 /// Aggregate statistics over a batch of queries.
@@ -148,7 +141,7 @@ struct ServeOptions {
 
 /// Outcome accounting for one Serve call. Always reconciles exactly:
 /// completed + shed == submitted, and shed_queue_full + shed_timeout +
-/// shed_expired + shed_brownout == shed.
+/// shed_expired == shed.
 struct ServeReport {
   AggregateResult agg;  ///< over completed queries only (shed excluded)
   size_t submitted = 0;
@@ -157,7 +150,6 @@ struct ServeReport {
   size_t shed_queue_full = 0;  ///< dropped by kShed on a full queue
   size_t shed_timeout = 0;     ///< dropped by kTimeout after the wait bound
   size_t shed_expired = 0;     ///< deadline expired in-queue; never executed
-  size_t shed_brownout = 0;    ///< dropped at admission by the HealthMonitor
 };
 
 /// Fully assembled kNN-search system with pluggable caching.
@@ -276,20 +268,9 @@ class System {
   /// deliberately survive generation swaps. nullptr detaches.
   void SetShadowCaches(cache::ShadowCacheSet* shadows);
 
-  /// Attaches the brownout state machine: SampleWorkerGauges feeds it window
-  /// snapshots, Serve consults it at admission (kShedding drops arrivals on
-  /// the non-blocking policies) and tightens per-query deadlines while
-  /// browned out. nullptr detaches.
-  void SetHealthMonitor(HealthMonitor* health);
-
-  /// The storage circuit breaker, or nullptr when SystemOptions::io_breaker
-  /// was disabled at Create time.
-  storage::CircuitBreakerEnv* breaker_env() { return breaker_env_.get(); }
-
   /// Samples queue depth, worker occupancy and queue-lifetime stats from the
   /// pool currently running Serve (zeros when idle) into the attached
-  /// window, then feeds the attached HealthMonitor one snapshot. Wired as
-  /// the StatsPublisher pre-sample hook.
+  /// window. Wired as the StatsPublisher pre-sample hook.
   void SampleWorkerGauges();
 
   /// Cost-model prediction for the currently configured cache at the
@@ -338,11 +319,11 @@ class System {
   Status Execute(std::span<const Scalar> q, size_t k, const QueryContext& ctx,
                  uint64_t query_index, QueryResult* out);
 
-  /// The one per-query telemetry sink: stamps the breaker state into the
-  /// record, then feeds the engine.* / system.* instruments, the window and
-  /// the flight recorder. `query_index` is the query's slot in its batch (0
-  /// for a single Query). A shed query reaches only the window and recorder.
-  void OnQueryFinished(QueryResult* r, uint64_t query_index);
+  /// The one per-query telemetry sink: feeds the engine.* / system.*
+  /// instruments, the window and the flight recorder. `query_index` is the
+  /// query's slot in its batch (0 for a single Query). A shed query reaches
+  /// only the window and recorder.
+  void OnQueryFinished(const QueryResult& r, uint64_t query_index);
 
   /// Marks a result shed with `cause` and passes it to the sink.
   void MarkShed(QueryResult* r, obs::ShedCause cause, double queue_wait_ms,
@@ -372,10 +353,6 @@ class System {
       nullptr;
   // Retry wrapper the point file reads through (owns no Env; wraps env_).
   std::unique_ptr<storage::RetryingEnv> retry_env_ EEB_UNGUARDED(
-      "set once in Create before serving");
-  // Circuit breaker wrapping retry_env_ (nullptr when disabled): breaker
-  // outside retry, so an open breaker skips the retry ladder entirely.
-  std::unique_ptr<storage::CircuitBreakerEnv> breaker_env_ EEB_UNGUARDED(
       "set once in Create before serving");
   std::unique_ptr<storage::PointFile> points_ EEB_UNGUARDED(
       "set once in Create before serving");
@@ -420,8 +397,6 @@ class System {
   cache::ShadowCacheSet* shadow_ EEB_UNGUARDED(
       "attached before serving; shadows are internally synchronized") =
       nullptr;
-  HealthMonitor* health_ EEB_UNGUARDED(
-      "attached before serving; the monitor is internally atomic") = nullptr;
   // Per-query instruments, updated only by OnQueryFinished (all nullptr
   // while metrics are detached).
   struct QueryInstruments {
@@ -439,7 +414,6 @@ class System {
     obs::LatencyHistogram* gen_seconds = nullptr;
     obs::LatencyHistogram* reduce_seconds = nullptr;
     obs::LatencyHistogram* refine_seconds = nullptr;
-    obs::Counter* system_queries = nullptr;
     obs::LatencyHistogram* response_seconds = nullptr;
     obs::Gauge* modeled_io_seconds = nullptr;
   } instruments_ EEB_UNGUARDED(

@@ -4,35 +4,20 @@
 #include <bit>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
+
+#include "obs/export.h"
 
 namespace eeb::obs {
 namespace {
 
-// SplitMix64 finalizer: the spatial-sampling hash. Keys with
-// Mix64(key) <= threshold form the sampled substream, so the sampling
-// decision is two multiplies and a compare — no state, no branch history.
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
+// Keys with Mix64(key) <= threshold form the sampled substream, so the
+// sampling decision is two multiplies and a compare — no state, no branch
+// history.
 uint64_t ThresholdFor(double rate) {
   if (rate >= 1.0) return ~uint64_t{0};
   // rate < 1 keeps the product below 2^64, so the cast is defined.
   const double scaled = rate * 18446744073709551616.0;  // 2^64
   return scaled <= 1.0 ? 0 : static_cast<uint64_t>(scaled) - 1;
-}
-
-size_t NextPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
 }
 
 CacheAnalytics::Options Sanitize(CacheAnalytics::Options options) {
@@ -43,17 +28,6 @@ CacheAnalytics::Options Sanitize(CacheAnalytics::Options options) {
   options.ws_window_accesses =
       std::max<uint64_t>(options.ws_window_accesses, 64);
   return options;
-}
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) {
-    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
-  }
 }
 
 // Standard HyperLogLog estimator with the small-range correction; the
@@ -93,13 +67,12 @@ CacheAnalytics::CacheAnalytics(Options options)
       key_space_(options_.key_space),
       max_sampled_(options_.max_sampled_keys),
       position_capacity_(max_sampled_ * 4),
-      table_mask_(NextPow2(max_sampled_ * 2) - 1),
       ever_seen_((key_space_ + 63) / 64),
       seen_this_gen_((key_space_ + 63) / 64),
       ref_size_items_(options_.ref_size_items),
       fenwick_(position_capacity_ + 1, 0),
       pos_key_(position_capacity_, 0),
-      table_(table_mask_ + 1) {
+      table_(max_sampled_) {
   dist_hist_.fill(0);
   hll_prev_.fill(0);
 }
@@ -147,9 +120,9 @@ void CacheAnalytics::NoteGenerationSwap() {
 void CacheAnalytics::SampledAccess(uint64_t key) {
   MutexLock lock(rd_mu_);
   ++sampled_accesses_;
-  KeySlot* slot = TableFindLocked(key);
+  uint32_t* slot = table_.Find(key);
   if (slot != nullptr) {
-    const uint32_t pos = slot->pos;
+    const uint32_t pos = *slot;
     // Sampled stack depth: distinct sampled keys whose latest access came
     // after this key's. Rescaled by 1/rate it estimates the true number of
     // intervening distinct keys; +1 puts the key itself on the stack.
@@ -163,16 +136,16 @@ void CacheAnalytics::SampledAccess(uint64_t key) {
     const uint32_t npos = AllocPositionLocked();
     pos_key_[npos] = key + 1;
     FenwickAdd(npos, +1);
-    // `slot` stays valid across compaction: table_ never reallocates, and
-    // the key holds no position while compaction runs.
-    slot->pos = npos;
+    // `slot` stays valid across compaction: compaction only rewrites
+    // values, and the key holds no position while it runs.
+    *slot = npos;
   } else {
     ++cold_sampled_;
     if (occupied_ >= max_sampled_) EvictOldestSampledLocked();
     const uint32_t npos = AllocPositionLocked();
     pos_key_[npos] = key + 1;
     FenwickAdd(npos, +1);
-    TableInsertLocked(key, npos);
+    table_.Insert(key, npos);
     ++occupied_;
   }
 }
@@ -191,7 +164,7 @@ void CacheAnalytics::CompactLocked() {
     if (kp == 0) continue;
     pos_key_[r] = 0;
     pos_key_[w] = kp;
-    TableFindLocked(kp - 1)->pos = static_cast<uint32_t>(w);
+    *table_.Find(kp - 1) = static_cast<uint32_t>(w);
     ++w;
   }
   std::fill(fenwick_.begin(), fenwick_.end(), 0u);
@@ -204,7 +177,7 @@ void CacheAnalytics::EvictOldestSampledLocked() {
   const uint64_t kp = pos_key_[pos];
   pos_key_[pos] = 0;
   FenwickAdd(pos, -1);
-  TableEraseLocked(kp - 1);
+  table_.Erase(kp - 1);
   --occupied_;
   ++overflow_evictions_;
 }
@@ -236,50 +209,6 @@ size_t CacheAnalytics::FenwickFirstOccupied() const {
     }
   }
   return idx;
-}
-
-CacheAnalytics::KeySlot* CacheAnalytics::TableFindLocked(uint64_t key) {
-  size_t i = static_cast<size_t>(Mix64(key)) & table_mask_;
-  while (true) {
-    KeySlot& s = table_[i];
-    if (s.key_plus1 == 0) return nullptr;
-    if (s.key_plus1 == key + 1) return &s;
-    i = (i + 1) & table_mask_;
-  }
-}
-
-void CacheAnalytics::TableInsertLocked(uint64_t key, uint32_t pos) {
-  size_t i = static_cast<size_t>(Mix64(key)) & table_mask_;
-  while (table_[i].key_plus1 != 0) i = (i + 1) & table_mask_;
-  table_[i].key_plus1 = key + 1;
-  table_[i].pos = pos;
-}
-
-void CacheAnalytics::TableEraseLocked(uint64_t key) {
-  size_t i = static_cast<size_t>(Mix64(key)) & table_mask_;
-  while (table_[i].key_plus1 != key + 1) {
-    if (table_[i].key_plus1 == 0) return;  // not present
-    i = (i + 1) & table_mask_;
-  }
-  // Backward-shift deletion: keeps linear-probe chains intact with no
-  // tombstones, so the table never degrades under churn. An entry may stay
-  // put only if its home slot lies in the cyclic range (hole, j].
-  size_t hole = i;
-  table_[hole].key_plus1 = 0;
-  size_t j = hole;
-  while (true) {
-    j = (j + 1) & table_mask_;
-    const uint64_t kp = table_[j].key_plus1;
-    if (kp == 0) break;
-    const size_t home = static_cast<size_t>(Mix64(kp - 1)) & table_mask_;
-    const bool home_in_range =
-        hole < j ? (home > hole && home <= j) : (home > hole || home <= j);
-    if (!home_in_range) {
-      table_[hole] = table_[j];
-      table_[j].key_plus1 = 0;
-      hole = j;
-    }
-  }
 }
 
 double CacheAnalytics::HitsAtLocked(double size_items) const {

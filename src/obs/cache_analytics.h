@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/key_table.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
@@ -167,11 +168,6 @@ class CacheAnalytics {
   static int DistBucket(double d);
   static double DistBucketUpper(int idx);
 
-  struct KeySlot {
-    uint64_t key_plus1 = 0;  // 0 = empty
-    uint32_t pos = 0;        // arrival position in the Fenwick array
-  };
-
   void SampledAccess(uint64_t key) EEB_EXCLUDES(rd_mu_);
   uint32_t AllocPositionLocked() EEB_REQUIRES(rd_mu_);
   void CompactLocked() EEB_REQUIRES(rd_mu_);
@@ -179,9 +175,6 @@ class CacheAnalytics {
   void FenwickAdd(size_t pos, int delta) EEB_REQUIRES(rd_mu_);
   uint32_t FenwickPrefix(size_t pos) const EEB_REQUIRES(rd_mu_);
   size_t FenwickFirstOccupied() const EEB_REQUIRES(rd_mu_);
-  KeySlot* TableFindLocked(uint64_t key) EEB_REQUIRES(rd_mu_);
-  void TableInsertLocked(uint64_t key, uint32_t pos) EEB_REQUIRES(rd_mu_);
-  void TableEraseLocked(uint64_t key) EEB_REQUIRES(rd_mu_);
   double HitsAtLocked(double size_items) const EEB_REQUIRES(rd_mu_);
 
   void HllAdd(uint64_t key);
@@ -193,7 +186,6 @@ class CacheAnalytics {
   const uint64_t key_space_;
   const size_t max_sampled_;
   const size_t position_capacity_;  // Fenwick span before compaction
-  const size_t table_mask_;         // open-addressed table size - 1
 
   // --- miss classification (lock-free) ---
   std::vector<std::atomic<uint64_t>> ever_seen_ EEB_UNGUARDED(
@@ -215,7 +207,8 @@ class CacheAnalytics {
   mutable Mutex rd_mu_;
   std::vector<uint32_t> fenwick_ EEB_GUARDED_BY(rd_mu_);
   std::vector<uint64_t> pos_key_ EEB_GUARDED_BY(rd_mu_);  // key+1; 0 = empty
-  std::vector<KeySlot> table_ EEB_GUARDED_BY(rd_mu_);
+  // Sampled key -> its arrival position in the Fenwick array.
+  KeyTable table_ EEB_GUARDED_BY(rd_mu_);
   size_t next_pos_ EEB_GUARDED_BY(rd_mu_) = 0;
   size_t occupied_ EEB_GUARDED_BY(rd_mu_) = 0;
   std::array<uint64_t, kDistBuckets> dist_hist_ EEB_GUARDED_BY(rd_mu_);

@@ -20,43 +20,6 @@ std::string PromName(const std::string& name) {
   return out;
 }
 
-// JSON string escaping for metric names embedded as object keys: quote,
-// backslash, and control characters (\uXXXX). Values are numeric and need
-// no escaping.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Renders the shared label set as `{k="v",...}` (empty string when there
 // are no labels) and with a `quantile` slot for summary samples.
 std::string LabelBlock(const PromLabels& labels, const char* quantile) {
@@ -94,6 +57,51 @@ void StreamF(std::ostream& os, const char* fmt, ...) {
 }
 
 }  // namespace
+
+void AppendF(std::string* out, const char* fmt, ...) {
+  char buf[512];
+  va_list ap;
+  va_start(ap, fmt);
+  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  if (n > 0) {
+    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
+  }
+}
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (u < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", u);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 bool IsValidMetricName(const std::string& name) {
   if (name.empty()) return false;

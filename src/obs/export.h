@@ -60,6 +60,15 @@ std::string ExportMrcJson(const CacheAnalytics& analytics);
 /// bench harness.
 Status WriteStringToFile(const std::string& path, const std::string& content);
 
+/// printf-style append to `out`, the building block of every JSON writer.
+/// One call renders at most 511 bytes; longer output is truncated.
+void AppendF(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
+/// Escapes `s` for a JSON string literal: quote, backslash, and control
+/// characters (\n, \r, \t, else \uXXXX).
+std::string JsonEscape(const std::string& s);
+
 }  // namespace eeb::obs
 
 #endif  // EEB_OBS_EXPORT_H_

@@ -3,24 +3,13 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
+#include "obs/export.h"
+
 namespace eeb::obs {
 namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) {
-    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
-  }
-}
 
 // JSON has no literal for non-finite numbers (%g would emit `inf`/`nan`
 // and corrupt the dump); an unbounded ubk is rendered as null instead.
@@ -84,8 +73,6 @@ const char* ShedCauseName(ShedCause cause) {
       return "queue_timeout";
     case ShedCause::kDeadlineExpired:
       return "deadline_expired";
-    case ShedCause::kBrownout:
-      return "brownout";
   }
   return "unknown";
 }
@@ -104,10 +91,9 @@ void AppendExplainJson(const QueryExplain& e, std::string* out) {
           e.read_failures, DegradedCauseName(e.degraded_cause));
   AppendF(out,
           ",\"degraded\":%s,\"deadline_hit\":%s,\"shed_cause\":\"%s\","
-          "\"breaker_state\":%u,\"queue_wait_ms\":%.9g",
+          "\"queue_wait_ms\":%.9g",
           e.degraded ? "true" : "false", e.deadline_hit ? "true" : "false",
-          ShedCauseName(e.shed_cause), static_cast<unsigned>(e.breaker_state),
-          e.queue_wait_ms);
+          ShedCauseName(e.shed_cause), e.queue_wait_ms);
   out->append(",\"lbk\":");
   AppendJsonDouble(out, e.lbk);
   out->append(",\"ubk\":");

@@ -63,7 +63,6 @@ enum class ShedCause : uint8_t {
   kQueueFull = 1,        // shed policy: TryPush found the queue at capacity
   kQueueTimeout = 2,     // timeout policy: the bounded producer wait expired
   kDeadlineExpired = 3,  // queue wait consumed the end-to-end deadline
-  kBrownout = 4,         // HealthMonitor in shedding state refused admission
 };
 
 const char* ShedCauseName(ShedCause cause);
@@ -121,15 +120,13 @@ struct QueryExplain {
   uint32_t read_failures = 0;  // point reads that ultimately failed
   DegradedCause degraded_cause = DegradedCause::kNone;
   ShedCause shed_cause = ShedCause::kNone;  // non-kNone => query never ran
-  uint8_t breaker_state = 0;   // storage circuit breaker at record time
-                               // (CircuitBreakerEnv::State numeric value)
   // A degraded answer is the best the cached code bounds can give when the
   // disk cannot be read; its ids may differ from the exact answer. Neither
   // flag follows from degraded_cause: a failed read or a deadline cut may
   // substitute nothing, and a read-failure cause masks a deadline cut.
   bool degraded = false;       // some result came from cached bounds
   bool deadline_hit = false;   // a phase was cut over by the deadline
-  uint8_t pad_[3] = {};        // keep sizeof a multiple of 8 explicitly
+  uint8_t pad_[4] = {};        // keep sizeof a multiple of 8 explicitly
   double queue_wait_ms = 0.0;  // admission-to-dequeue wait (Serve path)
 
   /// Dropped by admission control: the engine never ran, so every funnel

@@ -4,9 +4,9 @@
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <ostream>
+
+#include "obs/export.h"
 
 namespace eeb::obs {
 namespace {
@@ -15,17 +15,6 @@ double SteadyNowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) {
-    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
-  }
 }
 
 WindowOptions Sanitize(WindowOptions options) {
@@ -51,7 +40,6 @@ void WindowedMetrics::Slice::Clear(uint64_t new_epoch) {
   deadline_hits = 0;
   read_failures = 0;
   shed = 0;
-  tap_hits = 0;
   tap_misses = 0;
   tap_admits = 0;
   tap_evictions = 0;
@@ -161,7 +149,6 @@ void WindowedMetrics::DrainTapLocked(double now) {
   if (tap_) {
     const CacheTapSample cur = tap_();
     Slice& slice = Touch(now);
-    slice.tap_hits += delta(cur.hits, tap_base_.hits);
     slice.tap_misses += delta(cur.misses, tap_base_.misses);
     slice.tap_admits += delta(cur.admits, tap_base_.admits);
     slice.tap_evictions += delta(cur.evictions, tap_base_.evictions);

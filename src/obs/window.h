@@ -170,7 +170,6 @@ class WindowedMetrics {
     uint64_t deadline_hits = 0;
     uint64_t read_failures = 0;
     uint64_t shed = 0;
-    uint64_t tap_hits = 0;
     uint64_t tap_misses = 0;
     uint64_t tap_admits = 0;
     uint64_t tap_evictions = 0;

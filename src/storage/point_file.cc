@@ -7,7 +7,6 @@
 namespace eeb::storage {
 namespace {
 
-constexpr uint64_t kMagicV1 = 0x4545425046494c45ULL;  // "EEBPFILE"
 constexpr uint64_t kMagicV2 = 0x4545425046494c32ULL;  // "EEBPFIL2"
 
 struct Header {
@@ -23,24 +22,18 @@ struct Header {
 Status PointFile::Create(Env* env, const std::string& path,
                          const Dataset& data,
                          const std::vector<PointId>& order,
-                         size_t page_size, uint32_t format_version) {
+                         size_t page_size) {
   const size_t n = data.size();
   const size_t dim = data.dim();
   const size_t n_slots = order.size();
   if (n_slots < n) {
     return Status::InvalidArgument("order has fewer slots than points");
   }
-  if (format_version != kFormatLegacy &&
-      format_version != kFormatChecksummed) {
-    return Status::InvalidArgument("unknown point file format version");
-  }
-  const size_t footer =
-      format_version >= kFormatChecksummed ? kPageFooterBytes : 0;
   const size_t record_bytes = dim * sizeof(Scalar);
-  if (record_bytes == 0 || page_size <= footer) {
+  if (record_bytes == 0 || page_size <= kPageFooterBytes) {
     return Status::InvalidArgument("empty record or page");
   }
-  const size_t payload = page_size - footer;
+  const size_t payload = page_size - kPageFooterBytes;
 
   std::unique_ptr<WritableFile> f;
   EEB_RETURN_IF_ERROR(env->NewWritableFile(path, &f));
@@ -48,18 +41,15 @@ Status PointFile::Create(Env* env, const std::string& path,
   // body runs in a lambda so every early return funnels through the cleanup.
   auto write_body = [&]() -> Status {
     std::vector<char> page(page_size, 0);
-    // Stamp the footer (v2) and flush one finished page.
+    // Stamp the footer and flush one finished page.
     auto append_page = [&]() -> Status {
-      if (footer > 0) {
-        const uint32_t crc = Crc32c(page.data(), payload);
-        std::memcpy(page.data() + payload, &crc, sizeof(crc));
-      }
+      const uint32_t crc = Crc32c(page.data(), payload);
+      std::memcpy(page.data() + payload, &crc, sizeof(crc));
       return f->Append(page.data(), page.size());
     };
 
     // Header page.
-    Header h{format_version >= kFormatChecksummed ? kMagicV2 : kMagicV1, n,
-             dim, page_size, n_slots};
+    Header h{kMagicV2, n, dim, page_size, n_slots};
     std::memcpy(page.data(), &h, sizeof(h));
     EEB_RETURN_IF_ERROR(append_page());
 
@@ -121,15 +111,13 @@ Status PointFile::Create(Env* env, const std::string& path,
       if (!seen[id]) return Status::InvalidArgument("order is missing an id");
     }
 
-    // Slot table tail: id -> slot, 4 bytes per point, then its CRC (v2).
+    // Slot table tail: id -> slot, 4 bytes per point, then its CRC.
     const char* table = reinterpret_cast<const char*>(id_to_slot.data());
     const size_t table_bytes = id_to_slot.size() * sizeof(uint32_t);
     EEB_RETURN_IF_ERROR(f->Append(table, table_bytes));
-    if (footer > 0) {
-      const uint32_t crc = Crc32c(table, table_bytes);
-      EEB_RETURN_IF_ERROR(
-          f->Append(reinterpret_cast<const char*>(&crc), sizeof(crc)));
-    }
+    const uint32_t crc = Crc32c(table, table_bytes);
+    EEB_RETURN_IF_ERROR(
+        f->Append(reinterpret_cast<const char*>(&crc), sizeof(crc)));
     return f->Close();
   };
   return CleanupIfError(env, path, write_body());
@@ -164,36 +152,27 @@ Status PointFile::Init(Env* env, const std::string& path) {
   EEB_RETURN_IF_ERROR(env->NewRandomAccessFile(path, &file_));
   Header h;
   EEB_RETURN_IF_ERROR(file_->Read(0, sizeof(h), reinterpret_cast<char*>(&h)));
-  if (h.magic == kMagicV2) {
-    format_version_ = kFormatChecksummed;
-    footer_bytes_ = kPageFooterBytes;
-  } else if (h.magic == kMagicV1) {
-    format_version_ = kFormatLegacy;
-    footer_bytes_ = 0;
-  } else {
-    return Status::Corruption("bad point file magic");
-  }
+  if (h.magic != kMagicV2) return Status::Corruption("bad point file magic");
   n_ = h.n;
   dim_ = h.dim;
   page_size_ = h.page_size;
   n_slots_ = h.n_slots;
-  // Until the header is proved (v2 checks its page CRC below; v1 never
-  // can), every field is hostile: the geometry is computed overflow-safely
-  // and must fit inside the file before anything is sized from it.
+  // Until the header page's CRC is checked below, every field is hostile:
+  // the geometry is computed overflow-safely and must fit inside the file
+  // before anything is sized from it.
   const uint64_t file_size = file_->Size();
   if (__builtin_mul_overflow(dim_, sizeof(Scalar), &record_bytes_) ||
-      record_bytes_ == 0 || page_size_ <= footer_bytes_ ||
+      record_bytes_ == 0 || page_size_ <= kPageFooterBytes ||
       page_size_ < sizeof(Header) || page_size_ > file_size) {
     return Status::Corruption("bad point file geometry");
   }
-  payload_bytes_ = page_size_ - footer_bytes_;
+  payload_bytes_ = page_size_ - kPageFooterBytes;
   points_per_page_ =
       record_bytes_ <= payload_bytes_ ? payload_bytes_ / record_bytes_ : 0;
   pages_per_point_ = points_per_page_ > 0
                          ? 1
                          : record_bytes_ / payload_bytes_ +
                                (record_bytes_ % payload_bytes_ != 0);
-  data_start_ = page_size_;
   if (points_per_page_ > 0) {
     data_pages_ = n_slots_ / points_per_page_ +
                   (n_slots_ % points_per_page_ != 0);
@@ -201,36 +180,32 @@ Status PointFile::Init(Env* env, const std::string& path) {
                                     &data_pages_)) {
     return Status::Corruption("bad point file geometry");
   }
-  // The slot table and, on v2, its CRC close the file.
-  const uint64_t table_crc_bytes = footer_bytes_ > 0 ? sizeof(uint32_t) : 0;
+  // The slot table and its CRC close the file, after the header page and
+  // the data pages.
   uint64_t table_off, table_bytes, table_end;
   if (__builtin_mul_overflow(data_pages_, page_size_, &table_off) ||
-      __builtin_add_overflow(table_off, data_start_, &table_off) ||
+      __builtin_add_overflow(table_off, page_size_, &table_off) ||
       __builtin_mul_overflow(n_, sizeof(uint32_t), &table_bytes) ||
       __builtin_add_overflow(table_off, table_bytes, &table_end) ||
-      __builtin_add_overflow(table_end, table_crc_bytes, &table_end) ||
+      __builtin_add_overflow(table_end, sizeof(uint32_t), &table_end) ||
       table_end > file_size) {
     return Status::Corruption("point file slot table runs past the file end");
   }
 
-  if (footer_bytes_ > 0) {
-    // Re-read the whole header page to verify its footer: a flipped bit in
-    // n/dim/page_size would otherwise silently rewire the file geometry.
-    std::vector<char> page(page_size_);
-    EEB_RETURN_IF_ERROR(file_->Read(0, page_size_, page.data()));
-    EEB_RETURN_IF_ERROR(VerifyPage(page.data(), 0));
-  }
+  // Re-read the whole header page to verify its footer: a flipped bit in
+  // n/dim/page_size would otherwise silently rewire the file geometry.
+  std::vector<char> page(page_size_);
+  EEB_RETURN_IF_ERROR(file_->Read(0, page_size_, page.data()));
+  EEB_RETURN_IF_ERROR(VerifyPage(page.data(), 0));
 
   id_to_slot_.resize(n_);
   EEB_RETURN_IF_ERROR(file_->Read(table_off, table_bytes,
                                   reinterpret_cast<char*>(id_to_slot_.data())));
-  if (footer_bytes_ > 0) {
-    uint32_t stored;
-    EEB_RETURN_IF_ERROR(file_->Read(table_off + table_bytes, sizeof(stored),
-                                    reinterpret_cast<char*>(&stored)));
-    if (Crc32c(id_to_slot_.data(), table_bytes) != stored) {
-      return Status::Corruption("point file slot table checksum mismatch");
-    }
+  uint32_t stored;
+  EEB_RETURN_IF_ERROR(file_->Read(table_off + table_bytes, sizeof(stored),
+                                  reinterpret_cast<char*>(&stored)));
+  if (Crc32c(id_to_slot_.data(), table_bytes) != stored) {
+    return Status::Corruption("point file slot table checksum mismatch");
   }
   return Status::OK();
 }
@@ -259,37 +234,29 @@ Status PointFile::ReadPoint(PointId id, std::span<Scalar> out, IoStats* stats,
     pages_touched = pages_per_point_;
   }
 
-  if (footer_bytes_ == 0) {
-    // Legacy format: fetch just the record bytes (contiguous on disk).
-    const uint64_t offset = data_start_ + first_page * page_size_ +
-                            in_page * record_bytes_;
-    EEB_RETURN_IF_ERROR(file_->Read(offset, record_bytes_,
-                                    reinterpret_cast<char*>(out.data())));
-  } else {
-    // Checksummed format: each page is read whole and verified before any
-    // byte of it is copied out, so a corrupt page can never look like data.
-    thread_local std::vector<char> page;
-    page.resize(page_size_);
-    char* dst = reinterpret_cast<char*>(out.data());
-    size_t copied = 0;
-    // eeb-hot-begin(read-point-page-loop): per-page read/verify/copy — the
-    // refinement inner loop. The scratch buffer above is thread_local and
-    // sized before entry; nothing in here may allocate.
-    for (size_t pg = 0; pg < pages_touched; ++pg) {
-      const uint64_t file_page = 1 + first_page + pg;  // 0 is the header
-      EEB_RETURN_IF_ERROR(
-          file_->Read(file_page * page_size_, page_size_, page.data()));
-      EEB_RETURN_IF_ERROR(VerifyPage(page.data(), file_page));
-      if (points_per_page_ > 0) {
-        std::memcpy(dst, page.data() + in_page * record_bytes_, record_bytes_);
-      } else {
-        const size_t chunk = std::min(payload_bytes_, record_bytes_ - copied);
-        std::memcpy(dst + copied, page.data(), chunk);
-        copied += chunk;
-      }
+  // Each page is read whole and verified before any byte of it is copied
+  // out, so a corrupt page can never look like data.
+  thread_local std::vector<char> page;
+  page.resize(page_size_);
+  char* dst = reinterpret_cast<char*>(out.data());
+  size_t copied = 0;
+  // eeb-hot-begin(read-point-page-loop): per-page read/verify/copy — the
+  // refinement inner loop. The scratch buffer above is thread_local and
+  // sized before entry; nothing in here may allocate.
+  for (size_t pg = 0; pg < pages_touched; ++pg) {
+    const uint64_t file_page = 1 + first_page + pg;  // 0 is the header
+    EEB_RETURN_IF_ERROR(
+        file_->Read(file_page * page_size_, page_size_, page.data()));
+    EEB_RETURN_IF_ERROR(VerifyPage(page.data(), file_page));
+    if (points_per_page_ > 0) {
+      std::memcpy(dst, page.data() + in_page * record_bytes_, record_bytes_);
+    } else {
+      const size_t chunk = std::min(payload_bytes_, record_bytes_ - copied);
+      std::memcpy(dst + copied, page.data(), chunk);
+      copied += chunk;
     }
-    // eeb-hot-end
   }
+  // eeb-hot-end
 
   if (stats != nullptr) {
     uint64_t charged_pages = 0;

@@ -3,11 +3,9 @@
 // The physical ordering of records is a build-time permutation so the
 // orderings of Fig. 9 (raw / clustered / sorted-key) can be compared.
 //
-// Format v2 reserves the last 4 bytes of every page (header and data) for a
-// CRC32C footer over the rest of the page, and appends a CRC32C of the slot
-// table; reads verify the footer and surface a mismatch as
-// Status::Corruption. v1 files (no footers) still open and read — the magic
-// distinguishes the formats — but get no integrity checking.
+// The last 4 bytes of every page (header and data) hold a CRC32C footer over
+// the rest of the page, and a CRC32C of the slot table closes the file;
+// reads verify the footer and surface a mismatch as Status::Corruption.
 
 #ifndef EEB_STORAGE_POINT_FILE_H_
 #define EEB_STORAGE_POINT_FILE_H_
@@ -34,29 +32,24 @@ inline constexpr size_t kDefaultPageSize = 4096;
 /// a record fits in a page's payload area; larger records occupy whole pages.
 class PointFile {
  public:
-  /// v1: no checksums (legacy, still readable). v2: per-page CRC32C footers.
-  static constexpr uint32_t kFormatLegacy = 1;
-  static constexpr uint32_t kFormatChecksummed = 2;
-  /// Bytes of each page reserved for the CRC32C footer (format >= v2).
+  /// Bytes of each page reserved for the CRC32C footer.
   static constexpr size_t kPageFooterBytes = 4;
 
   /// Writes `data` to `path`. `order[slot]` is the PointId stored at physical
   /// slot `slot`; pass an identity permutation for the raw ordering. Entries
   /// equal to kInvalidPointId are padding slots (zero-filled, unaddressable);
   /// tree indexes use them to align leaf nodes to page boundaries. Every
-  /// real id must appear exactly once. `format_version` exists for the
-  /// legacy-compat tests; production writers use the default.
+  /// real id must appear exactly once.
   static Status Create(Env* env, const std::string& path, const Dataset& data,
                        const std::vector<PointId>& order,
-                       size_t page_size = kDefaultPageSize,
-                       uint32_t format_version = kFormatChecksummed);
+                       size_t page_size = kDefaultPageSize);
 
   /// Convenience overload with raw (identity) ordering.
   static Status Create(Env* env, const std::string& path, const Dataset& data,
                        size_t page_size = kDefaultPageSize);
 
-  /// Opens an existing file (either format) and loads the id->slot table
-  /// into memory, verifying header-page and slot-table checksums on v2.
+  /// Opens an existing file and loads the id->slot table into memory,
+  /// verifying the header-page and slot-table checksums.
   static Status Open(Env* env, const std::string& path,
                      std::unique_ptr<PointFile>* out);
 
@@ -65,10 +58,6 @@ class PointFile {
   size_t page_size() const { return page_size_; }
   /// Points per page (0 means a record spans multiple pages).
   size_t points_per_page() const { return points_per_page_; }
-  /// On-disk format version (kFormatLegacy or kFormatChecksummed).
-  uint32_t format_version() const { return format_version_; }
-  /// True when pages carry CRC32C footers that reads verify.
-  bool checksummed() const { return footer_bytes_ > 0; }
   /// Total data bytes (excluding header and slot table), i.e. the "file size"
   /// figure used when sizing caches relative to the dataset.
   uint64_t data_bytes() const { return data_pages_ * page_size_; }
@@ -76,8 +65,8 @@ class PointFile {
   /// Fetches the point with identifier `id` into `out` (must have dim()
   /// elements). Charges `stats` with one point read plus the pages newly
   /// touched according to `tracker` (pass nullptr to charge all pages).
-  /// On a checksummed file a footer mismatch returns Status::Corruption and
-  /// `out` is unspecified — corrupt bytes are never handed back as data.
+  /// A footer mismatch returns Status::Corruption and `out` is
+  /// unspecified — corrupt bytes are never handed back as data.
   Status ReadPoint(PointId id, std::span<Scalar> out, IoStats* stats,
                    PageTracker* tracker) const;
 
@@ -107,14 +96,11 @@ class PointFile {
   size_t dim_ = 0;
   size_t page_size_ = kDefaultPageSize;
   size_t record_bytes_ = 0;
-  uint32_t format_version_ = kFormatChecksummed;
-  size_t footer_bytes_ = 0;     // kPageFooterBytes on v2, 0 on v1
-  size_t payload_bytes_ = 0;    // page_size_ - footer_bytes_
+  size_t payload_bytes_ = 0;    // page_size_ - kPageFooterBytes
   size_t points_per_page_ = 0;  // 0 when record_bytes_ > payload_bytes_
   size_t pages_per_point_ = 1;  // used when points_per_page_ == 0
   uint64_t n_slots_ = 0;  // physical slots including padding
   uint64_t data_pages_ = 0;
-  uint64_t data_start_ = 0;  // byte offset of first data page
   std::vector<uint32_t> id_to_slot_;
 
   // Bound instruments (nullptr when observability is off).

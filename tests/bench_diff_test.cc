@@ -423,7 +423,7 @@ std::string OverloadArtifact(double goodput_ratio, bool answers_ok,
       "{\"name\":\"%sserve_shed\",\"serve\":{\"admission\":\"shed\","
       "\"threads\":4,\"queue_capacity\":4,\"submitted\":50,\"completed\":40,"
       "\"shed\":10,\"shed_queue_full\":10,\"shed_timeout\":0,"
-      "\"shed_expired\":0,\"shed_brownout\":0,\"answers_ok\":%s,"
+      "\"shed_expired\":0,\"answers_ok\":%s,"
       "\"reconciled\":%s}}",
       cell_prefix.c_str(), goodput_ratio, cell_prefix.c_str(),
       answers_ok ? "true" : "false", reconciled ? "true" : "false");

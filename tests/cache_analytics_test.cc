@@ -387,6 +387,8 @@ TEST(ShadowConfigTest, ParseRejectsMalformedSpecs) {
   EXPECT_FALSE(cache::ParseShadowConfigs("lru:zero", &configs).ok());
   EXPECT_FALSE(cache::ParseShadowConfigs("lru:0", &configs).ok());
   EXPECT_FALSE(cache::ParseShadowConfigs("a:b:lru:1", &configs).ok());
+  // Node indexes are 32-bit with 0xffffffff as the list sentinel.
+  EXPECT_FALSE(cache::ParseShadowConfigs("lru:4294967296", &configs).ok());
   // Empty entries (including a fully empty spec) are skipped, not errors.
   ASSERT_TRUE(cache::ParseShadowConfigs("lru:8,,fifo:8,", &configs).ok());
   EXPECT_EQ(configs.size(), 2u);

@@ -9,10 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <iostream>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "common/dataset.h"
@@ -246,27 +244,17 @@ TEST(ChaosTest, EightThreadsFaultyDiskNeverAbortsAndReconciles) {
   EXPECT_EQ(agg.read_failures, 0u);
 }
 
-TEST(ChaosTest, BreakerSoakUnderConcurrentLoadStaysAccountable) {
+TEST(ChaosTest, ShedSoakOnAFlakyDiskStaysAccountable) {
   core::SystemOptions opt;
   opt.ndom = 256;
+  // Retries off: every injected fault surfaces as exactly one engine-level
+  // read failure of a query that ran, so each round reconciles with the
+  // injector as well as with its own report.
   opt.io_retry.max_retries = 0;
-  // A twitchy breaker with millisecond backoffs: the soak must drive it
-  // through closed -> open -> half-open -> closed several times while 8
-  // workers are reading through it.
-  opt.io_breaker.enabled = true;
-  opt.io_breaker.window_ops = 16;
-  opt.io_breaker.min_failures = 4;
-  // Well below the sick rounds' ~0.37 injected failure rate, so a trip is a
-  // statistical certainty, not a coin flip on one window.
-  opt.io_breaker.failure_rate_threshold = 0.25;
-  opt.io_breaker.open_backoff_initial_ms = 1.0;
-  opt.io_breaker.open_backoff_max_ms = 2.0;
-  opt.io_breaker.backoff_jitter = 0.0;
   ChaosRig rig(opt);
   const size_t k = 10;
-  ASSERT_NE(rig.system->breaker_env(), nullptr);
 
-  // Fault-free ground truth (breaker closed: pure pass-through).
+  // Fault-free ground truth (serial; caches never change results).
   std::vector<std::vector<PointId>> truth;
   core::QueryResult r;
   for (const auto& q : rig.log.test) {
@@ -274,20 +262,11 @@ TEST(ChaosTest, BreakerSoakUnderConcurrentLoadStaysAccountable) {
     ASSERT_FALSE(r.degraded);
     truth.push_back(r.result_ids);
   }
-  EXPECT_EQ(rig.system->breaker_env()->state(),
-            storage::CircuitBreakerEnv::State::kClosed);
 
-  // Alternate sick and healthy rounds. With the breaker in the stack the
-  // injector reconciliation no longer holds (short-circuited reads never
-  // reach the injector) — the soak invariants are: nothing aborts, every
-  // report reconciles exactly, unflagged answers stay bit-exact, and the
-  // breaker's state is always a legal enum value.
-  const auto breaker_state_is_legal = [&] {
-    const auto s = rig.system->breaker_env()->state();
-    return s == storage::CircuitBreakerEnv::State::kClosed ||
-           s == storage::CircuitBreakerEnv::State::kOpen ||
-           s == storage::CircuitBreakerEnv::State::kHalfOpen;
-  };
+  // Alternate sick and healthy rounds under open-loop shedding: 8 workers
+  // behind a 4-slot queue, so admission drops arrivals while reads fail.
+  // Nothing aborts, every report reconciles exactly, shed queries never
+  // ran, and unflagged answers stay bit-exact.
   for (int round = 0; round < 4; ++round) {
     if (round % 2 == 0) {
       storage::FaultPlan plan;
@@ -309,36 +288,34 @@ TEST(ChaosTest, BreakerSoakUnderConcurrentLoadStaysAccountable) {
         << "round " << round;
     EXPECT_EQ(report.completed + report.shed, report.submitted);
     EXPECT_EQ(report.submitted, rig.log.test.size());
+    EXPECT_EQ(report.shed_queue_full + report.shed_timeout +
+                  report.shed_expired,
+              report.shed);
     size_t flagged_shed = 0;
+    uint64_t reported_failures = 0;
     for (size_t i = 0; i < per_query.size(); ++i) {
+      reported_failures += per_query[i].read_failures;
       if (per_query[i].shed()) {
         flagged_shed++;
         EXPECT_TRUE(per_query[i].result_ids.empty());
+        EXPECT_EQ(per_query[i].fetched, 0u);
       } else if (!per_query[i].degraded) {
-        // A query the engine did not flag is the exact fault-free answer,
-        // whatever the breaker was doing around it.
+        // A query the engine did not flag is the exact fault-free answer.
         EXPECT_EQ(per_query[i].result_ids, truth[i])
             << "round " << round << " query " << i;
       }
     }
     EXPECT_EQ(flagged_shed, report.shed);
-    EXPECT_TRUE(breaker_state_is_legal()) << "round " << round;
+    EXPECT_EQ(report.agg.queries, report.completed);
+    EXPECT_EQ(report.agg.read_failures, reported_failures);
+    EXPECT_EQ(reported_failures, rig.env.injected_read_faults() +
+                                     rig.env.injected_corruptions())
+        << "round " << round;
   }
-  // The sick rounds were heavy enough to trip the breaker at least once.
-  EXPECT_GT(rig.system->breaker_env()->opens(), 0u);
-  EXPECT_GT(rig.system->breaker_env()->short_circuits(), 0u);
 
-  // Recovery: on a healthy disk, past the (bounded) backoff, the first
-  // probe read closes the breaker and the concurrent path returns to
-  // bit-exact answers all the way through.
+  // Recovery: on a healthy disk the concurrent path returns to bit-exact
+  // answers all the way through.
   rig.env.set_plan({});
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  // One serial query supplies the half-open probe (only one is let through
-  // at a time; concurrent workers would short-circuit around it and degrade)
-  // and closes the breaker before the concurrent pass.
-  ASSERT_TRUE(rig.system->Query(rig.log.test[0], k, &r).ok());
-  EXPECT_EQ(rig.system->breaker_env()->state(),
-            storage::CircuitBreakerEnv::State::kClosed);
   core::ServeReport report;
   const core::AggregateResult& agg = report.agg;
   std::vector<core::QueryResult> results;
@@ -351,8 +328,6 @@ TEST(ChaosTest, BreakerSoakUnderConcurrentLoadStaysAccountable) {
     EXPECT_EQ(results[i].result_ids, truth[i]) << "query " << i;
   }
   EXPECT_EQ(agg.read_failures, 0u);
-  EXPECT_EQ(rig.system->breaker_env()->state(),
-            storage::CircuitBreakerEnv::State::kClosed);
 }
 
 TEST(ChaosTest, FlightRecorderCapturesEveryDegradedQueryWithItsCause) {

@@ -21,7 +21,6 @@
 #include "cache/exact_cache.h"
 #include "cache/knn_cache.h"
 #include "common/dataset.h"
-#include "core/health.h"
 #include "core/system.h"
 #include "core/task_queue.h"
 #include "core/thread_pool.h"
@@ -631,7 +630,7 @@ std::vector<core::QueryResult> SerialReference(ConcurrencyRig* rig, size_t k) {
 }
 
 // The exact-reconciliation contract of one ServeReport: completed + shed ==
-// submitted, the four causes sum to shed, and the per-query shed flags agree
+// submitted, the three causes sum to shed, and the per-query shed flags agree
 // with the report. Shed queries must never have executed (no candidate
 // funnel, no results); completed ones must match the serial reference unless
 // `check_exact` is off (deadline runs legitimately degrade).
@@ -641,9 +640,9 @@ void ExpectServeReconciles(const core::ServeReport& report,
                            bool check_exact) {
   EXPECT_EQ(report.submitted, per_query.size());
   EXPECT_EQ(report.completed + report.shed, report.submitted);
-  EXPECT_EQ(report.shed_queue_full + report.shed_timeout +
-                report.shed_expired + report.shed_brownout,
-            report.shed);
+  EXPECT_EQ(
+      report.shed_queue_full + report.shed_timeout + report.shed_expired,
+      report.shed);
   size_t flagged_shed = 0;
   for (size_t i = 0; i < per_query.size(); ++i) {
     const core::QueryResult& r = per_query[i];
@@ -779,55 +778,6 @@ TEST(ServeTest, QueueWaitBurnsTheDeadlineAndExpiredQueriesNeverExecute) {
       EXPECT_GE(r.queue_wait_ms, opt.deadline_ms);
     }
   }
-}
-
-TEST(ServeTest, BrownoutShedsAtAdmissionOnOpenLoopPoliciesOnly) {
-  ConcurrencyRig rig;
-  const size_t k = 10;
-  const auto serial = SerialReference(&rig, k);
-
-  // Force the monitor into SHEDDING with one saturated snapshot (occupancy
-  // 1.0 >= the default shed fraction); no recovery evaluations follow, so
-  // the state holds for the whole test.
-  core::HealthMonitor health;
-  obs::WindowSnapshot saturated;
-  saturated.queue_depth = 100;
-  saturated.queue_capacity = 100;
-  ASSERT_EQ(health.Evaluate(saturated), core::HealthState::kShedding);
-  rig.system->SetHealthMonitor(&health);
-
-  // Open-loop admission: every arrival is dropped at the door with the
-  // brownout cause — the queue is never even tried.
-  core::ServeOptions opt;
-  opt.n_threads = 2;
-  opt.queue_capacity = rig.log.test.size();
-  opt.admission = core::AdmissionPolicy::kShed;
-  core::ServeReport report;
-  std::vector<core::QueryResult> per_query;
-  ASSERT_TRUE(
-      rig.system->Serve(rig.log.test, k, opt, &report, &per_query).ok());
-  ExpectServeReconciles(report, per_query, serial, /*check_exact=*/true);
-  EXPECT_EQ(report.shed_brownout, report.submitted);
-  EXPECT_EQ(report.completed, 0u);
-  for (const core::QueryResult& r : per_query) {
-    EXPECT_EQ(r.shed_cause, obs::ShedCause::kBrownout);
-  }
-
-  // Blocking admission is the closed-loop batch contract: the monitor must
-  // not drop queries out of a batch even while shedding.
-  opt.admission = core::AdmissionPolicy::kBlock;
-  ASSERT_TRUE(
-      rig.system->Serve(rig.log.test, k, opt, &report, &per_query).ok());
-  EXPECT_EQ(report.shed, 0u);
-  ExpectServeReconciles(report, per_query, serial, /*check_exact=*/true);
-
-  // Detached, the same open-loop options serve everything again.
-  rig.system->SetHealthMonitor(nullptr);
-  opt.admission = core::AdmissionPolicy::kShed;
-  ASSERT_TRUE(
-      rig.system->Serve(rig.log.test, k, opt, &report, &per_query).ok());
-  EXPECT_EQ(report.shed, 0u);
-  ExpectServeReconciles(report, per_query, serial, /*check_exact=*/true);
 }
 
 // Pins what a one-worker batch does to an LRU cache: each query's answer,

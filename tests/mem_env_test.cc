@@ -12,7 +12,6 @@
 #include "index/lsh/c2lsh.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
-#include "storage/circuit_breaker_env.h"
 #include "storage/mem_env.h"
 #include "storage/point_file.h"
 #include "storage/retry_env.h"
@@ -452,227 +451,6 @@ TEST(RetryingEnvTest, JitteredBackoffStaysWithinTheRetryBudget) {
   EXPECT_TRUE(exact_env.NewRandomAccessFile("/missing", &r).IsIOError());
   EXPECT_GE(t2.ElapsedMillis(), nominal_ms);
   EXPECT_EQ(exact_env.retries(), 3u);
-}
-
-// -------------------------------------------------------- CircuitBreakerEnv --
-
-CircuitBreakerPolicy ScriptedBreakerPolicy(double* now_ms) {
-  CircuitBreakerPolicy p;
-  p.enabled = true;
-  p.window_ops = 8;
-  p.min_failures = 4;
-  p.failure_rate_threshold = 0.5;
-  p.open_backoff_initial_ms = 10.0;
-  p.open_backoff_multiplier = 2.0;
-  p.open_backoff_max_ms = 200.0;
-  p.backoff_jitter = 0.0;  // deterministic backoff for the scripted clock
-  p.now_ms = [now_ms] { return *now_ms; };
-  return p;
-}
-
-Status FailRead() { return Status::IOError("injected"); }
-Status OkRead() { return Status::OK(); }
-
-TEST(CircuitBreakerTest, TripsAtWindowedFailureRateAndShortCircuits) {
-  MemEnv mem;
-  double now = 0.0;
-  CircuitBreakerEnv env(&mem, ScriptedBreakerPolicy(&now));
-
-  // Below min_failures the breaker stays closed whatever the rate.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(env.GuardedRead(FailRead).IsIOError());
-  }
-  EXPECT_EQ(env.state(), CircuitBreakerEnv::State::kClosed);
-  EXPECT_EQ(env.opens(), 0u);
-
-  // Fourth failure: 4 failures over 4 outcomes >= 50% rate and >= the
-  // min_failures floor — the breaker opens.
-  EXPECT_TRUE(env.GuardedRead(FailRead).IsIOError());
-  EXPECT_EQ(env.state(), CircuitBreakerEnv::State::kOpen);
-  EXPECT_EQ(env.opens(), 1u);
-
-  // While open (backoff not elapsed) reads short-circuit: the op is never
-  // invoked and the caller sees IOError immediately.
-  bool ran = false;
-  EXPECT_TRUE(env.GuardedRead([&ran] {
-                   ran = true;
-                   return Status::OK();
-                 })
-                  .IsIOError());
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(env.short_circuits(), 1u);
-}
-
-TEST(CircuitBreakerTest, SuccessfulProbeClosesAndResetsTheWindow) {
-  MemEnv mem;
-  double now = 0.0;
-  CircuitBreakerEnv env(&mem, ScriptedBreakerPolicy(&now));
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(env.GuardedRead(FailRead).IsIOError());
-  }
-  ASSERT_EQ(env.state(), CircuitBreakerEnv::State::kOpen);
-
-  // Backoff elapsed: the next read becomes the half-open probe; its
-  // success closes the breaker.
-  now = 10.0;
-  EXPECT_TRUE(env.GuardedRead(OkRead).ok());
-  EXPECT_EQ(env.state(), CircuitBreakerEnv::State::kClosed);
-  EXPECT_EQ(env.probes(), 1u);
-
-  // Recovery reset the window: three fresh failures (below min_failures)
-  // must not re-trip on stale history.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(env.GuardedRead(FailRead).IsIOError());
-  }
-  EXPECT_EQ(env.state(), CircuitBreakerEnv::State::kClosed);
-  EXPECT_EQ(env.opens(), 1u);
-}
-
-TEST(CircuitBreakerTest, FailedProbeReopensWithDoubledBackoff) {
-  MemEnv mem;
-  double now = 0.0;
-  CircuitBreakerEnv env(&mem, ScriptedBreakerPolicy(&now));
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(env.GuardedRead(FailRead).IsIOError());
-  }
-  ASSERT_EQ(env.state(), CircuitBreakerEnv::State::kOpen);
-
-  // Probe at t=10 fails: re-open with the backoff doubled (20ms), so the
-  // breaker must short-circuit until t=30.
-  now = 10.0;
-  EXPECT_TRUE(env.GuardedRead(FailRead).IsIOError());
-  EXPECT_EQ(env.state(), CircuitBreakerEnv::State::kOpen);
-  EXPECT_EQ(env.opens(), 2u);
-
-  now = 29.9;
-  bool ran = false;
-  EXPECT_TRUE(env.GuardedRead([&ran] {
-                   ran = true;
-                   return Status::OK();
-                 })
-                  .IsIOError());
-  EXPECT_FALSE(ran);
-
-  now = 30.0;
-  EXPECT_TRUE(env.GuardedRead(OkRead).ok());
-  EXPECT_EQ(env.state(), CircuitBreakerEnv::State::kClosed);
-  EXPECT_EQ(env.probes(), 2u);
-}
-
-TEST(CircuitBreakerTest, CorruptionCountsTowardTheTrip) {
-  MemEnv mem;
-  double now = 0.0;
-  CircuitBreakerEnv env(&mem, ScriptedBreakerPolicy(&now));
-  // Checksum failures mean the disk returns garbage just as surely as
-  // IOError does; four of them open the breaker.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(
-        env.GuardedRead([] { return Status::Corruption("bit flip"); })
-            .IsCorruption());
-  }
-  EXPECT_EQ(env.state(), CircuitBreakerEnv::State::kOpen);
-  // The short-circuit itself is always IOError (DegradableFailure absorbs
-  // it); Corruption would claim a checksum mismatch that never happened.
-  EXPECT_TRUE(env.GuardedRead(OkRead).IsIOError());
-}
-
-TEST(CircuitBreakerTest, DisabledBreakerIsAPurePassThrough) {
-  MemEnv mem;
-  CircuitBreakerPolicy p;  // enabled defaults to false
-  CircuitBreakerEnv env(&mem, p);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_TRUE(env.GuardedRead(FailRead).IsIOError());
-  }
-  EXPECT_EQ(env.state(), CircuitBreakerEnv::State::kClosed);
-  EXPECT_EQ(env.opens(), 0u);
-  EXPECT_EQ(env.short_circuits(), 0u);
-}
-
-TEST(CircuitBreakerTest, WritesAndExistenceChecksBypassTheBreaker) {
-  MemEnv mem;
-  double now = 0.0;
-  CircuitBreakerEnv env(&mem, ScriptedBreakerPolicy(&now));
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(env.GuardedRead(FailRead).IsIOError());
-  }
-  ASSERT_EQ(env.state(), CircuitBreakerEnv::State::kOpen);
-
-  // The write path stays live while the read path is short-circuited:
-  // writers recover via CleanupIfError, not via the breaker.
-  std::unique_ptr<WritableFile> w;
-  ASSERT_TRUE(env.NewWritableFile("/w", &w).ok());
-  ASSERT_TRUE(w->Append("abc", 3).ok());
-  EXPECT_TRUE(env.FileExists("/w"));
-  EXPECT_TRUE(env.DeleteFile("/w").ok());
-  EXPECT_FALSE(env.FileExists("/w"));
-}
-
-TEST(CircuitBreakerTest, OpenBreakerStopsHittingTheFaultyDisk) {
-  // Scripted end-to-end leg: reads flow MemEnv -> FaultInjectionEnv ->
-  // CircuitBreakerEnv. Once the persistent fault trips the breaker, further
-  // reads must short-circuit without reaching the disk at all — the
-  // injector's read counter freezes.
-  MemEnv mem;
-  Dataset data = RandomData(256, 16, 53);
-  ASSERT_TRUE(PointFile::Create(&mem, "/points", data).ok());
-
-  FaultInjectionEnv faults(&mem);
-  double now = 0.0;
-  CircuitBreakerEnv env(&faults, ScriptedBreakerPolicy(&now));
-  std::unique_ptr<PointFile> pf;
-  ASSERT_TRUE(PointFile::Open(&env, "/points", &pf).ok());
-
-  faults.set_plan({.fail_after_reads = 0, .persistent = true});
-  std::vector<Scalar> buf(16);
-  for (PointId id = 0; id < 16; ++id) {
-    EXPECT_TRUE(pf->ReadPoint(id, buf, nullptr, nullptr).IsIOError());
-  }
-  ASSERT_EQ(env.state(), CircuitBreakerEnv::State::kOpen);
-  const uint64_t disk_reads_at_trip = faults.reads();
-  for (PointId id = 0; id < 16; ++id) {
-    EXPECT_TRUE(pf->ReadPoint(id, buf, nullptr, nullptr).IsIOError());
-  }
-  EXPECT_EQ(faults.reads(), disk_reads_at_trip);
-  EXPECT_GE(env.short_circuits(), 16u);
-
-  // Disk recovers; after the backoff one probe read closes the breaker and
-  // exact reads resume end to end.
-  faults.set_plan(FaultPlan{});
-  now = 10.0;
-  ASSERT_TRUE(pf->ReadPoint(0, buf, nullptr, nullptr).ok());
-  EXPECT_EQ(env.state(), CircuitBreakerEnv::State::kClosed);
-  auto expect = data.point(0);
-  for (size_t j = 0; j < 16; ++j) EXPECT_EQ(buf[j], expect[j]);
-}
-
-TEST(CircuitBreakerTest, MetricsFollowTheStateMachine) {
-  MemEnv mem;
-  double now = 0.0;
-  CircuitBreakerEnv env(&mem, ScriptedBreakerPolicy(&now));
-  obs::MetricsRegistry registry;
-  env.BindMetrics(&registry);
-  EXPECT_EQ(registry.GetGauge("io.breaker.state")->value(), 0.0);
-
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(env.GuardedRead(FailRead).IsIOError());
-  }
-  EXPECT_EQ(registry.GetGauge("io.breaker.state")->value(),
-            static_cast<double>(
-                static_cast<uint8_t>(CircuitBreakerEnv::State::kOpen)));
-  EXPECT_EQ(registry.GetCounter("io.breaker.opens")->value(), 1u);
-  EXPECT_TRUE(env.GuardedRead(OkRead).IsIOError());  // short-circuited
-  EXPECT_EQ(registry.GetCounter("io.breaker.short_circuits")->value(), 1u);
-
-  now = 10.0;
-  EXPECT_TRUE(env.GuardedRead(OkRead).ok());
-  EXPECT_EQ(registry.GetCounter("io.breaker.probes")->value(), 1u);
-  EXPECT_EQ(registry.GetGauge("io.breaker.state")->value(), 0.0);
-
-  env.BindMetrics(nullptr);  // detached: no further updates, no crash
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(env.GuardedRead(FailRead).IsIOError());
-  }
-  EXPECT_EQ(registry.GetCounter("io.breaker.opens")->value(), 1u);
 }
 
 TEST(FaultInjectionTest, TreeSearchPropagatesDiskFaults) {

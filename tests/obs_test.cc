@@ -583,7 +583,6 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
   const core::AggregateResult& agg = report.agg;
 
   // Batch-level instruments.
-  EXPECT_EQ(metrics.GetCounter("system.queries")->value(), log.test.size());
   EXPECT_EQ(metrics.GetCounter("engine.queries")->value(), log.test.size());
   EXPECT_EQ(metrics.GetHistogram("system.response_seconds")->count(),
             log.test.size());

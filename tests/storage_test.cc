@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <numeric>
 #include <set>
 
 #include "common/dataset.h"
@@ -199,6 +198,22 @@ TEST(PointFileTest, PageOfPointConsistentWithOrdering) {
   Env::Default()->DeleteFile(path).IgnoreError();
 }
 
+// Overwrites the 8 bytes at `offset` with `value`, through the Env.
+void PatchU64At(Env* env, const std::string& path, uint64_t offset,
+                uint64_t value) {
+  std::unique_ptr<RandomAccessFile> r;
+  ASSERT_TRUE(env->NewRandomAccessFile(path, &r).ok());
+  std::vector<char> all(r->Size());
+  ASSERT_TRUE(r->Read(0, all.size(), all.data()).ok());
+  r.reset();
+  ASSERT_LE(offset + sizeof(value), all.size());
+  std::memcpy(all.data() + offset, &value, sizeof(value));
+  std::unique_ptr<WritableFile> w;
+  ASSERT_TRUE(env->NewWritableFile(path, &w).ok());
+  ASSERT_TRUE(w->Append(all.data(), all.size()).ok());
+  ASSERT_TRUE(w->Close().ok());
+}
+
 TEST(PointFileTest, RejectsCorruptMagic) {
   const std::string path = TempPath("pf_corrupt");
   Env* env = Env::Default();
@@ -209,7 +224,16 @@ TEST(PointFileTest, RejectsCorruptMagic) {
   ASSERT_TRUE(w->Close().ok());
   std::unique_ptr<PointFile> pf;
   EXPECT_TRUE(PointFile::Open(env, path, &pf).IsCorruption());
+
+  // The retired unchecksummed format's magic ("EEBPFILE") on an otherwise
+  // intact file: its pages would be handed back unverified, so it is
+  // refused like any other unknown magic.
+  const std::string v1 = TempPath("pf_v1_magic");
+  ASSERT_TRUE(PointFile::Create(env, v1, RandomData(64, 4, 137)).ok());
+  PatchU64At(env, v1, /*offset=*/0, 0x4545425046494c45ULL);
+  EXPECT_TRUE(PointFile::Open(env, v1, &pf).IsCorruption());
   env->DeleteFile(path).IgnoreError();
+  env->DeleteFile(v1).IgnoreError();
 }
 
 TEST(PointFileTest, DuplicateAndMissingIdsRejected) {
@@ -251,39 +275,6 @@ void FlipByteAt(Env* env, const std::string& path, uint64_t offset) {
   ASSERT_TRUE(env->NewWritableFile(path, &w).ok());
   ASSERT_TRUE(w->Append(all.data(), all.size()).ok());
   ASSERT_TRUE(w->Close().ok());
-}
-
-TEST(PointFileTest, NewFilesAreChecksummedByDefault) {
-  const std::string path = TempPath("pf_ck_default");
-  Dataset data = RandomData(8, 4, 107);
-  ASSERT_TRUE(PointFile::Create(Env::Default(), path, data).ok());
-  std::unique_ptr<PointFile> pf;
-  ASSERT_TRUE(PointFile::Open(Env::Default(), path, &pf).ok());
-  EXPECT_TRUE(pf->checksummed());
-  EXPECT_EQ(pf->format_version(), PointFile::kFormatChecksummed);
-  Env::Default()->DeleteFile(path).IgnoreError();
-}
-
-TEST(PointFileTest, LegacyFormatStillReadable) {
-  const std::string path = TempPath("pf_legacy");
-  Dataset data = RandomData(128, 16, 109);
-  std::vector<PointId> order(data.size());
-  std::iota(order.begin(), order.end(), 0);
-  ASSERT_TRUE(PointFile::Create(Env::Default(), path, data, order,
-                                kDefaultPageSize,
-                                PointFile::kFormatLegacy)
-                  .ok());
-  std::unique_ptr<PointFile> pf;
-  ASSERT_TRUE(PointFile::Open(Env::Default(), path, &pf).ok());
-  EXPECT_FALSE(pf->checksummed());
-  EXPECT_EQ(pf->format_version(), PointFile::kFormatLegacy);
-  EXPECT_EQ(pf->points_per_page(), 64u);  // no footer: full 4K of records
-  std::vector<Scalar> buf(16);
-  for (PointId id = 0; id < 128; ++id) {
-    ASSERT_TRUE(pf->ReadPoint(id, buf, nullptr, nullptr).ok());
-    EXPECT_EQ(buf[0], data.point(id)[0]);
-  }
-  Env::Default()->DeleteFile(path).IgnoreError();
 }
 
 TEST(PointFileTest, CorruptDataPageIsCorruptionNeverData) {
@@ -352,22 +343,6 @@ TEST(PointFileTest, CorruptMultiPageRecordDetected) {
   Env::Default()->DeleteFile(path).IgnoreError();
 }
 
-// Overwrites the 8 bytes at `offset` with `value`, through the Env.
-void PatchU64At(Env* env, const std::string& path, uint64_t offset,
-                uint64_t value) {
-  std::unique_ptr<RandomAccessFile> r;
-  ASSERT_TRUE(env->NewRandomAccessFile(path, &r).ok());
-  std::vector<char> all(r->Size());
-  ASSERT_TRUE(r->Read(0, all.size(), all.data()).ok());
-  r.reset();
-  ASSERT_LE(offset + sizeof(value), all.size());
-  std::memcpy(all.data() + offset, &value, sizeof(value));
-  std::unique_ptr<WritableFile> w;
-  ASSERT_TRUE(env->NewWritableFile(path, &w).ok());
-  ASSERT_TRUE(w->Append(all.data(), all.size()).ok());
-  ASSERT_TRUE(w->Close().ok());
-}
-
 TEST(PointFileTest, HostileHeaderGeometryRejectedBeforeAllocating) {
   // Header words: magic, n, dim, page_size, n_slots.
   constexpr uint64_t kNOffset = 8;
@@ -377,25 +352,26 @@ TEST(PointFileTest, HostileHeaderGeometryRejectedBeforeAllocating) {
   Dataset data = RandomData(64, 4, 139);
   std::unique_ptr<PointFile> pf;
 
-  // v2: a page size larger than the file must be refused before Open
-  // allocates a buffer of that size to check the header page's CRC.
-  const std::string v2 = TempPath("pf_hostile_page_size");
-  ASSERT_TRUE(PointFile::Create(env, v2, data).ok());
-  PatchU64At(env, v2, kPageSizeOffset, kHuge);
-  EXPECT_TRUE(PointFile::Open(env, v2, &pf).IsCorruption());
+  // A page size larger than the file must be refused before Open allocates
+  // a buffer of that size to check the header page's CRC.
+  const std::string big_page = TempPath("pf_hostile_page_size");
+  ASSERT_TRUE(PointFile::Create(env, big_page, data).ok());
+  PatchU64At(env, big_page, kPageSizeOffset, kHuge);
+  EXPECT_TRUE(PointFile::Open(env, big_page, &pf).IsCorruption());
 
-  // v1 has no CRC at all: a point count whose slot table cannot fit in the
-  // file must be refused before the table is allocated.
-  const std::string v1 = TempPath("pf_hostile_n");
-  std::vector<PointId> order(data.size());
-  std::iota(order.begin(), order.end(), 0);
-  ASSERT_TRUE(PointFile::Create(env, v1, data, order, kDefaultPageSize,
-                                PointFile::kFormatLegacy)
-                  .ok());
-  PatchU64At(env, v1, kNOffset, kHuge);
-  EXPECT_TRUE(PointFile::Open(env, v1, &pf).IsCorruption());
-  env->DeleteFile(v2).IgnoreError();
-  env->DeleteFile(v1).IgnoreError();
+  // A point count whose slot table cannot fit in the file must be refused
+  // by the slot-table bound, which runs before the header CRC is checked
+  // and before the table is allocated.
+  const std::string big_n = TempPath("pf_hostile_n");
+  ASSERT_TRUE(PointFile::Create(env, big_n, data).ok());
+  PatchU64At(env, big_n, kNOffset, kHuge);
+  const Status st = PointFile::Open(env, big_n, &pf);
+  EXPECT_TRUE(st.IsCorruption());
+  EXPECT_NE(st.message().find("slot table runs past the file end"),
+            std::string::npos)
+      << st.ToString();
+  env->DeleteFile(big_page).IgnoreError();
+  env->DeleteFile(big_n).IgnoreError();
 }
 
 // ---------------------------------------------------------- file ordering --

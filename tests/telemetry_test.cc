@@ -19,7 +19,6 @@
 
 #include "cache/shadow_cache.h"
 #include "common/dataset.h"
-#include "core/health.h"
 #include "core/system.h"
 #include "obs/cache_analytics.h"
 #include "obs/metrics.h"
@@ -437,121 +436,6 @@ TEST(WindowedMetricsTest, SnapshotJsonCarriesShedAndQueueFields) {
   EXPECT_NE(line.rfind("\"shed\":1}}"), std::string::npos) << line;
 }
 
-// ---- HealthMonitor --------------------------------------------------------
-
-obs::WindowSnapshot Occupancy(uint64_t depth, uint64_t capacity) {
-  obs::WindowSnapshot s;
-  s.queue_depth = depth;
-  s.queue_capacity = capacity;
-  return s;
-}
-
-TEST(HealthMonitorTest, EscalatesImmediatelyRecoversOneLevelPerCalmStreak) {
-  core::HealthPolicy policy;
-  policy.recover_evals = 2;
-  core::HealthMonitor health(policy);
-  EXPECT_EQ(health.state(), core::HealthState::kHealthy);
-  EXPECT_FALSE(health.ShouldShed());
-
-  // One saturated snapshot is enough: under overload every delayed
-  // evaluation grows the queue.
-  EXPECT_EQ(health.Evaluate(Occupancy(100, 100)),
-            core::HealthState::kShedding);
-  EXPECT_TRUE(health.ShouldShed());
-  EXPECT_EQ(health.transitions(), 1u);
-
-  // One calm evaluation is not a recovery...
-  EXPECT_EQ(health.Evaluate(Occupancy(0, 100)),
-            core::HealthState::kShedding);
-  // ...and a relapse resets the calm streak entirely.
-  EXPECT_EQ(health.Evaluate(Occupancy(100, 100)),
-            core::HealthState::kShedding);
-  EXPECT_EQ(health.Evaluate(Occupancy(0, 100)),
-            core::HealthState::kShedding);
-  // The second consecutive calm eval steps down ONE level, not to healthy.
-  EXPECT_EQ(health.Evaluate(Occupancy(0, 100)),
-            core::HealthState::kBrownedOut);
-  EXPECT_FALSE(health.ShouldShed());
-  // Two more calm evals complete the descent.
-  EXPECT_EQ(health.Evaluate(Occupancy(0, 100)),
-            core::HealthState::kBrownedOut);
-  EXPECT_EQ(health.Evaluate(Occupancy(0, 100)),
-            core::HealthState::kHealthy);
-  EXPECT_EQ(health.transitions(), 3u);
-}
-
-TEST(HealthMonitorTest, ClassifiesEachPressureSignalIndependently) {
-  core::HealthPolicy policy;
-  policy.p95_brownout_seconds = 0.1;
-  policy.p95_shed_seconds = 0.5;
-  policy.degraded_brownout_rate = 0.3;
-
-  // Latency: between the thresholds is a brownout, above both is shedding.
-  {
-    core::HealthMonitor health(policy);
-    obs::WindowSnapshot slow;
-    slow.p95_seconds = 0.2;
-    EXPECT_EQ(health.Evaluate(slow), core::HealthState::kBrownedOut);
-    slow.p95_seconds = 0.6;
-    EXPECT_EQ(health.Evaluate(slow), core::HealthState::kShedding);
-  }
-  // Occupancy: the default fractions (0.75 / 0.95) stay active.
-  {
-    core::HealthMonitor health(policy);
-    EXPECT_EQ(health.Evaluate(Occupancy(80, 100)),
-              core::HealthState::kBrownedOut);
-    EXPECT_EQ(health.Evaluate(Occupancy(96, 100)),
-              core::HealthState::kShedding);
-  }
-  // A sick disk (degraded rate) browns out: deadline tightening relieves it.
-  {
-    core::HealthMonitor health(policy);
-    obs::WindowSnapshot sick;
-    sick.degraded_rate = 0.5;
-    EXPECT_EQ(health.Evaluate(sick), core::HealthState::kBrownedOut);
-  }
-  // No queue attached (capacity 0): depth alone is not occupancy.
-  {
-    core::HealthMonitor health(policy);
-    EXPECT_EQ(health.Evaluate(Occupancy(50, 0)),
-              core::HealthState::kHealthy);
-  }
-}
-
-TEST(HealthMonitorTest, EffectiveDeadlineTightensWhileBrownedOut) {
-  core::HealthPolicy policy;
-  policy.brownout_deadline_factor = 0.5;
-  core::HealthMonitor health(policy);
-
-  EXPECT_DOUBLE_EQ(health.EffectiveDeadlineMs(10.0), 10.0);
-  EXPECT_EQ(health.Evaluate(Occupancy(80, 100)),
-            core::HealthState::kBrownedOut);
-  EXPECT_DOUBLE_EQ(health.EffectiveDeadlineMs(10.0), 5.0);
-  // Disabled / engine-default deadlines pass through untightened.
-  EXPECT_DOUBLE_EQ(health.EffectiveDeadlineMs(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(health.EffectiveDeadlineMs(-1.0), -1.0);
-}
-
-TEST(HealthMonitorTest, BindMetricsPublishesStateAndTransitions) {
-  core::HealthMonitor health;
-  obs::MetricsRegistry registry;
-  health.BindMetrics(&registry);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("health.state")->value(), 0.0);
-
-  health.Evaluate(Occupancy(100, 100));
-  EXPECT_DOUBLE_EQ(registry.GetGauge("health.state")->value(), 2.0);
-  EXPECT_EQ(registry.GetCounter("health.transitions")->value(), 1u);
-
-  // Detached, further evaluations leave the registry untouched.
-  health.BindMetrics(nullptr);
-  // Default recover_evals is 3: six calm evaluations walk shedding ->
-  // browned_out -> healthy.
-  for (int i = 0; i < 6; ++i) health.Evaluate(Occupancy(0, 100));
-  EXPECT_EQ(health.state(), core::HealthState::kHealthy);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("health.state")->value(), 2.0);
-  EXPECT_EQ(registry.GetCounter("health.transitions")->value(), 1u);
-}
-
 // ---- FlightRecorder -------------------------------------------------------
 
 obs::QueryRecord Rec(uint64_t query_index, double seconds,
@@ -778,7 +662,6 @@ TEST(TelemetryEndToEndTest, DirectQueriesFeedSystemMetrics) {
     ASSERT_TRUE(rig.system->Query(rig.log.test[i], 10, &r).ok());
   }
   EXPECT_EQ(metrics.GetCounter("engine.queries")->value(), n);
-  EXPECT_EQ(metrics.GetCounter("system.queries")->value(), n);
   EXPECT_EQ(metrics.GetHistogram("system.response_seconds")->count(), n);
   EXPECT_EQ(metrics.GetHistogram("engine.gen_seconds")->count(), n);
   EXPECT_GT(metrics.GetGauge("system.modeled_io_seconds")->value(), 0.0);

@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -143,32 +142,8 @@ std::vector<SuiteSpec> AllSuites() {
 
 // --------------------------------------------------------- JSON emission --
 
-void AppendF(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
-}
-
-// Cell names / method names / suite ids are ASCII identifiers; escaping
-// covers the characters JSON forbids outright.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
+using obs::AppendF;
+using obs::JsonEscape;
 
 // Post-mortem dump for in-run failures (satellite of the chaos_test idiom:
 // when a gated invariant breaks mid-run, the recent per-query ring is worth
@@ -1010,7 +985,7 @@ int RunOverloadSuite(const std::string& out_path,
         c.report.submitted == wb->log.test.size() &&
         c.report.completed + c.report.shed == c.report.submitted &&
         c.report.shed_queue_full + c.report.shed_timeout +
-                c.report.shed_expired + c.report.shed_brownout ==
+                c.report.shed_expired ==
             c.report.shed &&
         flagged_shed == c.report.shed;
     if (c.opt.admission == core::AdmissionPolicy::kBlock &&
@@ -1071,13 +1046,11 @@ int RunOverloadSuite(const std::string& out_path,
             "\"serve\":{\"admission\":\"%s\",\"threads\":%zu,"
             "\"queue_capacity\":%zu,\"submitted\":%zu,\"completed\":%zu,"
             "\"shed\":%zu,\"shed_queue_full\":%zu,\"shed_timeout\":%zu,"
-            "\"shed_expired\":%zu,\"shed_brownout\":%zu,"
-            "\"answers_ok\":%s,\"reconciled\":%s}}",
+            "\"shed_expired\":%zu,\"answers_ok\":%s,\"reconciled\":%s}}",
             core::AdmissionPolicyName(c.opt.admission), c.opt.n_threads,
             c.opt.queue_capacity, c.report.submitted, c.report.completed,
             c.report.shed, c.report.shed_queue_full, c.report.shed_timeout,
-            c.report.shed_expired, c.report.shed_brownout,
-            c.answers_ok ? "true" : "false",
+            c.report.shed_expired, c.answers_ok ? "true" : "false",
             c.reconciled ? "true" : "false");
   }
   json.append("]}\n");

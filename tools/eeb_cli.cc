@@ -36,6 +36,7 @@
 // --deadline-ms the queue wait counts against each query's end-to-end
 // deadline. The summary then reports the shed reconciliation.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +44,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -95,19 +97,61 @@ class Args {
     auto it = kv_.find(key);
     return it == kv_.end() ? dflt : it->second;
   }
-  long Int(const std::string& key, long dflt) const {
+
+  // Numeric flags: the whole value must parse, with no trailing junk, and
+  // lie in [lo, hi]; anything else exits 2 naming the flag. The default
+  // lower bound of 0 rejects negative counts and sizes, and a double flag
+  // never accepts NaN or an infinity.
+  long Int(const std::string& key, long dflt, long lo = 0,
+           long hi = std::numeric_limits<long>::max()) const {
     auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::atol(it->second.c_str());
+    if (it == kv_.end()) return dflt;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+      BadValue(key, text,
+               hi == std::numeric_limits<long>::max()
+                   ? "an integer >= " + std::to_string(lo)
+                   : "an integer in [" + std::to_string(lo) + ", " +
+                         std::to_string(hi) + "]");
+    }
+    return v;
   }
-  double Dbl(const std::string& key, double dflt) const {
+  double Dbl(const std::string& key, double dflt, double lo = 0.0,
+             double hi = std::numeric_limits<double>::max()) const {
     auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::atof(it->second.c_str());
+    if (it == kv_.end()) return dflt;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !(v >= lo && v <= hi)) {
+      char want[96];
+      if (hi == std::numeric_limits<double>::max()) {
+        std::snprintf(want, sizeof(want), "a finite number >= %.15g", lo);
+      } else {
+        std::snprintf(want, sizeof(want), "a number in [%.15g, %.15g]", lo,
+                      hi);
+      }
+      BadValue(key, text, want);
+    }
+    return v;
   }
   bool Has(const std::string& key) const { return kv_.count(key) > 0; }
 
  private:
+  [[noreturn]] static void BadValue(const std::string& key, const char* text,
+                                    const std::string& want) {
+    std::fprintf(stderr, "invalid value for --%s: '%s' (want %s)\n",
+                 key.c_str(), text, want.c_str());
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> kv_;
 };
+
+constexpr long kMaxU32 = std::numeric_limits<uint32_t>::max();
 
 // Cleanup run by Die before std::exit. std::exit performs no stack
 // unwinding, so without this an early error path would abandon the stats
@@ -129,13 +173,14 @@ int CmdGen(const Args& args) {
   }
   workload::DatasetSpec spec;
   spec.name = "cli";
-  spec.n = args.Int("n", 50000);
-  spec.dim = args.Int("dim", 64);
-  spec.ndom = static_cast<uint32_t>(args.Int("ndom", 1024));
-  spec.clusters = static_cast<uint32_t>(args.Int("clusters", 32));
+  // Point ids are 32-bit, so a dataset holds at most kMaxU32 points.
+  spec.n = args.Int("n", 50000, 0, kMaxU32);
+  spec.dim = args.Int("dim", 64, 1);
+  spec.ndom = static_cast<uint32_t>(args.Int("ndom", 1024, 1, kMaxU32));
+  spec.clusters = static_cast<uint32_t>(args.Int("clusters", 32, 1, kMaxU32));
   spec.cluster_stddev = args.Dbl("stddev", 0.05 * spec.ndom);
-  spec.sparsity = args.Dbl("sparsity", 0.0);
-  spec.seed = args.Int("seed", 1);
+  spec.sparsity = args.Dbl("sparsity", 0.0, 0.0, 1.0);
+  spec.seed = args.Int("seed", 1, std::numeric_limits<long>::min());
 
   Dataset data = workload::GenerateClustered(spec);
   Status st = workload::WriteFvecs(storage::Env::Default(), out, data);
@@ -179,8 +224,35 @@ core::CacheMethod ParseMethod(const std::string& name) {
 }
 
 int CmdQuery(const Args& args) {
-  // Strict flag validation first: a bad shadow spec or sampling rate fails
-  // before any dataset or index work (and before live outputs exist).
+  // Strict flag validation first: a bad number, shadow spec or sampling rate
+  // fails before any dataset or index work (and before live outputs exist).
+  const uint32_t ndom_flag =
+      static_cast<uint32_t>(args.Int("ndom", 0, 0, kMaxU32));
+  const size_t test_size = static_cast<size_t>(args.Int("test", 50));
+  const size_t workload_size = static_cast<size_t>(args.Int("workload", 1000));
+  const bool integral = args.Int("integral", 1, 0, 1) != 0;
+  const double deadline_ms = args.Dbl("deadline-ms", 0.0);
+  const int io_retries = static_cast<int>(
+      args.Int("io-retries", storage::RetryPolicy{}.max_retries, 0,
+               std::numeric_limits<int>::max()));
+  const long repeat = std::max<long>(1, args.Int("repeat", 1));
+  const core::CacheMethod method = ParseMethod(args.Str("cache", "hc-o"));
+  // Capped at 2^43 MB so the byte count (MB * 2^20) fits size_t.
+  const size_t cache_bytes = static_cast<size_t>(
+      args.Dbl("cache-mb", 8.0, 0.0, 8796093022208.0) * (1 << 20));
+  const uint32_t tau = static_cast<uint32_t>(args.Int("tau", 0, 0, kMaxU32));
+  const int stats_interval_ms = static_cast<int>(
+      args.Int("stats-interval-ms", 1000, 0, std::numeric_limits<int>::max()));
+  // k is 32-bit in the per-query record.
+  const size_t k = static_cast<size_t>(args.Int("k", 10, 1, kMaxU32));
+  // --threads 0 also means one worker; the cap keeps a typo from spawning
+  // millions of threads.
+  const size_t threads =
+      static_cast<size_t>(std::max<long>(1, args.Int("threads", 1, 0, 1024)));
+  const size_t queue_cap = static_cast<size_t>(args.Int("queue-cap", 0));
+  const core::AdmissionPolicy admission =
+      ParseAdmission(args.Str("admission", "block"));
+  const double admission_timeout_ms = args.Dbl("admission-timeout-ms", 1.0);
   std::vector<cache::ShadowConfig> shadow_configs;
   const bool shadow_default = args.Str("shadow-configs", "") == "default";
   if (args.Has("shadow-configs") && !shadow_default) {
@@ -202,11 +274,20 @@ int CmdQuery(const Args& args) {
     std::fprintf(stderr, "query: dataset is empty\n");
     return 2;
   }
+  // A shadow larger than the point set never evicts: it simulates nothing.
+  for (const cache::ShadowConfig& c : shadow_configs) {
+    if (c.capacity_items > data.size()) {
+      std::fprintf(stderr,
+                   "invalid value for --shadow-configs: '%s' holds %zu "
+                   "items, more than the %zu points\n",
+                   c.name.c_str(), c.capacity_items, data.size());
+      return 2;
+    }
+  }
 
-  const uint32_t ndom =
-      static_cast<uint32_t>(args.Int("ndom", 0)) != 0
-          ? static_cast<uint32_t>(args.Int("ndom", 0))
-          : static_cast<uint32_t>(data.MaxValue()) + 1;
+  const uint32_t ndom = ndom_flag != 0
+                            ? ndom_flag
+                            : static_cast<uint32_t>(data.MaxValue()) + 1;
 
   workload::QueryLog log;
   if (args.Has("queries")) {
@@ -215,7 +296,7 @@ int CmdQuery(const Args& args) {
                              args.Str("queries", ""), &qs);
     if (!st.ok()) Die(st, "read queries");
     // First part warms the workload analysis, tail is the test set.
-    const size_t test = std::min<size_t>(qs.size(), args.Int("test", 50));
+    const size_t test = std::min(qs.size(), test_size);
     for (size_t i = 0; i + test < qs.size(); ++i) {
       auto p = qs.point(static_cast<PointId>(i));
       log.workload.emplace_back(p.begin(), p.end());
@@ -226,8 +307,8 @@ int CmdQuery(const Args& args) {
     }
   } else {
     workload::QueryLogSpec lspec;
-    lspec.workload_size = args.Int("workload", 1000);
-    lspec.test_size = args.Int("test", 50);
+    lspec.workload_size = workload_size;
+    lspec.test_size = test_size;
     lspec.jitter_stddev = 0.015 * ndom;
     log = workload::GenerateQueryLog(data, lspec);
   }
@@ -238,12 +319,11 @@ int CmdQuery(const Args& args) {
 
   core::SystemOptions opt;
   opt.ndom = ndom;
-  opt.integral_values = args.Int("integral", 1) != 0;
+  opt.integral_values = integral;
   opt.engine.eager_miss_fetch = args.Has("eager");
-  opt.engine.deadline_ms = args.Dbl("deadline-ms", 0.0);
+  opt.engine.deadline_ms = deadline_ms;
   opt.engine.trace_events = args.Has("trace-out");
-  opt.io_retry.max_retries =
-      static_cast<int>(args.Int("io-retries", opt.io_retry.max_retries));
+  opt.io_retry.max_retries = io_retries;
   std::unique_ptr<core::System> system;
   st = core::System::Create(storage::Env::Default(), dir, data,
                             log.workload, opt, &system);
@@ -256,7 +336,6 @@ int CmdQuery(const Args& args) {
 
   // Live serving mode: periodic live.* snapshots, flight recorder +
   // per-query explain (docs/OBSERVABILITY.md).
-  const long repeat = std::max<long>(1, args.Int("repeat", 1));
   const bool explain = args.Has("explain");
   const bool trace = args.Has("trace-out");
   const bool live_stats =
@@ -295,12 +374,7 @@ int CmdQuery(const Args& args) {
     (void)write_mrc();
   };
 
-  const core::CacheMethod method = ParseMethod(args.Str("cache", "hc-o"));
-  const size_t cache_bytes =
-      static_cast<size_t>(args.Dbl("cache-mb", 8.0) * (1 << 20));
-  st = system->ConfigureCache(method, cache_bytes,
-                              static_cast<uint32_t>(args.Int("tau", 0)),
-                              args.Has("lru"));
+  st = system->ConfigureCache(method, cache_bytes, tau, args.Has("lru"));
   if (!st.ok()) Die(st, "configure cache");
 
   // Shadow-cache simulations ride the probe stream; "default" sizes the
@@ -329,28 +403,23 @@ int CmdQuery(const Args& args) {
       sink = &stats_file;
     }
     obs::StatsPublisher::Options pub_opt;
-    pub_opt.interval_ms =
-        static_cast<int>(args.Int("stats-interval-ms", 1000));
+    pub_opt.interval_ms = stats_interval_ms;
     pub_opt.pre_sample = [&system] { system->SampleWorkerGauges(); };
     publisher = std::make_unique<obs::StatsPublisher>(
         &window, want_metrics ? &metrics : nullptr, sink, pub_opt);
   }
 
-  const size_t k = static_cast<size_t>(args.Int("k", 10));
   const bool serve_mode = args.Has("admission") || args.Has("queue-cap") ||
                           args.Has("admission-timeout-ms");
   core::ServeOptions sopt;
-  sopt.n_threads =
-      static_cast<size_t>(std::max<long>(1, args.Int("threads", 1)));
-  sopt.queue_capacity = static_cast<size_t>(args.Int("queue-cap", 0));
-  sopt.admission = ParseAdmission(args.Str("admission", "block"));
-  sopt.admission_timeout_ms = args.Dbl("admission-timeout-ms", 1.0);
+  sopt.n_threads = threads;
+  sopt.queue_capacity = queue_cap;
+  sopt.admission = admission;
+  sopt.admission_timeout_ms = admission_timeout_ms;
   // Queue wait counts against --deadline-ms only in overload mode. Otherwise
   // the engine applies the deadline alone, or a one-worker batch would
   // charge each query the time its predecessors spent in the engine.
-  sopt.deadline_ms = serve_mode && args.Has("deadline-ms")
-                         ? args.Dbl("deadline-ms", 0.0)
-                         : -1.0;
+  sopt.deadline_ms = serve_mode && args.Has("deadline-ms") ? deadline_ms : -1.0;
   core::ServeReport serve_report;
   // --explain and --trace-out both read the per-query results.
   std::vector<core::QueryResult> per_query;
@@ -422,13 +491,11 @@ int CmdQuery(const Args& args) {
               agg.avg_substituted, agg.read_failures, agg.deadline_cuts);
   if (serve_mode) {
     std::printf("admission: %s | submitted %zu completed %zu shed %zu "
-                "(queue_full %zu timeout %zu expired %zu brownout %zu)\n",
-                core::AdmissionPolicyName(
-                    ParseAdmission(args.Str("admission", "block"))),
+                "(queue_full %zu timeout %zu expired %zu)\n",
+                core::AdmissionPolicyName(admission),
                 serve_report.submitted, serve_report.completed,
                 serve_report.shed, serve_report.shed_queue_full,
-                serve_report.shed_timeout, serve_report.shed_expired,
-                serve_report.shed_brownout);
+                serve_report.shed_timeout, serve_report.shed_expired);
   }
   {
     const obs::WindowSnapshot live = window.GetSnapshot();
