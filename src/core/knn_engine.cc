@@ -125,13 +125,10 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
         if (out->deadline_hit) break;
         double lb, ub;
         const bool probe_hit = cache->Probe(q, cand[i], &lb, &ub);
-        // Introspection taps see every probe: the analytics sampling gate
-        // is one hash+compare, and the shadows replay the key only.
+        // The introspection tap sees every probe; its sampling gate is one
+        // hash+compare.
         if (analytics_ != nullptr) {
           analytics_->OnAccess(static_cast<uint64_t>(cand[i]), probe_hit);
-        }
-        if (shadow_ != nullptr) {
-          shadow_->OnAccess(static_cast<uint64_t>(cand[i]));
         }
         if (probe_hit) {
           lbs[i] = lb;

@@ -30,7 +30,6 @@
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "cache/knn_cache.h"
-#include "cache/shadow_cache.h"
 #include "index/candidate_index.h"
 #include "obs/cache_analytics.h"
 #include "obs/recorder.h"
@@ -147,10 +146,6 @@ class KnnEngine {
     analytics_ = analytics;
   }
 
-  /// Attaches shadow-cache simulations; every cache probe is replayed
-  /// against each configured shadow. nullptr (default) disables them.
-  void set_shadow(cache::ShadowCacheSet* shadow) { shadow_ = shadow; }
-
  private:
   index::CandidateIndex* const index_;
   const storage::PointFile* const points_;
@@ -160,9 +155,6 @@ class KnnEngine {
   obs::CacheAnalytics* analytics_ EEB_UNGUARDED(
       "attached by single-threaded setup before queries run; the instrument "
       "itself is thread-safe on its access path") = nullptr;
-  cache::ShadowCacheSet* shadow_ EEB_UNGUARDED(
-      "attached by single-threaded setup before queries run; the shadows "
-      "are internally synchronized") = nullptr;
 };
 
 }  // namespace eeb::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 
 #include "common/bitops.h"
 #include "common/timer.h"
@@ -11,6 +12,43 @@
 #include "storage/file_ordering.h"
 
 namespace eeb::core {
+namespace {
+
+// Histogram codes bound a coordinate only inside [0, ndom), and under
+// integral_values only at integers: anywhere else the cache files the value
+// under a bucket that does not contain it, and the cached bounds break the
+// NO-CACHE contract. Names the first offending coordinate.
+Status CheckValueDomain(const Dataset& data, uint32_t ndom, bool integral) {
+  const Scalar* v = data.raw();
+  const size_t n = data.size() * data.dim();
+  for (size_t i = 0; i < n; ++i) {
+    const Scalar x = v[i];
+    // NaN fails both comparisons and an infinity the second. Inside
+    // [0, 2^32) the int64 round trip is exact for integers only.
+    const bool in_range = x >= 0 && static_cast<double>(x) < ndom;
+    if (in_range &&
+        (!integral || static_cast<Scalar>(static_cast<int64_t>(x)) == x)) {
+      continue;
+    }
+    char msg[160];
+    if (in_range) {
+      std::snprintf(msg, sizeof(msg),
+                    "point %zu, dimension %zu: value %.9g is not an integer "
+                    "(integral_values is set)",
+                    i / data.dim(), i % data.dim(), static_cast<double>(x));
+    } else {
+      std::snprintf(msg, sizeof(msg),
+                    "point %zu, dimension %zu: value %.9g is outside the "
+                    "value domain [0, %u)",
+                    i / data.dim(), i % data.dim(), static_cast<double>(x),
+                    ndom);
+    }
+    return Status::InvalidArgument(msg);
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 const char* CacheMethodName(CacheMethod method) {
   switch (method) {
@@ -61,6 +99,8 @@ Status System::Create(storage::Env* env, const std::string& dir,
                       const std::vector<std::vector<Scalar>>& workload,
                       const SystemOptions& options,
                       std::unique_ptr<System>* out) {
+  EEB_RETURN_IF_ERROR(
+      CheckValueDomain(data, options.ndom, options.integral_values));
   std::unique_ptr<System> sys(new System());
   sys->env_ = env;
   sys->options_ = options;
@@ -142,7 +182,6 @@ void System::EnableMetrics(obs::MetricsRegistry* registry) {
 void System::SetWindow(obs::WindowedMetrics* window) {
   window_ = window;
   InstallCacheTap();
-  InstallShadowTap();
 }
 
 void System::SetRecorder(obs::FlightRecorder* recorder) {
@@ -161,12 +200,6 @@ void System::SetCacheAnalytics(obs::CacheAnalytics* analytics) {
   }
 }
 
-void System::SetShadowCaches(cache::ShadowCacheSet* shadows) {
-  shadow_ = shadows;
-  engine_->set_shadow(shadows);
-  InstallShadowTap();
-}
-
 void System::InstallCacheTap() {
   if (window_ == nullptr) return;
   window_->SetCacheTap([this]() -> obs::CacheTapSample {
@@ -175,16 +208,6 @@ void System::InstallCacheTap() {
     const cache::KnnCache::CacheActivity a = gen->cache->activity();
     return obs::CacheTapSample{a.hits, a.misses, a.admits, a.evictions};
   });
-}
-
-void System::InstallShadowTap() {
-  if (window_ == nullptr) return;
-  if (shadow_ == nullptr) {
-    window_->SetShadowTap(nullptr);
-    return;
-  }
-  cache::ShadowCacheSet* shadows = shadow_;
-  window_->SetShadowTap([shadows] { return shadows->TapSamples(); });
 }
 
 void System::SampleWorkerGauges() {
@@ -500,7 +523,8 @@ void System::PublishGeneration(std::shared_ptr<CacheGeneration> gen) {
   if (analytics_ != nullptr) {
     // Replacing a live generation invalidates every cached code: re-misses
     // on keys seen under the old generation classify as invalidation, not
-    // capacity. The MRC reference point follows the new capacity either way.
+    // capacity. The MRC reference point follows the new capacity either way;
+    // the what-if counts restart only if the capacity changed.
     if (had_generation) analytics_->NoteGenerationSwap();
     if (auto cur = generation(); cur != nullptr && cur->cache != nullptr) {
       analytics_->set_reference_size(cur->cache->capacity_items());

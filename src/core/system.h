@@ -19,7 +19,6 @@
 #include "cache/code_cache.h"
 #include "cache/exact_cache.h"
 #include "cache/multidim_cache.h"
-#include "cache/shadow_cache.h"
 #include "core/cost_model.h"
 #include "core/knn_engine.h"
 #include "core/workload.h"
@@ -63,9 +62,11 @@ const char* CacheMethodName(CacheMethod method);
 enum class FileOrdering { kRaw, kClustered, kSortedKey };
 
 struct SystemOptions {
+  /// Value domain: every coordinate lies in [0, ndom); Create checks it.
   uint32_t ndom = 256;
   /// Data coordinates are integers in [0, ndom) (true for the generated
   /// surrogate datasets): enables the paper-exact tight bucket edges.
+  /// Create rejects a fractional coordinate when set.
   bool integral_values = true;
   size_t analysis_k = 10;  ///< k used for workload analysis (QR shape)
   index::C2LshOptions lsh;
@@ -158,6 +159,9 @@ class System {
   /// Builds the offline state: writes the point file under `dir`, builds the
   /// C2LSH index, runs the workload analysis and derives F'/F. `data` and
   /// `workload` must outlive the system (no copies are made of `data`).
+  /// Returns InvalidArgument, naming the point, dimension and value, when a
+  /// coordinate is non-finite, outside [0, ndom), or fractional under
+  /// integral_values.
   static Status Create(storage::Env* env, const std::string& dir,
                        const Dataset& data,
                        const std::vector<std::vector<Scalar>>& workload,
@@ -259,14 +263,9 @@ class System {
   /// every cache probe feeds its reuse-distance sampler, miss classifier
   /// and working-set sketches; generation swaps are forwarded so
   /// invalidation misses classify correctly, and the MRC reference size
-  /// tracks the live cache's item capacity. nullptr detaches.
+  /// tracks the live cache's item capacity (the what-if panel restarts only
+  /// when that capacity changes). nullptr detaches.
   void SetCacheAnalytics(obs::CacheAnalytics* analytics);
-
-  /// Attaches shadow-cache simulations: every cache probe is replayed
-  /// against each configured shadow, and the attached window (if any) gets
-  /// a shadow tap publishing windowed per-config hit ratios. Shadows
-  /// deliberately survive generation swaps. nullptr detaches.
-  void SetShadowCaches(cache::ShadowCacheSet* shadows);
 
   /// Samples queue depth, worker occupancy and queue-lifetime stats from the
   /// pool currently running Serve (zeros when idle) into the attached
@@ -308,11 +307,6 @@ class System {
   /// called on SetWindow and after every generation publication so the tap
   /// re-bases on the new cache's (fresh) counters.
   void InstallCacheTap();
-
-  /// (Re-)installs the window's shadow tap against the attached shadow set
-  /// (detaches it when no shadows are attached); called on SetWindow and
-  /// SetShadowCaches.
-  void InstallShadowTap();
 
   /// Runs one query through the engine, then the sink. Both entry points
   /// (Query, and Serve's workers) execute through it.
@@ -394,9 +388,6 @@ class System {
       nullptr;
   obs::CacheAnalytics* analytics_ EEB_UNGUARDED(
       "attached before serving; internally thread-safe") = nullptr;
-  cache::ShadowCacheSet* shadow_ EEB_UNGUARDED(
-      "attached before serving; shadows are internally synchronized") =
-      nullptr;
   // Per-query instruments, updated only by OnQueryFinished (all nullptr
   // while metrics are detached).
   struct QueryInstruments {

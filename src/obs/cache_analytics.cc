@@ -69,7 +69,6 @@ CacheAnalytics::CacheAnalytics(Options options)
       position_capacity_(max_sampled_ * 4),
       ever_seen_((key_space_ + 63) / 64),
       seen_this_gen_((key_space_ + 63) / 64),
-      ref_size_items_(options_.ref_size_items),
       fenwick_(position_capacity_ + 1, 0),
       pos_key_(position_capacity_, 0),
       table_(max_sampled_) {
@@ -117,9 +116,23 @@ void CacheAnalytics::NoteGenerationSwap() {
   generation_swaps_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void CacheAnalytics::set_reference_size(uint64_t items) {
+  MutexLock lock(rd_mu_);
+  if (items == ref_size_items_) return;
+  ref_size_items_ = items;
+  what_if_accesses_ = 0;
+  what_if_hits_.fill(0);
+}
+
+uint64_t CacheAnalytics::reference_size() const {
+  MutexLock lock(rd_mu_);
+  return ref_size_items_;
+}
+
 void CacheAnalytics::SampledAccess(uint64_t key) {
   MutexLock lock(rd_mu_);
   ++sampled_accesses_;
+  ++what_if_accesses_;
   uint32_t* slot = table_.Find(key);
   if (slot != nullptr) {
     const uint32_t pos = *slot;
@@ -131,6 +144,12 @@ void CacheAnalytics::SampledAccess(uint64_t key) {
     const double scaled =
         static_cast<double>(depth) / options_.sampling_rate + 1.0;
     ++dist_hist_[static_cast<size_t>(DistBucket(scaled))];
+    // An LRU cache of c items hits iff the stack distance is at most c.
+    for (size_t i = 0; i < what_if_hits_.size(); ++i) {
+      if (scaled <= static_cast<double>((ref_size_items_ << i) >> 1)) {
+        ++what_if_hits_[i];
+      }
+    }
     FenwickAdd(pos, -1);
     pos_key_[pos] = 0;
     const uint32_t npos = AllocPositionLocked();
@@ -238,6 +257,19 @@ double CacheAnalytics::PredictedMissRatioAt(uint64_t size_items) const {
   if (sampled_accesses_ == 0) return 0.0;
   const double hits = HitsAtLocked(static_cast<double>(size_items));
   return 1.0 - hits / static_cast<double>(sampled_accesses_);
+}
+
+std::array<CacheAnalytics::WhatIfPoint, 3> CacheAnalytics::LruWhatIf() const {
+  MutexLock lock(rd_mu_);
+  std::array<WhatIfPoint, 3> out;
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i].size_items = (ref_size_items_ << i) >> 1;
+    if (what_if_accesses_ > 0) {
+      out[i].hit_ratio = static_cast<double>(what_if_hits_[i]) /
+                         static_cast<double>(what_if_accesses_);
+    }
+  }
+  return out;
 }
 
 std::vector<CacheAnalytics::MrcPoint> CacheAnalytics::Mrc() const {
@@ -375,7 +407,7 @@ void CacheAnalytics::PublishMetrics() {
         ->Set(static_cast<double>(occupied_));
     registry_->GetGauge("cache.mrc.cold_misses")
         ->Set(static_cast<double>(cold_sampled_));
-    const uint64_t ref = ref_size_items_.load(std::memory_order_relaxed);
+    const uint64_t ref = ref_size_items_;
     if (ref > 0 && sampled_accesses_ > 0) {
       const double hits = HitsAtLocked(static_cast<double>(ref));
       registry_->GetGauge("cache.mrc.ref_size_items")
@@ -383,6 +415,13 @@ void CacheAnalytics::PublishMetrics() {
       registry_->GetGauge("cache.mrc.predicted_miss_ratio")
           ->Set(1.0 - hits / static_cast<double>(sampled_accesses_));
     }
+  }
+  const std::array<WhatIfPoint, 3> panel = LruWhatIf();
+  if (panel[1].size_items > 0) {  // a reference size is set
+    registry_->GetGauge("cache.mrc.lru_half.hit_ratio")
+        ->Set(panel[0].hit_ratio);
+    registry_->GetGauge("cache.mrc.lru_1x.hit_ratio")->Set(panel[1].hit_ratio);
+    registry_->GetGauge("cache.mrc.lru_2x.hit_ratio")->Set(panel[2].hit_ratio);
   }
 
   const WorkingSet ws = working_set();
@@ -425,6 +464,15 @@ std::string CacheAnalytics::MrcJson() const {
             ",\"reference\":{\"size_items\":%" PRIu64
             ",\"predicted_miss_ratio\":%.9g}",
             ref, PredictedMissRatioAt(ref));
+  }
+  if (ref > 0) {
+    const std::array<WhatIfPoint, 3> panel = LruWhatIf();
+    out += ",\"lru_what_if\":[";
+    for (size_t i = 0; i < panel.size(); ++i) {
+      AppendF(&out, "%s{\"size_items\":%" PRIu64 ",\"hit_ratio\":%.9g}",
+              i == 0 ? "" : ",", panel[i].size_items, panel[i].hit_ratio);
+    }
+    out += "]";
   }
   AppendF(&out,
           ",\"miss_classes\":{\"compulsory\":%" PRIu64

@@ -10,6 +10,8 @@
 //     Sampled stack distances, rescaled by 1/rate, yield the miss-ratio
 //     curve MRC(size) for an LRU cache over the same stream — "what hit
 //     ratio would we get at a different cache size" without running one.
+//     Three exact counters beside the curve count LRU hits at 1/2x, 1x and
+//     2x the reference size (the live cache's capacity): the what-if panel.
 //
 //   * Exact miss classification. Two bitsets over the (aliased) key space —
 //     ever-seen and seen-this-generation — classify every miss as
@@ -60,10 +62,6 @@ class CacheAnalytics {
     uint64_t key_space = uint64_t{1} << 20;
     // Working-set window length in accesses (sketch rotation period).
     uint64_t ws_window_accesses = 4096;
-    // Cache size (items) at which PublishMetrics reports the predicted
-    // miss ratio; 0 leaves the gauge unpublished. Also settable later via
-    // set_reference_size (e.g. when the live cache is configured).
-    uint64_t ref_size_items = 0;
   };
 
   /// One point of the miss-ratio curve: the predicted LRU miss ratio of a
@@ -71,6 +69,14 @@ class CacheAnalytics {
   struct MrcPoint {
     uint64_t size_items = 0;
     double miss_ratio = 0.0;
+  };
+
+  /// One point of the what-if panel: the LRU hit ratio a cache holding
+  /// `size_items` items would get over the sampled accesses since the
+  /// reference size last changed.
+  struct WhatIfPoint {
+    uint64_t size_items = 0;
+    double hit_ratio = 0.0;
   };
 
   /// Cause-tagged miss totals. Each miss lands in exactly one cause, so
@@ -112,13 +118,12 @@ class CacheAnalytics {
   /// classified as invalidation misses on their next miss.
   void NoteGenerationSwap();
 
-  /// Sets the reference size for the published predicted-miss-ratio gauge.
-  void set_reference_size(uint64_t items) {
-    ref_size_items_.store(items, std::memory_order_relaxed);
-  }
-  uint64_t reference_size() const {
-    return ref_size_items_.load(std::memory_order_relaxed);
-  }
+  /// Sets the reference size (items) for the predicted-miss-ratio gauge and
+  /// the what-if panel; 0 (the initial value) leaves both unpublished. A new
+  /// size restarts the panel's counts; the same size keeps them, so a
+  /// same-capacity cache rebuild does not lose history.
+  void set_reference_size(uint64_t items) EEB_EXCLUDES(rd_mu_);
+  uint64_t reference_size() const EEB_EXCLUDES(rd_mu_);
 
   MissBreakdown miss_breakdown() const;
   WorkingSet working_set() const EEB_EXCLUDES(ws_mu_);
@@ -130,6 +135,14 @@ class CacheAnalytics {
   /// Predicted LRU miss ratio at a single cache size (log-interpolated
   /// within the straddled distance bucket). Returns 0 with no samples.
   double PredictedMissRatioAt(uint64_t size_items) const EEB_EXCLUDES(rd_mu_);
+
+  /// The what-if panel: LRU hit ratios at 1/2x, 1x and 2x the reference
+  /// size. A sampled re-access whose rescaled stack distance is at most c
+  /// counts as a hit at c, so at sampling_rate 1 the ratios equal an exact
+  /// LRU simulation of the stream (while the distinct keys fit
+  /// max_sampled_keys); below rate 1 they are an estimate. A size above
+  /// the number of distinct keys reads as "every reuse hits".
+  std::array<WhatIfPoint, 3> LruWhatIf() const EEB_EXCLUDES(rd_mu_);
 
   uint64_t total_accesses() const {
     return total_accesses_.load(std::memory_order_relaxed);
@@ -145,7 +158,9 @@ class CacheAnalytics {
   /// The MRC artifact body: {"sampling_rate":…,"total_accesses":…,
   /// "sampled_accesses":…,"cold_sampled":…,"tracked_keys":…,
   /// "overflow_evictions":…,"miss_classes":{…},"working_set":{…},
-  /// "points":[{"size_items":…,"miss_ratio":…},…]}.
+  /// "points":[{"size_items":…,"miss_ratio":…},…]}; with a reference size
+  /// it also carries "reference" and "lru_what_if":[{"size_items":…,
+  /// "hit_ratio":…}×3].
   std::string MrcJson() const EEB_EXCLUDES(rd_mu_, ws_mu_);
 
   /// Binds the "cache.miss.*" counters and "cache.mrc.*" / "cache.ws.*"
@@ -201,7 +216,6 @@ class CacheAnalytics {
   std::atomic<uint64_t> miss_capacity_{0};
   std::atomic<uint64_t> miss_invalidation_{0};
   std::atomic<uint64_t> generation_swaps_{0};
-  std::atomic<uint64_t> ref_size_items_;
 
   // --- sampled reuse distances (mutex-guarded, sampled substream only) ---
   mutable Mutex rd_mu_;
@@ -215,6 +229,11 @@ class CacheAnalytics {
   uint64_t sampled_accesses_ EEB_GUARDED_BY(rd_mu_) = 0;
   uint64_t cold_sampled_ EEB_GUARDED_BY(rd_mu_) = 0;
   uint64_t overflow_evictions_ EEB_GUARDED_BY(rd_mu_) = 0;
+  // What-if panel: the reference size and, since it last changed, the
+  // sampled accesses and the LRU hits at (ref << i) >> 1 items.
+  uint64_t ref_size_items_ EEB_GUARDED_BY(rd_mu_) = 0;
+  uint64_t what_if_accesses_ EEB_GUARDED_BY(rd_mu_) = 0;
+  std::array<uint64_t, 3> what_if_hits_ EEB_GUARDED_BY(rd_mu_){};
 
   // --- working-set sketches ---
   std::array<std::atomic<uint64_t>, kHllRegisters> hll_cur_ EEB_UNGUARDED(

@@ -43,7 +43,6 @@ void WindowedMetrics::Slice::Clear(uint64_t new_epoch) {
   tap_misses = 0;
   tap_admits = 0;
   tap_evictions = 0;
-  for (ShadowCounts& s : shadow) s = ShadowCounts{};
   buckets.fill(0);
 }
 
@@ -105,27 +104,6 @@ void WindowedMetrics::SetCacheTap(std::function<CacheTapSample()> tap) {
   tap_based_ = static_cast<bool>(tap_);
 }
 
-void WindowedMetrics::SetShadowTap(
-    std::function<std::vector<ShadowTapEntry>()> tap) {
-  MutexLock lock(mu_);
-  shadow_tap_ = std::move(tap);
-  shadow_base_.clear();
-  shadow_names_.clear();
-  if (shadow_tap_) {
-    // Re-base: simulation activity before installation belongs to no slice.
-    shadow_base_ = shadow_tap_();
-    shadow_names_.reserve(shadow_base_.size());
-    for (const ShadowTapEntry& e : shadow_base_) {
-      shadow_names_.push_back(e.name);
-    }
-  }
-  // Size every slice's shadow counts here, once, so Slice::Clear on the
-  // record path only zeroes in place and never allocates.
-  for (Slice& slice : slices_) {
-    slice.shadow.assign(shadow_names_.size(), Slice::ShadowCounts{});
-  }
-}
-
 void WindowedMetrics::SampleQueue(uint64_t queue_depth, uint64_t busy_workers,
                                   uint64_t workers) {
   queue_depth_.store(queue_depth, std::memory_order_relaxed);
@@ -153,17 +131,6 @@ void WindowedMetrics::DrainTapLocked(double now) {
     slice.tap_admits += delta(cur.admits, tap_base_.admits);
     slice.tap_evictions += delta(cur.evictions, tap_base_.evictions);
     tap_base_ = cur;
-  }
-  if (shadow_tap_) {
-    const std::vector<ShadowTapEntry> cur = shadow_tap_();
-    Slice& slice = Touch(now);
-    const size_t n = std::min(
-        {cur.size(), shadow_base_.size(), slice.shadow.size()});
-    for (size_t i = 0; i < n; ++i) {
-      slice.shadow[i].hits += delta(cur[i].hits, shadow_base_[i].hits);
-      slice.shadow[i].misses += delta(cur[i].misses, shadow_base_[i].misses);
-    }
-    shadow_base_ = cur;
   }
 }
 
@@ -195,20 +162,10 @@ WindowSnapshot WindowedMetrics::GetSnapshot() {
   const uint64_t oldest_epoch =
       cur_epoch >= n_slices - 1 ? cur_epoch - (n_slices - 1) : 0;
 
-  snap.shadows.resize(shadow_names_.size());
-  for (size_t i = 0; i < shadow_names_.size(); ++i) {
-    snap.shadows[i].name = shadow_names_[i];
-  }
-
   std::array<uint64_t, LatencyHistogram::kNumBuckets> buckets{};
   uint64_t tap_misses = 0;
   for (const Slice& slice : slices_) {
     if (slice.epoch < oldest_epoch || slice.epoch > cur_epoch) continue;
-    for (size_t i = 0;
-         i < std::min(slice.shadow.size(), snap.shadows.size()); ++i) {
-      snap.shadows[i].hits += slice.shadow[i].hits;
-      snap.shadows[i].misses += slice.shadow[i].misses;
-    }
     snap.queries += slice.queries;
     snap.candidates += slice.candidates;
     snap.cache_hits += slice.cache_hits;
@@ -257,14 +214,6 @@ WindowSnapshot WindowedMetrics::GetSnapshot() {
     snap.admit_ratio = static_cast<double>(snap.cache_admits) /
                        static_cast<double>(tap_misses);
   }
-  for (WindowSnapshot::ShadowStat& s : snap.shadows) {
-    const uint64_t probes = s.hits + s.misses;
-    if (probes > 0) {
-      s.hit_ratio =
-          static_cast<double>(s.hits) / static_cast<double>(probes);
-    }
-  }
-
   snap.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   snap.busy_workers = busy_workers_.load(std::memory_order_relaxed);
   snap.workers = workers_.load(std::memory_order_relaxed);
@@ -326,13 +275,6 @@ void WindowedMetrics::PublishSnapshot(const WindowSnapshot& s,
       ->Set(static_cast<double>(s.queue_max_depth));
   registry->GetGauge("live.queue_rejected")
       ->Set(static_cast<double>(s.queue_rejected));
-  for (const WindowSnapshot::ShadowStat& sh : s.shadows) {
-    const std::string prefix = "live.shadow." + sh.name + ".";
-    registry->GetGauge(prefix + "hits")->Set(static_cast<double>(sh.hits));
-    registry->GetGauge(prefix + "misses")
-        ->Set(static_cast<double>(sh.misses));
-    registry->GetGauge(prefix + "hit_ratio")->Set(sh.hit_ratio);
-  }
 }
 
 std::string WindowSnapshotJson(const WindowSnapshot& s, double uptime) {
@@ -364,18 +306,6 @@ std::string WindowSnapshotJson(const WindowSnapshot& s, double uptime) {
           ",\"queue_rejected\":%" PRIu64,
           s.queue_depth, s.busy_workers, s.workers, s.worker_utilization,
           s.queue_capacity, s.queue_max_depth, s.queue_rejected);
-  if (!s.shadows.empty()) {
-    out += ",\"shadow\":[";
-    for (size_t i = 0; i < s.shadows.size(); ++i) {
-      const WindowSnapshot::ShadowStat& sh = s.shadows[i];
-      AppendF(&out,
-              "%s{\"name\":\"%s\",\"hits\":%" PRIu64 ",\"misses\":%" PRIu64
-              ",\"hit_ratio\":%.9g}",
-              i == 0 ? "" : ",", sh.name.c_str(), sh.hits, sh.misses,
-              sh.hit_ratio);
-    }
-    out += "]";
-  }
   out += "}";
   AppendF(&out,
           ",\"cumulative\":{\"queries\":%" PRIu64 ",\"candidates\":%" PRIu64

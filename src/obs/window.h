@@ -46,15 +46,6 @@ struct CacheTapSample {
   uint64_t evictions = 0;
 };
 
-/// One shadow-cache simulation's cumulative totals, as reported by the
-/// shadow tap. Like the cache tap, a std::function carries these upward:
-/// obs cannot name the cache types running the simulations.
-struct ShadowTapEntry {
-  std::string name;  // valid metric segment ([a-z0-9_]); set by installer
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-};
-
 struct WindowOptions {
   double window_seconds = 10.0;
   int slices = 10;
@@ -102,15 +93,6 @@ struct WindowSnapshot {
   uint64_t total_cache_hits = 0;
   uint64_t total_degraded = 0;
   uint64_t total_shed = 0;
-  // Windowed per-config shadow-cache simulation results (empty when no
-  // shadow tap is installed).
-  struct ShadowStat {
-    std::string name;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    double hit_ratio = 0.0;  // hits / (hits + misses) in the window
-  };
-  std::vector<ShadowStat> shadows;
 };
 
 class WindowedMetrics {
@@ -129,13 +111,6 @@ class WindowedMetrics {
   /// successive tap readings into slices at snapshot time; re-installation
   /// (e.g. after a cache generation swap) re-bases the deltas.
   void SetCacheTap(std::function<CacheTapSample()> tap) EEB_EXCLUDES(mu_);
-
-  /// Installs the shadow-cache tap. The tap reports cumulative totals per
-  /// simulated configuration (fixed set, stable order); the window
-  /// differences successive readings into slices, like the cache tap.
-  /// Installation re-bases and resets any in-window shadow history.
-  void SetShadowTap(std::function<std::vector<ShadowTapEntry>()> tap)
-      EEB_EXCLUDES(mu_);
 
   /// Records the latest queue/worker observation (sampled, not windowed).
   void SampleQueue(uint64_t queue_depth, uint64_t busy_workers,
@@ -173,13 +148,6 @@ class WindowedMetrics {
     uint64_t tap_misses = 0;
     uint64_t tap_admits = 0;
     uint64_t tap_evictions = 0;
-    // Per shadow config, sized once at tap installation; Clear zeroes the
-    // elements in place so the hot path never allocates.
-    struct ShadowCounts {
-      uint64_t hits = 0;
-      uint64_t misses = 0;
-    };
-    std::vector<ShadowCounts> shadow;
     std::array<uint32_t, LatencyHistogram::kNumBuckets> buckets{};
 
     void Clear(uint64_t new_epoch);
@@ -203,10 +171,6 @@ class WindowedMetrics {
   std::function<CacheTapSample()> tap_ EEB_GUARDED_BY(mu_);
   CacheTapSample tap_base_ EEB_GUARDED_BY(mu_);  // last tap reading
   bool tap_based_ EEB_GUARDED_BY(mu_) = false;
-  std::function<std::vector<ShadowTapEntry>()> shadow_tap_
-      EEB_GUARDED_BY(mu_);
-  std::vector<ShadowTapEntry> shadow_base_ EEB_GUARDED_BY(mu_);
-  std::vector<std::string> shadow_names_ EEB_GUARDED_BY(mu_);
 
   std::atomic<uint64_t> queue_depth_{0};
   std::atomic<uint64_t> busy_workers_{0};

@@ -1,5 +1,5 @@
 // Unit and property tests for the common substrate: Status, Rng, Zipf,
-// bit packing, TopK, Dataset, Discretizer, k-means.
+// bit packing, TopK, Dataset, k-means.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "common/bitops.h"
 #include "common/crc32c.h"
 #include "common/dataset.h"
-#include "common/discretizer.h"
 #include "common/distance.h"
 #include "common/kmeans.h"
 #include "common/random.h"
@@ -285,24 +284,6 @@ TEST(DistanceTest, Symmetric) {
   for (auto& v : a) v = static_cast<Scalar>(rng.NextGaussian());
   for (auto& v : b) v = static_cast<Scalar>(rng.NextGaussian());
   EXPECT_DOUBLE_EQ(L2(a, b), L2(b, a));
-}
-
-// ----------------------------------------------------------- Discretizer --
-
-TEST(DiscretizerTest, IdentityMapping) {
-  Discretizer d(256);
-  EXPECT_EQ(d.ToBin(0), 0u);
-  EXPECT_EQ(d.ToBin(255), 255u);
-  EXPECT_EQ(d.ToBin(300), 255u);  // clamped
-  EXPECT_EQ(d.ToBin(-5), 0u);    // clamped
-}
-
-TEST(DiscretizerTest, AffineMapping) {
-  Discretizer d(10, 0.0, 1.0);
-  EXPECT_EQ(d.ToBin(0.05f), 0u);
-  EXPECT_EQ(d.ToBin(0.95f), 9u);
-  EXPECT_NEAR(d.BinLower(5), 0.5, 1e-9);
-  EXPECT_NEAR(d.BinUpper(5), 0.6, 1e-9);
 }
 
 // ---------------------------------------------------------------- kmeans --

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "cache/exact_cache.h"
-#include "cache/shadow_cache.h"
 #include "core/system.h"
 #include "obs/cache_analytics.h"
 #include "obs/export.h"
@@ -314,7 +313,7 @@ TEST(ExportTest, PrometheusEmitsHelpAndTypeForEveryFamily) {
   MetricsRegistry reg;
   reg.GetCounter("cache.miss.compulsory")->Add(2);
   reg.GetGauge("cache.mrc.predicted_miss_ratio")->Set(0.25);
-  reg.GetGauge("live.shadow.lru_2x.hit_ratio")->Set(0.5);
+  reg.GetGauge("cache.mrc.lru_2x.hit_ratio")->Set(0.5);
   reg.GetHistogram("system.response_seconds")->Record(0.01);
 
   // Prometheus exposition contract: every sample line belongs to a family
@@ -364,12 +363,12 @@ TEST(ExportTest, PrometheusEmitsHelpAndTypeForEveryFamily) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE eeb_cache_mrc_predicted_miss_ratio gauge"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE eeb_live_shadow_lru_2x_hit_ratio gauge"),
+  EXPECT_NE(text.find("# TYPE eeb_cache_mrc_lru_2x_hit_ratio gauge"),
             std::string::npos);
 }
 
 // Every metric name the full serving stack registers — engine counters,
-// cache instruments, windowed live gauges, cache analytics, shadow panels —
+// cache instruments, windowed live gauges, cache analytics, what-if panel —
 // must pass IsValidMetricName, or the Prometheus exporter will refuse to
 // emit it. Wired as the `metric_names` ctest.
 TEST(MetricNames, AllRegisteredNamesAreValid) {
@@ -401,11 +400,9 @@ TEST(MetricNames, AllRegisteredNamesAreValid) {
   aopt.key_space = data.size();
   CacheAnalytics analytics(aopt);
   analytics.BindMetrics(&metrics);
-  cache::ShadowCacheSet shadows(cache::DefaultShadowConfigs(64));
   system->EnableMetrics(&metrics);
   system->SetWindow(&window);
   system->SetCacheAnalytics(&analytics);
-  system->SetShadowCaches(&shadows);
   ASSERT_TRUE(system->ConfigureCache(core::CacheMethod::kHcO, 4096).ok());
 
   core::ServeReport report;
@@ -429,7 +426,7 @@ TEST(MetricNames, AllRegisteredNamesAreValid) {
     ++checked;
   }
   // The walk saw the whole stack, not a near-empty registry: analytics
-  // counters, MRC gauges, live window gauges, and per-shadow panels.
+  // counters, MRC and what-if gauges, and live window gauges.
   EXPECT_GT(checked, 40u);
   const auto counters = metrics.Counters();
   auto has_counter = [&counters](const std::string& name) {
@@ -450,9 +447,8 @@ TEST(MetricNames, AllRegisteredNamesAreValid) {
   EXPECT_TRUE(has_gauge("cache.ws.jaccard"));
   EXPECT_TRUE(has_gauge("cache.analytics.generation_swaps"));
   EXPECT_TRUE(has_gauge("live.qps"));
-  EXPECT_TRUE(has_gauge("live.shadow.lru_1x.hit_ratio"));
+  EXPECT_TRUE(has_gauge("cache.mrc.lru_1x.hit_ratio"));
 
-  system->SetShadowCaches(nullptr);
   system->SetCacheAnalytics(nullptr);
   system->SetWindow(nullptr);
   system->EnableMetrics(nullptr);

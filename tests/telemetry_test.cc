@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -17,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/shadow_cache.h"
 #include "common/dataset.h"
 #include "core/system.h"
 #include "obs/cache_analytics.h"
@@ -242,77 +242,6 @@ TEST(WindowedMetricsTest, SnapshotsWithinOneEpochAreIdempotent) {
   EXPECT_DOUBLE_EQ(s1.qps, s2.qps);
   EXPECT_DOUBLE_EQ(s1.mean_seconds, s2.mean_seconds);
   EXPECT_DOUBLE_EQ(s1.p95_seconds, s2.p95_seconds);
-}
-
-TEST(WindowedMetricsTest, ShadowTapDeltasAndReinstallRebases) {
-  double t = 0.0;
-  obs::WindowOptions opt;
-  opt.now = [&t] { return t; };
-  obs::WindowedMetrics w(opt);
-
-  // Cumulative tap readings; pre-install history must never be counted.
-  std::vector<obs::ShadowTapEntry> cur(2);
-  cur[0].name = "lru_1x";
-  cur[0].hits = 100;
-  cur[0].misses = 50;
-  cur[1].name = "fifo_1x";
-  cur[1].hits = 7;
-  cur[1].misses = 3;
-  w.SetShadowTap([&cur] { return cur; });
-
-  cur[0].hits += 30;
-  cur[0].misses += 10;
-  cur[1].misses += 5;
-  obs::WindowSnapshot snap = w.GetSnapshot();
-  ASSERT_EQ(snap.shadows.size(), 2u);
-  EXPECT_EQ(snap.shadows[0].name, "lru_1x");
-  EXPECT_EQ(snap.shadows[0].hits, 30u);
-  EXPECT_EQ(snap.shadows[0].misses, 10u);
-  EXPECT_DOUBLE_EQ(snap.shadows[0].hit_ratio, 0.75);
-  EXPECT_EQ(snap.shadows[1].name, "fifo_1x");
-  EXPECT_EQ(snap.shadows[1].hits, 0u);
-  EXPECT_EQ(snap.shadows[1].misses, 5u);
-  EXPECT_DOUBLE_EQ(snap.shadows[1].hit_ratio, 0.0);
-
-  // Reinstalling (e.g. a new shadow set) re-bases: fresh zero counters must
-  // not produce negative deltas, and in-window history is reset.
-  std::vector<obs::ShadowTapEntry> fresh(1);
-  fresh[0].name = "lru_2x";
-  w.SetShadowTap([&fresh] { return fresh; });
-  fresh[0].hits = 4;
-  fresh[0].misses = 4;
-  snap = w.GetSnapshot();
-  ASSERT_EQ(snap.shadows.size(), 1u);
-  EXPECT_EQ(snap.shadows[0].name, "lru_2x");
-  EXPECT_EQ(snap.shadows[0].hits, 4u);
-  EXPECT_EQ(snap.shadows[0].misses, 4u);
-
-  // Detaching clears the shadow section entirely.
-  w.SetShadowTap(nullptr);
-  EXPECT_TRUE(w.GetSnapshot().shadows.empty());
-}
-
-TEST(WindowedMetricsTest, PublishToSetsShadowGauges) {
-  obs::WindowedMetrics w;
-  std::vector<obs::ShadowTapEntry> cur(1);
-  cur[0].name = "lru_2x";
-  w.SetShadowTap([&cur] { return cur; });
-  cur[0].hits = 9;
-  cur[0].misses = 1;
-
-  obs::MetricsRegistry registry;
-  w.PublishTo(&registry);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("live.shadow.lru_2x.hits")->value(),
-                   9.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("live.shadow.lru_2x.misses")->value(),
-                   1.0);
-  EXPECT_DOUBLE_EQ(
-      registry.GetGauge("live.shadow.lru_2x.hit_ratio")->value(), 0.9);
-
-  const std::string line =
-      obs::WindowSnapshotJson(w.GetSnapshot(), /*uptime=*/1.0);
-  EXPECT_NE(line.find("\"shadow\":[{\"name\":\"lru_2x\""), std::string::npos)
-      << line;
 }
 
 TEST(WindowedMetricsTest, QueueGaugesLastObservationWins) {
@@ -803,10 +732,10 @@ TEST(TelemetryEndToEndTest, GenerationSwapMidWindowRebasesTapsAndAnalytics) {
   EXPECT_EQ(analytics.total_accesses(), after.total_candidates);
 }
 
-TEST(TelemetryEndToEndTest, ConcurrentAnalyticsAndShadowsReconcile) {
+TEST(TelemetryEndToEndTest, ConcurrentAnalyticsReconciles) {
   // Runs the full introspection stack under the concurrent engine; the CI
   // TSan job runs this binary, so this is also the data-race check for the
-  // sampler, miss-class bitsets, HLL sketches, and shadow cache locks.
+  // sampler, the what-if counters, miss-class bitsets and HLL sketches.
   TelemetryRig rig;
   const size_t k = 10;
 
@@ -819,40 +748,25 @@ TEST(TelemetryEndToEndTest, ConcurrentAnalyticsAndShadowsReconcile) {
   aopt.key_space = rig.data.size();
   obs::CacheAnalytics analytics(aopt);
   analytics.BindMetrics(&metrics);
-  cache::ShadowCacheSet shadows(cache::DefaultShadowConfigs(
-      rig.system->cache()->capacity_items()));
   rig.system->EnableMetrics(&metrics);
   rig.system->SetWindow(&window);
   rig.system->SetCacheAnalytics(&analytics);
-  rig.system->SetShadowCaches(&shadows);
 
   core::ServeReport report;
   ASSERT_TRUE(
       rig.system->Serve(rig.log.test, k, {.n_threads = 8}, &report).ok());
 
-  // Every probe reached every instrument exactly once.
+  // Every probe reached the instrument exactly once.
   const obs::WindowSnapshot snap = window.GetSnapshot();
   EXPECT_GT(snap.total_candidates, 0u);
   EXPECT_EQ(analytics.total_accesses(), snap.total_candidates);
-  for (size_t i = 0; i < shadows.size(); ++i) {
-    EXPECT_EQ(shadows.shadow(i).hits() + shadows.shadow(i).misses(),
-              snap.total_candidates)
-        << shadows.shadow(i).config().name;
-  }
+  EXPECT_EQ(analytics.sampled_accesses(), snap.total_candidates);
 
   // Miss classes reconcile exactly even under 8-way concurrent counting.
   const obs::CacheAnalytics::MissBreakdown mb = analytics.miss_breakdown();
   EXPECT_EQ(mb.accesses, snap.total_candidates);
   EXPECT_EQ(mb.hits + mb.misses, mb.accesses);
   EXPECT_EQ(mb.misses, mb.compulsory + mb.capacity + mb.invalidation);
-
-  // The shadow tap reached the window with the full per-config panel.
-  ASSERT_EQ(snap.shadows.size(), shadows.size());
-  uint64_t windowed = 0;
-  for (const obs::WindowSnapshot::ShadowStat& s : snap.shadows) {
-    windowed += s.hits + s.misses;
-  }
-  EXPECT_EQ(windowed, shadows.size() * snap.total_candidates);
 
   // Gauge publication works on the post-run state.
   analytics.PublishMetrics();
@@ -861,7 +775,23 @@ TEST(TelemetryEndToEndTest, ConcurrentAnalyticsAndShadowsReconcile) {
                 metrics.GetCounter("cache.miss.capacity")->value() +
                 metrics.GetCounter("cache.miss.invalidation")->value(),
             mb.misses);
-  EXPECT_GT(metrics.GetGauge("cache.mrc.sampled_accesses")->value(), 0.0);
+  const double sampled =
+      metrics.GetGauge("cache.mrc.sampled_accesses")->value();
+  const double cold = metrics.GetGauge("cache.mrc.cold_misses")->value();
+  EXPECT_GT(sampled, 0.0);
+
+  // The what-if panel counted every access, and more capacity never loses
+  // an LRU hit. Twice the capacity holds every point, so there each
+  // re-access hits whatever order the workers probed in.
+  const std::array<obs::CacheAnalytics::WhatIfPoint, 3> panel =
+      analytics.LruWhatIf();
+  ASSERT_EQ(panel[1].size_items, rig.system->cache()->capacity_items());
+  ASSERT_GE(panel[2].size_items, rig.data.size());
+  EXPECT_LE(panel[0].hit_ratio, panel[1].hit_ratio);
+  EXPECT_LE(panel[1].hit_ratio, panel[2].hit_ratio);
+  EXPECT_DOUBLE_EQ(panel[2].hit_ratio, (sampled - cold) / sampled);
+  EXPECT_DOUBLE_EQ(metrics.GetGauge("cache.mrc.lru_2x.hit_ratio")->value(),
+                   panel[2].hit_ratio);
 }
 
 TEST(TelemetryEndToEndTest, PublisherEmitsPeriodicSnapshotsDuringServing) {

@@ -16,7 +16,7 @@
 // LRU cells run with the sampled reuse-distance tracker attached, and the
 // artifact records the MRC-predicted miss ratio next to the measured one
 // (bench_diff gates on their absolute difference) plus the exact miss-cause
-// breakdown and the shadow-cache panel. When a suite fails mid-run (bit
+// breakdown and the LRU what-if panel. When a suite fails mid-run (bit
 // exactness, miss-class reconciliation), the flight recorder's recent
 // per-query ring is dumped to --recorder-out for post-mortem.
 //
@@ -27,6 +27,7 @@
 // compare quick against non-quick runs.
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -37,7 +38,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "cache/shadow_cache.h"
 #include "common/timer.h"
 #include "core/cost_model.h"
 #include "core/system.h"
@@ -538,8 +538,9 @@ int RunConcurrencySuite(const std::string& out_path,
 // live capacity must match the measured one to within bench_diff's
 // max_mrc_error. The artifact also records the exact miss-cause breakdown
 // (compulsory + capacity + invalidation must equal misses — a reconciliation
-// failure fails the run and dumps the flight recorder) and the default
-// shadow panel simulated over the same probe stream.
+// failure fails the run and dumps the flight recorder) and the what-if
+// panel: LRU hit ratios at 1/2x, 1x and 2x the live capacity, from the same
+// sampled stack distances.
 
 int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
                       const std::string& recorder_path) {
@@ -588,15 +589,7 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
     obs::CacheAnalytics::MissBreakdown mb;
     bool reconciled = false;
     obs::CacheAnalytics::WorkingSet ws;
-    struct ShadowStat {
-      std::string name;
-      std::string policy;
-      size_t capacity_items = 0;
-      uint64_t hits = 0;
-      uint64_t misses = 0;
-      double hit_ratio = 0.0;
-    };
-    std::vector<ShadowStat> shadow;
+    std::array<obs::CacheAnalytics::WhatIfPoint, 3> lru_what_if;
     std::string mrc_json;
   };
 
@@ -621,9 +614,6 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
                                             /*tau=*/0, /*lru=*/true),
                  "ConfigureCache");
     c.capacity_items = wb->system->cache()->capacity_items();
-    cache::ShadowCacheSet shadows(
-        cache::DefaultShadowConfigs(c.capacity_items));
-    wb->system->SetShadowCaches(&shadows);
 
     core::ServeReport report;
     bench::Check(wb->system->Serve(wb->log.test, kK, {}, &report), "Serve");
@@ -639,19 +629,7 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
         c.mb.compulsory + c.mb.capacity + c.mb.invalidation == c.mb.misses;
     all_reconciled = all_reconciled && c.reconciled;
     c.ws = analytics.working_set();
-    for (size_t i = 0; i < shadows.size(); ++i) {
-      const cache::ShadowCache& s = shadows.shadow(i);
-      AnalyticsCell::ShadowStat st;
-      st.name = cache::SanitizeShadowName(s.config().name);
-      st.policy = cache::ShadowPolicyName(s.config().policy);
-      st.capacity_items = s.config().capacity_items;
-      st.hits = s.hits();
-      st.misses = s.misses();
-      const uint64_t total = st.hits + st.misses;
-      st.hit_ratio =
-          total > 0 ? static_cast<double>(st.hits) / total : 0.0;
-      c.shadow.push_back(std::move(st));
-    }
+    c.lru_what_if = analytics.LruWhatIf();
     c.mrc_json = analytics.MrcJson();
     std::fprintf(stderr,
                  "[analytics] %s: predicted_miss=%.4f measured_miss=%.4f "
@@ -660,9 +638,8 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
                  c.prediction_error, c.sampled_accesses,
                  c.reconciled ? "yes" : "NO");
 
-    // Detach before the per-cell instruments go out of scope.
+    // Detach before the per-cell instrument goes out of scope.
     wb->system->SetCacheAnalytics(nullptr);
-    wb->system->SetShadowCaches(nullptr);
     cells.push_back(std::move(c));
   }
 
@@ -736,16 +713,11 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
             "\"windows\":%" PRIu64 "},",
             c.ws.current_cardinality, c.ws.previous_cardinality,
             c.ws.jaccard, c.ws.windows);
-    json.append("\"shadow\":[");
-    for (size_t j = 0; j < c.shadow.size(); ++j) {
-      const AnalyticsCell::ShadowStat& st = c.shadow[j];
-      if (j > 0) json.push_back(',');
-      AppendF(&json,
-              "{\"name\":\"%s\",\"policy\":\"%s\",\"capacity_items\":%zu,"
-              "\"hits\":%" PRIu64 ",\"misses\":%" PRIu64
-              ",\"hit_ratio\":%.9g}",
-              JsonEscape(st.name).c_str(), JsonEscape(st.policy).c_str(),
-              st.capacity_items, st.hits, st.misses, st.hit_ratio);
+    json.append("\"lru_what_if\":[");
+    for (size_t j = 0; j < c.lru_what_if.size(); ++j) {
+      AppendF(&json, "%s{\"size_items\":%" PRIu64 ",\"hit_ratio\":%.9g}",
+              j == 0 ? "" : ",", c.lru_what_if[j].size_items,
+              c.lru_what_if[j].hit_ratio);
     }
     json.append("]}}");
   }
@@ -1124,7 +1096,7 @@ int Main(int argc, char** argv) {
                 "1/2/4/8 threads (HC-O, smoke)");
     std::printf("%-8s %zu cells  %s\n", "analytics", size_t{3},
                 "Cache introspection: MRC prediction vs measured LRU miss "
-                "ratio, miss classes, shadow panel (smoke)");
+                "ratio, miss classes, LRU what-if panel (smoke)");
     std::printf("%-8s %zu cells  %s\n", "overload", size_t{7},
                 "Overload resilience: modeled goodput plateau at 0.5-4x "
                 "capacity + honest-shedding Serve cells (HC-O, smoke)");

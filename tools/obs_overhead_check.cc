@@ -1,6 +1,6 @@
 // Telemetry overhead budget check (docs/OBSERVABILITY.md): runs the same
 // query batch with live telemetry (windowed metrics + flight recorder +
-// cumulative registry + cache analytics + shadow caches) attached and
+// cumulative registry + cache analytics) attached and
 // detached, interleaved A/B so machine drift hits both arms equally, and
 // fails (exit 1) if the telemetry-on median exceeds the telemetry-off
 // median by more than the budget.
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "cache/shadow_cache.h"
 #include "common/timer.h"
 #include "core/system.h"
 #include "obs/cache_analytics.h"
@@ -67,28 +66,23 @@ int Main(int argc, char** argv) {
   const size_t k = 10;
 
   // The full serving-telemetry stack, exactly as eeb_cli attaches it:
-  // windowed metrics, flight recorder, the sampled cache-analytics
-  // instrument at the production rate, and the default shadow panel.
+  // windowed metrics, flight recorder and the sampled cache-analytics
+  // instrument at the production rate.
   obs::WindowedMetrics window;
   obs::FlightRecorder recorder;
   obs::CacheAnalytics::Options aopt;
   aopt.key_space = wb->data.size();
   obs::CacheAnalytics analytics(aopt);
   analytics.BindMetrics(&wb->metrics);
-  cache::ShadowCacheSet shadows(
-      cache::DefaultShadowConfigs(wb->system->cache()->capacity_items()));
-
   auto attach = [&] {
     wb->system->SetWindow(&window);
     wb->system->SetRecorder(&recorder);
     wb->system->SetCacheAnalytics(&analytics);
-    wb->system->SetShadowCaches(&shadows);
   };
   auto detach = [&] {
     wb->system->SetWindow(nullptr);
     wb->system->SetRecorder(nullptr);
     wb->system->SetCacheAnalytics(nullptr);
-    wb->system->SetShadowCaches(nullptr);
   };
 
   auto run_batch = [&] {
@@ -130,14 +124,9 @@ int Main(int argc, char** argv) {
                  static_cast<unsigned long long>(expected));
     return 1;
   }
-  const uint64_t shadow_accesses =
-      shadows.shadow(0).hits() + shadows.shadow(0).misses();
-  if (analytics.total_accesses() == 0 || shadow_accesses == 0) {
+  if (analytics.total_accesses() == 0) {
     std::fprintf(stderr,
-                 "obs_overhead: cache analytics not attached (analytics "
-                 "%llu accesses, shadow %llu)\n",
-                 static_cast<unsigned long long>(analytics.total_accesses()),
-                 static_cast<unsigned long long>(shadow_accesses));
+                 "obs_overhead: cache analytics not attached (0 accesses)\n");
     return 1;
   }
 
