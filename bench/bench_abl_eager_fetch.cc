@@ -26,10 +26,10 @@ int main() {
     double lazy_io = 0, eager_io = 0;
     // Lazy run (the default engine behavior).
     {
-      core::ServeReport report;
-      bench::Check(wb->system->Serve(wb->log.test, k, {}, &report), "lazy");
-      hit = report.agg.hit_ratio;
-      lazy_io = report.agg.avg_fetched;
+      core::AggregateResult agg;
+      bench::Check(wb->system->Serve(wb->log.test, k, 1, &agg), "lazy");
+      hit = agg.hit_ratio;
+      lazy_io = agg.avg_fetched;
     }
     // Eager run: same cache, different engine policy. Build a private
     // engine so the System's default stays untouched.

@@ -120,9 +120,8 @@ core::AggregateResult RunCell(Workbench& wb, core::CacheMethod method,
                               bool lru) {
   Check(wb.system->ConfigureCache(method, cache_bytes, tau, lru),
         "ConfigureCache");
-  core::ServeReport report;
-  Check(wb.system->Serve(wb.log.test, k, {}, &report), "Serve");
-  const core::AggregateResult& agg = report.agg;
+  core::AggregateResult agg;
+  Check(wb.system->Serve(wb.log.test, k, 1, &agg), "Serve");
 
   if (g_metrics_file != nullptr) {
     // One line per cell: config, headline aggregates, and a cumulative

@@ -21,13 +21,13 @@ int main() {
     bench::Check(
         wb->system->ConfigureCache(core::CacheMethod::kExact, cs, 0, true),
         "ConfigureCache");
-    core::ServeReport warm;
-    bench::Check(wb->system->Serve(wb->log.workload, k, {}, &warm),
+    core::AggregateResult warm;
+    bench::Check(wb->system->Serve(wb->log.workload, k, 1, &warm),
                  "warmup");
-    core::ServeReport lru;
-    bench::Check(wb->system->Serve(wb->log.test, k, {}, &lru), "lru");
+    core::AggregateResult lru;
+    bench::Check(wb->system->Serve(wb->log.test, k, 1, &lru), "lru");
     std::printf("%-6zu %18.3f %18.3f\n", k, hff.avg_refine_seconds,
-                lru.agg.avg_refine_seconds);
+                lru.avg_refine_seconds);
   }
   std::printf("\nPaper shape: HFF consistently below LRU; both grow with k.\n");
   return 0;

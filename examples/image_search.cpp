@@ -83,13 +83,13 @@ int main() {
       std::fprintf(stderr, "configure failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    core::ServeReport served;
-    st = system->Serve(log.test, /*k=*/10, {}, &served);
+    core::AggregateResult served;
+    st = system->Serve(log.test, /*k=*/10, /*n_threads=*/1, &served);
     if (!st.ok()) {
       std::fprintf(stderr, "queries failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    Report(c.name, served.agg);
+    Report(c.name, served);
   }
 
   std::printf(

@@ -53,11 +53,11 @@ int main() {
 
   auto report = [&](const char* label,
                     const std::vector<std::vector<Scalar>>& queries) {
-    core::ServeReport served;
-    Status s = system->Serve(queries, 10, {}, &served);
+    core::AggregateResult served;
+    Status s = system->Serve(queries, 10, /*n_threads=*/1, &served);
     if (!s.ok()) std::exit(1);
     std::printf("%-34s hit %5.1f%%  refine %.3f s\n", label,
-                100 * served.agg.hit_ratio, served.agg.avg_refine_seconds);
+                100 * served.hit_ratio, served.avg_refine_seconds);
   };
 
   core::CacheMaintainer maintainer(system.get(), {.rebuild_threshold = 0.15});

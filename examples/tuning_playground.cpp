@@ -61,11 +61,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "configure: %s\n", st.ToString().c_str());
       return 1;
     }
-    core::ServeReport served;
-    st = system->Serve(log.test, k, {}, &served);
+    core::AggregateResult served;
+    st = system->Serve(log.test, k, /*n_threads=*/1, &served);
     if (!st.ok()) return 1;
     std::printf("%-5u %10.3f %10.3f %14.1f %14.1f\n", tau, est.hit_ratio,
-                est.prune_ratio, est.expected_crefine, served.agg.avg_fetched);
+                est.prune_ratio, est.expected_crefine, served.avg_fetched);
   }
   std::printf("\ntuner picks: HC-W tau=%u, HC-O tau=%u\n",
               system->AutoTau(core::CacheMethod::kHcW, cache_bytes, k),

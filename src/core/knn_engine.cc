@@ -29,7 +29,7 @@ bool DegradableFailure(const Status& st) {
 }  // namespace
 
 Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
-                        const QueryContext& ctx, QueryResult* out) {
+                        QueryResult* out) {
   *out = QueryResult{};
   if (k == 0) return Status::InvalidArgument("k must be positive");
   // Pin the published cache generation for this whole query; a concurrent
@@ -42,14 +42,9 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
   cache::KnnCache* const cache = cache_ref.get();
   Timer timer;
   Timer deadline_timer;  // wall clock across all phases, for the deadline
-  // Effective per-call deadline: the context overrides the engine default,
-  // and time spent before entry (queue wait, ctx.elapsed_ms) counts as
-  // already consumed — the end-to-end budget of docs/ROBUSTNESS.md.
-  const double deadline_ms =
-      ctx.deadline_ms < 0.0 ? options_.deadline_ms : ctx.deadline_ms;
-  auto deadline_expired = [&deadline_timer, &ctx, deadline_ms] {
-    return deadline_ms > 0.0 &&
-           ctx.elapsed_ms + deadline_timer.ElapsedMillis() >= deadline_ms;
+  const double deadline_ms = options_.deadline_ms;
+  auto deadline_expired = [&deadline_timer, deadline_ms] {
+    return deadline_ms > 0.0 && deadline_timer.ElapsedMillis() >= deadline_ms;
   };
   // Per-candidate events go to the query's own buffer. Defined here, outside
   // the eeb-hot fences, because the append may allocate; untraced queries
@@ -62,11 +57,10 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
   auto cut_deadline = [&](uint64_t id) {
     out->deadline_hit = true;
     trace(obs::TraceEventType::kDeadlineCut, id,
-          ctx.elapsed_ms + deadline_timer.ElapsedMillis());
+          deadline_timer.ElapsedMillis());
   };
   out->k = static_cast<uint32_t>(k);
   out->cache_generation = cache != nullptr ? cache->generation_id() : 0;
-  out->queue_wait_ms = ctx.elapsed_ms;
 
   // ---- Phase 1: candidate generation -----------------------------------
   std::vector<PointId> cand;

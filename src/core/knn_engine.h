@@ -86,20 +86,6 @@ struct EngineOptions {
   bool trace_events = false;
 };
 
-/// Per-call execution budget, threaded in by the serving layer
-/// (docs/ROBUSTNESS.md). Lets the end-to-end deadline include time spent
-/// before the engine ran — queue wait under load — without reconfiguring
-/// the engine.
-struct QueryContext {
-  /// Effective deadline for this call in milliseconds. Negative means "use
-  /// EngineOptions::deadline_ms" (the default); 0 disables the deadline for
-  /// this call; positive overrides the engine default.
-  double deadline_ms = -1.0;
-  /// Wall-clock already consumed against the deadline before Query() was
-  /// entered (queue wait). Counted as if the engine had spent it.
-  double elapsed_ms = 0.0;
-};
-
 /// Cache-assisted kNN query processor.
 class KnnEngine {
  public:
@@ -112,16 +98,9 @@ class KnnEngine {
         cache_(std::shared_ptr<cache::KnnCache>{}, cache),  // non-owning
         options_(options) {}
 
-  /// Executes a kNN query (Algorithm 1). Thread-safe (see header comment).
-  Status Query(std::span<const Scalar> q, size_t k, QueryResult* out) {
-    return Query(q, k, QueryContext{}, out);
-  }
-
-  /// Executes a kNN query under an explicit per-call budget: the serving
-  /// layer charges queue wait against the deadline. Identical to the
-  /// two-argument overload when `ctx` is default-constructed.
-  Status Query(std::span<const Scalar> q, size_t k, const QueryContext& ctx,
-               QueryResult* out);
+  /// Executes a kNN query (Algorithm 1) under EngineOptions::deadline_ms.
+  /// Thread-safe (see header comment).
+  Status Query(std::span<const Scalar> q, size_t k, QueryResult* out);
 
   /// Snapshot of the currently published cache (may be empty/nullptr).
   std::shared_ptr<cache::KnnCache> cache() EEB_EXCLUDES(cache_mu_) {

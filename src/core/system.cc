@@ -4,10 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <thread>
 
 #include "common/bitops.h"
 #include "common/timer.h"
-#include "core/thread_pool.h"
 #include "index/rtree/rtree_histogram.h"
 #include "storage/file_ordering.h"
 
@@ -76,18 +76,6 @@ const char* CacheMethodName(CacheMethod method) {
       return "mHC-R";
     case CacheMethod::kCVa:
       return "C-VA";
-  }
-  return "?";
-}
-
-const char* AdmissionPolicyName(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kBlock:
-      return "block";
-    case AdmissionPolicy::kShed:
-      return "shed";
-    case AdmissionPolicy::kTimeout:
-      return "timeout";
   }
   return "?";
 }
@@ -210,34 +198,11 @@ void System::InstallCacheTap() {
   });
 }
 
-void System::SampleWorkerGauges() {
-  if (window_ == nullptr) return;
-  MutexLock lock(pool_mu_);
-  if (active_pool_ != nullptr) {
-    window_->SampleQueue(active_pool_->queue_depth(),
-                         active_pool_->busy_workers(),
-                         active_pool_->num_threads());
-    const QueueStats qs = active_pool_->queue_stats();
-    window_->SampleQueueStats(qs.capacity, qs.max_depth, qs.rejected);
-  } else {
-    window_->SampleQueue(0, 0, 0);
-    window_->SampleQueueStats(0, 0, 0);
-  }
-}
-
 Status System::Execute(std::span<const Scalar> q, size_t k,
-                       const QueryContext& ctx, uint64_t query_index,
-                       QueryResult* out) {
-  EEB_RETURN_IF_ERROR(engine_->Query(q, k, ctx, out));
+                       uint64_t query_index, QueryResult* out) {
+  EEB_RETURN_IF_ERROR(engine_->Query(q, k, out));
   OnQueryFinished(*out, query_index);
   return Status::OK();
-}
-
-void System::MarkShed(QueryResult* r, obs::ShedCause cause,
-                      double queue_wait_ms, uint64_t query_index) {
-  r->shed_cause = cause;
-  r->queue_wait_ms = queue_wait_ms;
-  OnQueryFinished(*r, query_index);
 }
 
 double System::ModeledResponse(const QueryResult& r,
@@ -254,9 +219,9 @@ void System::OnQueryFinished(const QueryResult& r, uint64_t query_index) {
   record.query_index = query_index;
   record.explain = r;
   double modeled_io = 0.0;
-  if (!r.shed()) record.response_seconds = ModeledResponse(r, &modeled_io);
+  record.response_seconds = ModeledResponse(r, &modeled_io);
   const QueryInstruments& m = instruments_;
-  if (m.queries != nullptr && !r.shed()) {
+  if (m.queries != nullptr) {
     m.queries->Add(1);
     m.candidates->Add(r.candidates);
     if (r.cache_generation != 0) {  // a cache served the query
@@ -587,126 +552,42 @@ Status System::ConfigureCache(CacheMethod method, size_t cache_bytes,
 }
 
 Status System::Query(std::span<const Scalar> q, size_t k, QueryResult* out) {
-  return Execute(q, k, QueryContext{}, 0, out);
+  return Execute(q, k, 0, out);
 }
 
 Status System::Serve(const std::vector<std::vector<Scalar>>& queries,
-                     size_t k, const ServeOptions& options,
-                     ServeReport* report,
+                     size_t k, size_t n_threads, AggregateResult* agg,
                      std::vector<QueryResult>* per_query) {
-  *report = ServeReport{};
+  *agg = AggregateResult{};
   if (per_query != nullptr) per_query->clear();
-  if (options.n_threads == 0) {
+  if (n_threads == 0) {
     return Status::InvalidArgument("n_threads must be positive");
   }
-  if (queries.empty()) return Status::OK();
-
-  obs::Counter* admitted_counter = nullptr;
-  obs::Counter* shed_counter = nullptr;
-  obs::Counter* timeout_counter = nullptr;
-  obs::Counter* expired_counter = nullptr;
-  if (metrics_ != nullptr) {
-    admitted_counter = metrics_->GetCounter("admission.admitted");
-    shed_counter = metrics_->GetCounter("admission.shed");
-    timeout_counter = metrics_->GetCounter("admission.timeout");
-    expired_counter = metrics_->GetCounter("admission.expired");
-  }
-
-  // Every query writes only its own slot, so no result-side synchronization
+  // Every query writes only its own slots, so no result-side synchronization
   // is needed; aggregation then folds the slots in query order, making the
-  // aggregate bit-exact at any thread count when nothing sheds.
+  // aggregate bit-exact at any thread count. The sink runs on the thread
+  // that ran the query, so the window and recorder see queries as they
+  // finish, not at batch end.
   std::vector<QueryResult> results(queries.size());
   std::vector<Status> statuses(queries.size());
-  // Admission timestamps: started right before each Submit so queue wait —
-  // including any blocking/timeout wait in admission itself — counts
-  // against the end-to-end deadline.
-  std::vector<Timer> admitted_at(queries.size());
-  // Reconciliation counts owned by the admission loop; workers never touch
-  // them. shed_expired is the exception: expiry is discovered on a worker.
-  std::atomic<size_t> shed_expired{0};
+  std::atomic<size_t> next{0};
+  auto worker = [&] {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < queries.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+      statuses[i] = Execute(queries[i], k, i, &results[i]);
+    }
+  };
   {
-    ThreadPool pool(options.n_threads, options.queue_capacity);
-    {
-      MutexLock lock(pool_mu_);
-      active_pool_ = &pool;
+    std::vector<std::jthread> helpers;
+    for (size_t t = 1; t < std::min(n_threads, queries.size()); ++t) {
+      helpers.emplace_back(worker);
     }
-    for (size_t i = 0; i < queries.size(); ++i) {
-      report->submitted++;
-      auto task = [this, &queries, &results, &statuses, &admitted_at,
-                   &shed_expired, &options, expired_counter, i, k] {
-        const double wait_ms = admitted_at[i].ElapsedMillis();
-        if (options.deadline_ms > 0.0 && wait_ms >= options.deadline_ms) {
-          // The whole budget burned in the queue: shed without touching the
-          // engine — the deadline would cut every phase anyway.
-          shed_expired.fetch_add(1, std::memory_order_relaxed);
-          if (expired_counter != nullptr) expired_counter->Add(1);
-          MarkShed(&results[i], obs::ShedCause::kDeadlineExpired, wait_ms, i);
-          return;
-        }
-        QueryContext ctx;
-        if (options.deadline_ms >= 0.0) {
-          ctx.deadline_ms = options.deadline_ms;
-          ctx.elapsed_ms = wait_ms;
-        }
-        // The sink runs on the worker, as a server's would: the window and
-        // recorder see queries as they finish, not at batch end.
-        statuses[i] = Execute(queries[i], k, ctx, i, &results[i]);
-      };
-      admitted_at[i].Start();
-      PushOutcome outcome = PushOutcome::kAccepted;
-      switch (options.admission) {
-        case AdmissionPolicy::kBlock:
-          if (!pool.Submit(std::move(task))) outcome = PushOutcome::kClosed;
-          break;
-        case AdmissionPolicy::kShed:
-          outcome = pool.TrySubmit(std::move(task));
-          break;
-        case AdmissionPolicy::kTimeout:
-          outcome = pool.SubmitWithDeadline(std::move(task),
-                                            options.admission_timeout_ms);
-          break;
-      }
-      switch (outcome) {
-        case PushOutcome::kAccepted:
-          if (admitted_counter != nullptr) admitted_counter->Add(1);
-          break;
-        case PushOutcome::kFull:
-          report->shed_queue_full++;
-          if (shed_counter != nullptr) shed_counter->Add(1);
-          MarkShed(&results[i], obs::ShedCause::kQueueFull, 0.0, i);
-          break;
-        case PushOutcome::kTimedOut:
-          report->shed_timeout++;
-          if (timeout_counter != nullptr) timeout_counter->Add(1);
-          MarkShed(&results[i], obs::ShedCause::kQueueTimeout,
-                   admitted_at[i].ElapsedMillis(), i);
-          break;
-        case PushOutcome::kClosed:
-          // The pool only closes at scope exit; unreachable here, but a
-          // defensive shed keeps the reconciliation exact if it ever fires.
-          report->shed_queue_full++;
-          MarkShed(&results[i], obs::ShedCause::kQueueFull, 0.0, i);
-          break;
-      }
-    }
-    pool.Drain();
-    if (metrics_ != nullptr) {
-      metrics_->GetGauge("pool.queue_max_depth")
-          ->Set(static_cast<double>(pool.queue_max_depth()));
-    }
-    {
-      MutexLock lock(pool_mu_);
-      active_pool_ = nullptr;
-    }
-  }
+    worker();
+  }  // joins the helpers
   for (const Status& st : statuses) {
     EEB_RETURN_IF_ERROR(st);
   }
-  report->shed_expired = shed_expired.load(std::memory_order_relaxed);
-  report->shed = report->shed_queue_full + report->shed_timeout +
-                 report->shed_expired;
-  report->completed = report->submitted - report->shed;
-  AggregateResults(results, &report->agg);
+  AggregateResults(results, agg);
   if (per_query != nullptr) *per_query = std::move(results);
   return Status::OK();
 }
@@ -721,12 +602,7 @@ void System::AggregateResults(const std::vector<QueryResult>& results,
   // aggregate in O(1) memory (satisfies the same p50<=p95<=p99 contract as
   // the exact sort it replaces, within one bucket width).
   obs::LatencyHistogram latencies;
-  size_t completed = 0;
   for (const QueryResult& r : results) {
-    // Shed queries never executed: they carry no phase data and would
-    // dilute every average toward zero. Serve reports them separately.
-    if (r.shed()) continue;
-    ++completed;
     latencies.Record(ModeledResponse(r));
     out->avg_candidates += static_cast<double>(r.candidates);
     out->avg_remaining += static_cast<double>(r.remaining);
@@ -747,9 +623,9 @@ void System::AggregateResults(const std::vector<QueryResult>& results,
     out->avg_substituted += static_cast<double>(r.substituted);
     out->read_failures += r.read_failures;
   }
-  out->queries = completed;
-  if (completed == 0) return;  // every arrival was shed; nothing to average
-  const double nq = static_cast<double>(completed);
+  out->queries = results.size();
+  if (results.empty()) return;
+  const double nq = static_cast<double>(results.size());
   out->avg_candidates /= nq;
   out->avg_remaining /= nq;
   out->avg_fetched /= nq;

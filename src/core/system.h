@@ -37,8 +37,6 @@
 
 namespace eeb::core {
 
-class ThreadPool;
-
 /// The cache configurations evaluated in the paper (Sec. 5.1).
 enum class CacheMethod {
   kNone,   ///< NO-CACHE baseline
@@ -113,46 +111,6 @@ struct AggregateResult {
   size_t deadline_cuts = 0;      ///< queries cut over by deadline_ms
 };
 
-/// How Serve admits arrivals when the queue is full (docs/ROBUSTNESS.md).
-enum class AdmissionPolicy : uint8_t {
-  kBlock = 0,    ///< wait for a slot (closed-loop batch semantics)
-  kShed = 1,     ///< drop immediately (open-loop load shedding)
-  kTimeout = 2,  ///< wait up to admission_timeout_ms, then drop
-};
-
-const char* AdmissionPolicyName(AdmissionPolicy policy);
-
-/// Configuration for System::Serve. The defaults are the closed-loop batch
-/// contract: one worker, blocking admission, no queue-wait accounting.
-struct ServeOptions {
-  size_t n_threads = 1;
-  /// Backlog bound for admitted-but-unstarted queries; 0 picks 2*n_threads.
-  size_t queue_capacity = 0;
-  AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Wait bound for AdmissionPolicy::kTimeout, in milliseconds.
-  double admission_timeout_ms = 1.0;
-  /// End-to-end deadline per query in milliseconds: stamped at admission, so
-  /// queue wait counts against it, and the remaining budget is passed into
-  /// the engine. A query whose wait alone exceeds the deadline is shed on
-  /// dequeue without touching the engine. Negative means "engine-configured
-  /// deadline, no queue-wait accounting" (the batch contract); 0 disables
-  /// the deadline.
-  double deadline_ms = -1.0;
-};
-
-/// Outcome accounting for one Serve call. Always reconciles exactly:
-/// completed + shed == submitted, and shed_queue_full + shed_timeout +
-/// shed_expired == shed.
-struct ServeReport {
-  AggregateResult agg;  ///< over completed queries only (shed excluded)
-  size_t submitted = 0;
-  size_t completed = 0;
-  size_t shed = 0;
-  size_t shed_queue_full = 0;  ///< dropped by kShed on a full queue
-  size_t shed_timeout = 0;     ///< dropped by kTimeout after the wait bound
-  size_t shed_expired = 0;     ///< deadline expired in-queue; never executed
-};
-
 /// Fully assembled kNN-search system with pluggable caching.
 class System {
  public:
@@ -193,21 +151,19 @@ class System {
   /// query pins the cache generation published at its start.
   Status Query(std::span<const Scalar> q, size_t k, QueryResult* out);
 
-  /// The one batch entry: runs `queries` on a pool of `options.n_threads`
-  /// workers, then folds the results into `report->agg` (I/O converted to
+  /// The one batch entry: runs `queries` on the calling thread plus
+  /// `n_threads - 1` helpers, each taking the next query index from one
+  /// shared cursor, then folds the results into `*agg` (I/O converted to
   /// modeled time with the disk model); `per_query`, when non-null,
-  /// receives the result of queries[i] at index i. Under blocking admission
-  /// (the default) every result and the aggregate are bit-exact at any
-  /// thread count (docs/CONCURRENCY.md). The open-loop options
-  /// (docs/ROBUSTNESS.md) charge queue wait against the deadline and shed
-  /// instead of failing when saturated; shed queries are first-class
-  /// results (`QueryResult::shed()`), and the report reconciles exactly
-  /// (completed + shed == submitted). Maintenance may rebuild the cache
+  /// receives the result of queries[i] at index i. Every result and the
+  /// aggregate are bit-exact at any thread count (docs/CONCURRENCY.md);
+  /// n_threads == 1 runs the batch on the caller in query order, and
+  /// n_threads == 0 is InvalidArgument. Maintenance may rebuild the cache
   /// meanwhile; each query keeps the generation it started with. A failing
-  /// query does not stop the batch: Serve drains it, then returns the first
-  /// error in query order.
+  /// query does not stop the batch: Serve runs the rest, then returns the
+  /// first error in query order.
   Status Serve(const std::vector<std::vector<Scalar>>& queries, size_t k,
-               const ServeOptions& options, ServeReport* report,
+               size_t n_threads, AggregateResult* agg,
                std::vector<QueryResult>* per_query = nullptr);
 
   /// Builds the global histogram a method would use at code length tau.
@@ -267,11 +223,6 @@ class System {
   /// when that capacity changes). nullptr detaches.
   void SetCacheAnalytics(obs::CacheAnalytics* analytics);
 
-  /// Samples queue depth, worker occupancy and queue-lifetime stats from the
-  /// pool currently running Serve (zeros when idle) into the attached
-  /// window. Wired as the StatsPublisher pre-sample hook.
-  void SampleWorkerGauges();
-
   /// Cost-model prediction for the currently configured cache at the
   /// budget/tau of the last ConfigureCache call. Supported for EXACT and the
   /// global-histogram methods (HC-*); per-dimension, multi-dimensional and
@@ -309,19 +260,14 @@ class System {
   void InstallCacheTap();
 
   /// Runs one query through the engine, then the sink. Both entry points
-  /// (Query, and Serve's workers) execute through it.
-  Status Execute(std::span<const Scalar> q, size_t k, const QueryContext& ctx,
-                 uint64_t query_index, QueryResult* out);
+  /// (Query, and Serve's threads) execute through it.
+  Status Execute(std::span<const Scalar> q, size_t k, uint64_t query_index,
+                 QueryResult* out);
 
   /// The one per-query telemetry sink: feeds the engine.* / system.*
   /// instruments, the window and the flight recorder. `query_index` is the
-  /// query's slot in its batch (0 for a single Query). A shed query reaches
-  /// only the window and recorder.
+  /// query's slot in its batch (0 for a single Query).
   void OnQueryFinished(const QueryResult& r, uint64_t query_index);
-
-  /// Marks a result shed with `cause` and passes it to the sink.
-  void MarkShed(QueryResult* r, obs::ShedCause cause, double queue_wait_ms,
-                uint64_t query_index);
 
   /// Modeled response of one executed query: its measured phase time plus
   /// the disk model over its page counts. `modeled_io`, when non-null,
@@ -409,12 +355,6 @@ class System {
     obs::Gauge* modeled_io_seconds = nullptr;
   } instruments_ EEB_UNGUARDED(
       "bound before serving; the instruments are internally atomic");
-
-  // Pool currently executing Serve (nullptr when idle); lets
-  // SampleWorkerGauges observe queue depth / busy workers from the
-  // stats-publisher thread while a batch is in flight.
-  mutable Mutex pool_mu_;
-  ThreadPool* active_pool_ EEB_GUARDED_BY(pool_mu_) = nullptr;
 
   // Monotonic id stamped on each published cache generation (explain
   // records reference it).

@@ -63,20 +63,6 @@ const char* DegradedCauseName(DegradedCause cause) {
   return "unknown";
 }
 
-const char* ShedCauseName(ShedCause cause) {
-  switch (cause) {
-    case ShedCause::kNone:
-      return "none";
-    case ShedCause::kQueueFull:
-      return "queue_full";
-    case ShedCause::kQueueTimeout:
-      return "queue_timeout";
-    case ShedCause::kDeadlineExpired:
-      return "deadline_expired";
-  }
-  return "unknown";
-}
-
 void AppendExplainJson(const QueryExplain& e, std::string* out) {
   AppendF(out,
           "{\"cache_generation\":%" PRIu64
@@ -89,11 +75,8 @@ void AppendExplainJson(const QueryExplain& e, std::string* out) {
           "\"substituted\":%u,\"read_failures\":%u,\"degraded_cause\":\"%s\"",
           e.point_reads, e.pages_read, e.distinct_pages, e.substituted,
           e.read_failures, DegradedCauseName(e.degraded_cause));
-  AppendF(out,
-          ",\"degraded\":%s,\"deadline_hit\":%s,\"shed_cause\":\"%s\","
-          "\"queue_wait_ms\":%.9g",
-          e.degraded ? "true" : "false", e.deadline_hit ? "true" : "false",
-          ShedCauseName(e.shed_cause), e.queue_wait_ms);
+  AppendF(out, ",\"degraded\":%s,\"deadline_hit\":%s",
+          e.degraded ? "true" : "false", e.deadline_hit ? "true" : "false");
   out->append(",\"lbk\":");
   AppendJsonDouble(out, e.lbk);
   out->append(",\"ubk\":");
@@ -206,10 +189,7 @@ uint64_t FlightRecorder::Record(QueryRecord record) {
   const bool degraded =
       record.explain.degraded_cause != DegradedCause::kNone ||
       record.explain.read_failures > 0;
-  // Shed queries are always interesting: they are the direct evidence of
-  // admission control acting, and there are few of them relative to traffic
-  // in any healthy window.
-  if (slow || degraded || record.explain.shed()) {
+  if (slow || degraded) {
     retained_total_.fetch_add(1, std::memory_order_relaxed);
     MutexLock lock(slow_mu_);
     slow_.push_back(record);

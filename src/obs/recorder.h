@@ -54,19 +54,6 @@ enum class DegradedCause : uint8_t {
 
 const char* DegradedCauseName(DegradedCause cause);
 
-/// Why a query was shed (never executed) by admission control
-/// (docs/ROBUSTNESS.md). A shed query has an empty result and a non-kNone
-/// cause in its record; it is counted separately from degraded queries,
-/// whose answers are best-effort but real.
-enum class ShedCause : uint8_t {
-  kNone = 0,
-  kQueueFull = 1,        // shed policy: TryPush found the queue at capacity
-  kQueueTimeout = 2,     // timeout policy: the bounded producer wait expired
-  kDeadlineExpired = 3,  // queue wait consumed the end-to-end deadline
-};
-
-const char* ShedCauseName(ShedCause cause);
-
 /// Per-candidate trace event kinds, recorded into QueryResult::events when
 /// EngineOptions::trace_events is set.
 enum class TraceEventType : uint8_t {
@@ -119,19 +106,13 @@ struct QueryExplain {
   uint32_t substituted = 0;    // candidates scored by cached ub, not disk
   uint32_t read_failures = 0;  // point reads that ultimately failed
   DegradedCause degraded_cause = DegradedCause::kNone;
-  ShedCause shed_cause = ShedCause::kNone;  // non-kNone => query never ran
   // A degraded answer is the best the cached code bounds can give when the
   // disk cannot be read; its ids may differ from the exact answer. Neither
   // flag follows from degraded_cause: a failed read or a deadline cut may
   // substitute nothing, and a read-failure cause masks a deadline cut.
   bool degraded = false;       // some result came from cached bounds
   bool deadline_hit = false;   // a phase was cut over by the deadline
-  uint8_t pad_[4] = {};        // keep sizeof a multiple of 8 explicitly
-  double queue_wait_ms = 0.0;  // admission-to-dequeue wait (Serve path)
-
-  /// Dropped by admission control: the engine never ran, so every funnel
-  /// count is zero and the query has no answer.
-  bool shed() const { return shed_cause != ShedCause::kNone; }
+  uint8_t pad_[5] = {};        // keep sizeof a multiple of 8 explicitly
 };
 static_assert(std::is_trivially_copyable_v<QueryExplain>);
 static_assert(sizeof(QueryExplain) % 8 == 0);

@@ -39,7 +39,6 @@ void WindowedMetrics::Slice::Clear(uint64_t new_epoch) {
   degraded = 0;
   deadline_hits = 0;
   read_failures = 0;
-  shed = 0;
   tap_misses = 0;
   tap_admits = 0;
   tap_evictions = 0;
@@ -63,12 +62,6 @@ WindowedMetrics::Slice& WindowedMetrics::Touch(double now) {
 
 void WindowedMetrics::RecordQuery(const QueryRecord& record) {
   const QueryExplain& q = record.explain;
-  if (q.shed()) {
-    total_shed_.fetch_add(1, std::memory_order_relaxed);
-    MutexLock lock(mu_);
-    Touch(options_.now()).shed += 1;
-    return;
-  }
   const double seconds = record.response_seconds;
   total_queries_.fetch_add(1, std::memory_order_relaxed);
   total_candidates_.fetch_add(q.candidates, std::memory_order_relaxed);
@@ -102,20 +95,6 @@ void WindowedMetrics::SetCacheTap(std::function<CacheTapSample()> tap) {
   // Re-base: activity before installation belongs to no slice.
   tap_base_ = tap_ ? tap_() : CacheTapSample{};
   tap_based_ = static_cast<bool>(tap_);
-}
-
-void WindowedMetrics::SampleQueue(uint64_t queue_depth, uint64_t busy_workers,
-                                  uint64_t workers) {
-  queue_depth_.store(queue_depth, std::memory_order_relaxed);
-  busy_workers_.store(busy_workers, std::memory_order_relaxed);
-  workers_.store(workers, std::memory_order_relaxed);
-}
-
-void WindowedMetrics::SampleQueueStats(uint64_t capacity, uint64_t max_depth,
-                                       uint64_t rejected) {
-  queue_capacity_.store(capacity, std::memory_order_relaxed);
-  queue_max_depth_.store(max_depth, std::memory_order_relaxed);
-  queue_rejected_.store(rejected, std::memory_order_relaxed);
 }
 
 void WindowedMetrics::DrainTapLocked(double now) {
@@ -172,7 +151,6 @@ WindowSnapshot WindowedMetrics::GetSnapshot() {
     snap.degraded += slice.degraded;
     snap.deadline_hits += slice.deadline_hits;
     snap.read_failures += slice.read_failures;
-    snap.shed += slice.shed;
     snap.cache_admits += slice.tap_admits;
     snap.cache_evictions += slice.tap_evictions;
     tap_misses += slice.tap_misses;
@@ -206,30 +184,15 @@ WindowSnapshot WindowedMetrics::GetSnapshot() {
     snap.degraded_rate = static_cast<double>(snap.degraded) /
                          static_cast<double>(snap.queries);
   }
-  if (snap.queries + snap.shed > 0) {
-    snap.shed_rate = static_cast<double>(snap.shed) /
-                     static_cast<double>(snap.queries + snap.shed);
-  }
   if (tap_misses > 0) {
     snap.admit_ratio = static_cast<double>(snap.cache_admits) /
                        static_cast<double>(tap_misses);
   }
-  snap.queue_depth = queue_depth_.load(std::memory_order_relaxed);
-  snap.busy_workers = busy_workers_.load(std::memory_order_relaxed);
-  snap.workers = workers_.load(std::memory_order_relaxed);
-  if (snap.workers > 0) {
-    snap.worker_utilization = static_cast<double>(snap.busy_workers) /
-                              static_cast<double>(snap.workers);
-  }
-  snap.queue_capacity = queue_capacity_.load(std::memory_order_relaxed);
-  snap.queue_max_depth = queue_max_depth_.load(std::memory_order_relaxed);
-  snap.queue_rejected = queue_rejected_.load(std::memory_order_relaxed);
 
   snap.total_queries = total_queries_.load(std::memory_order_relaxed);
   snap.total_candidates = total_candidates_.load(std::memory_order_relaxed);
   snap.total_cache_hits = total_cache_hits_.load(std::memory_order_relaxed);
   snap.total_degraded = total_degraded_.load(std::memory_order_relaxed);
-  snap.total_shed = total_shed_.load(std::memory_order_relaxed);
   return snap;
 }
 
@@ -261,20 +224,6 @@ void WindowedMetrics::PublishSnapshot(const WindowSnapshot& s,
       ->Set(static_cast<double>(s.deadline_hits));
   registry->GetGauge("live.read_failures")
       ->Set(static_cast<double>(s.read_failures));
-  registry->GetGauge("live.shed")->Set(static_cast<double>(s.shed));
-  registry->GetGauge("live.shed_rate")->Set(s.shed_rate);
-  registry->GetGauge("live.queue_depth")
-      ->Set(static_cast<double>(s.queue_depth));
-  registry->GetGauge("live.busy_workers")
-      ->Set(static_cast<double>(s.busy_workers));
-  registry->GetGauge("live.workers")->Set(static_cast<double>(s.workers));
-  registry->GetGauge("live.worker_utilization")->Set(s.worker_utilization);
-  registry->GetGauge("live.queue_capacity")
-      ->Set(static_cast<double>(s.queue_capacity));
-  registry->GetGauge("live.queue_max_depth")
-      ->Set(static_cast<double>(s.queue_max_depth));
-  registry->GetGauge("live.queue_rejected")
-      ->Set(static_cast<double>(s.queue_rejected));
 }
 
 std::string WindowSnapshotJson(const WindowSnapshot& s, double uptime) {
@@ -295,24 +244,13 @@ std::string WindowSnapshotJson(const WindowSnapshot& s, double uptime) {
           s.cache_evictions, s.admit_ratio);
   AppendF(&out,
           ",\"degraded\":%" PRIu64 ",\"degraded_rate\":%.9g"
-          ",\"deadline_hits\":%" PRIu64 ",\"read_failures\":%" PRIu64
-          ",\"shed\":%" PRIu64 ",\"shed_rate\":%.9g",
-          s.degraded, s.degraded_rate, s.deadline_hits, s.read_failures,
-          s.shed, s.shed_rate);
-  AppendF(&out,
-          ",\"queue_depth\":%" PRIu64 ",\"busy_workers\":%" PRIu64
-          ",\"workers\":%" PRIu64 ",\"worker_utilization\":%.9g"
-          ",\"queue_capacity\":%" PRIu64 ",\"queue_max_depth\":%" PRIu64
-          ",\"queue_rejected\":%" PRIu64,
-          s.queue_depth, s.busy_workers, s.workers, s.worker_utilization,
-          s.queue_capacity, s.queue_max_depth, s.queue_rejected);
-  out += "}";
+          ",\"deadline_hits\":%" PRIu64 ",\"read_failures\":%" PRIu64 "}",
+          s.degraded, s.degraded_rate, s.deadline_hits, s.read_failures);
   AppendF(&out,
           ",\"cumulative\":{\"queries\":%" PRIu64 ",\"candidates\":%" PRIu64
-          ",\"cache_hits\":%" PRIu64 ",\"degraded\":%" PRIu64
-          ",\"shed\":%" PRIu64 "}}",
+          ",\"cache_hits\":%" PRIu64 ",\"degraded\":%" PRIu64 "}}",
           s.total_queries, s.total_candidates, s.total_cache_hits,
-          s.total_degraded, s.total_shed);
+          s.total_degraded);
   return out;
 }
 
@@ -333,7 +271,6 @@ StatsPublisher::StatsPublisher(WindowedMetrics* window,
 StatsPublisher::~StatsPublisher() { Stop(); }
 
 void StatsPublisher::PublishOnce() {
-  if (options_.pre_sample) options_.pre_sample();
   const WindowSnapshot snap = window_->GetSnapshot();
   WindowedMetrics::PublishSnapshot(snap, registry_);
   if (sink_ != nullptr) {

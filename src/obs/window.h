@@ -3,8 +3,7 @@
 // WindowedMetrics answers "what is happening right now": sliding-window QPS,
 // windowed latency percentiles (same log-bucket math as LatencyHistogram,
 // so live and cumulative quantiles quantize identically), an EWMA latency,
-// windowed cache hit/admit/evict ratios fed by a cache tap, and queue-depth
-// / worker-utilization gauges sampled from the thread pool.
+// and windowed cache hit/admit/evict ratios fed by a cache tap.
 //
 // The window is a ring of epoch-stamped slices (window_seconds / slices
 // wide). Recording touches only the current slice; stale slices are zeroed
@@ -73,26 +72,14 @@ struct WindowSnapshot {
   double degraded_rate = 0.0;
   uint64_t deadline_hits = 0;
   uint64_t read_failures = 0;
-  uint64_t shed = 0;      // admission-dropped arrivals in the window
-  double shed_rate = 0.0;  // shed / (queries + shed): fraction of arrivals
   uint64_t cache_admits = 0;     // from the cache tap, windowed
   uint64_t cache_evictions = 0;  // from the cache tap, windowed
   double admit_ratio = 0.0;      // admits / misses in the window
-  // Latest sampled pool gauges (not windowed; last observation wins).
-  uint64_t queue_depth = 0;
-  uint64_t busy_workers = 0;
-  uint64_t workers = 0;
-  double worker_utilization = 0.0;  // busy / workers
-  // Latest sampled queue-lifetime stats (cumulative; last observation wins).
-  uint64_t queue_capacity = 0;
-  uint64_t queue_max_depth = 0;
-  uint64_t queue_rejected = 0;
   // Since-construction totals for reconciliation with cumulative counters.
   uint64_t total_queries = 0;
   uint64_t total_candidates = 0;
   uint64_t total_cache_hits = 0;
   uint64_t total_degraded = 0;
-  uint64_t total_shed = 0;
 };
 
 class WindowedMetrics {
@@ -103,23 +90,13 @@ class WindowedMetrics {
   WindowedMetrics& operator=(const WindowedMetrics&) = delete;
 
   /// Folds one finished query into the current slice: its modeled
-  /// response and funnel. A shed query counts only toward the shed rate;
-  /// it never executed, so it must not dilute latency, QPS or the funnel.
+  /// response and funnel.
   void RecordQuery(const QueryRecord& record) EEB_EXCLUDES(mu_);
 
   /// Installs the cumulative cache-activity tap. The window differences
   /// successive tap readings into slices at snapshot time; re-installation
   /// (e.g. after a cache generation swap) re-bases the deltas.
   void SetCacheTap(std::function<CacheTapSample()> tap) EEB_EXCLUDES(mu_);
-
-  /// Records the latest queue/worker observation (sampled, not windowed).
-  void SampleQueue(uint64_t queue_depth, uint64_t busy_workers,
-                   uint64_t workers);
-
-  /// Records the latest queue-lifetime stats (capacity, high-water depth,
-  /// admission rejections). Sampled like SampleQueue: last observation wins.
-  void SampleQueueStats(uint64_t capacity, uint64_t max_depth,
-                        uint64_t rejected);
 
   WindowSnapshot GetSnapshot() EEB_EXCLUDES(mu_);
 
@@ -144,7 +121,6 @@ class WindowedMetrics {
     uint64_t degraded = 0;
     uint64_t deadline_hits = 0;
     uint64_t read_failures = 0;
-    uint64_t shed = 0;
     uint64_t tap_misses = 0;
     uint64_t tap_admits = 0;
     uint64_t tap_evictions = 0;
@@ -172,34 +148,24 @@ class WindowedMetrics {
   CacheTapSample tap_base_ EEB_GUARDED_BY(mu_);  // last tap reading
   bool tap_based_ EEB_GUARDED_BY(mu_) = false;
 
-  std::atomic<uint64_t> queue_depth_{0};
-  std::atomic<uint64_t> busy_workers_{0};
-  std::atomic<uint64_t> workers_{0};
-  std::atomic<uint64_t> queue_capacity_{0};
-  std::atomic<uint64_t> queue_max_depth_{0};
-  std::atomic<uint64_t> queue_rejected_{0};
-
   std::atomic<uint64_t> total_queries_{0};
   std::atomic<uint64_t> total_candidates_{0};
   std::atomic<uint64_t> total_cache_hits_{0};
   std::atomic<uint64_t> total_degraded_{0};
-  std::atomic<uint64_t> total_shed_{0};
 };
 
 /// Renders one snapshot as a single JSON line (no trailing newline).
 std::string WindowSnapshotJson(const WindowSnapshot& snap, double uptime);
 
 /// Periodic snapshot publisher: a background thread that every interval
-/// samples the window (after running an optional pre-sample hook, e.g.
-/// System::SampleWorkerGauges), publishes "live.*" gauges to `registry`
-/// (when non-null), and appends one JSON line to `sink`. The sink must
+/// samples the window, publishes "live.*" gauges to `registry` (when
+/// non-null), and appends one JSON line to `sink`. The sink must
 /// outlive the publisher; Stop() (also run by the destructor) joins the
 /// thread and emits one final line so short runs still produce output.
 class StatsPublisher {
  public:
   struct Options {
     int interval_ms = 1000;
-    std::function<void()> pre_sample;  // runs before each snapshot
   };
 
   StatsPublisher(WindowedMetrics* window, MetricsRegistry* registry,

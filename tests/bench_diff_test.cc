@@ -406,100 +406,6 @@ TEST(BenchDiffTest, CellsWithoutAnalyticsSectionsAreUnaffectedByMrcGates) {
   EXPECT_TRUE(r.ok());
 }
 
-// ---------------------------------------------------------- overload gates
-
-/// Overload-suite artifact: one modeled open-loop cell and one live Serve
-/// cell, the two shapes RunOverloadSuite emits.
-std::string OverloadArtifact(double goodput_ratio, bool answers_ok,
-                             bool reconciled,
-                             const std::string& cell_prefix = "") {
-  char cells[768];
-  std::snprintf(
-      cells, sizeof(cells),
-      "{\"name\":\"%soffered_2x\",\"overload\":{\"offered_multiplier\":2,"
-      "\"arrival_qps\":100,\"capacity_qps\":50,\"submitted\":50,"
-      "\"completed\":25,\"shed\":25,\"shed_rate\":0.5,\"goodput_qps\":48,"
-      "\"goodput_ratio\":%g,\"p95_sojourn_seconds\":0.4}},"
-      "{\"name\":\"%sserve_shed\",\"serve\":{\"admission\":\"shed\","
-      "\"threads\":4,\"queue_capacity\":4,\"submitted\":50,\"completed\":40,"
-      "\"shed\":10,\"shed_queue_full\":10,\"shed_timeout\":0,"
-      "\"shed_expired\":0,\"answers_ok\":%s,"
-      "\"reconciled\":%s}}",
-      cell_prefix.c_str(), goodput_ratio, cell_prefix.c_str(),
-      answers_ok ? "true" : "false", reconciled ? "true" : "false");
-  return std::string(
-             "{\"schema_version\":1,\"suite\":\"overload\","
-             "\"dataset\":{\"name\":\"smoke\",\"n\":20000,\"dim\":32,"
-             "\"ndom\":256,\"seed\":5},\"log\":{\"test_size\":50,\"seed\":2},"
-             "\"quick\":false,"
-             "\"build\":{\"compiler\":\"x\",\"type\":\"release\"},"
-             "\"config\":{\"method\":\"HC-O\",\"k\":10,\"threads\":4},"
-             "\"cells\":[") +
-         cells + "]}";
-}
-
-TEST(BenchDiffTest, CleanOverloadArtifactPasses) {
-  const std::string a = OverloadArtifact(0.97, true, true);
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(a, a, DiffOptions{}, &r).ok());
-  EXPECT_TRUE(r.ok()) << (r.regressions.empty() ? "" : r.regressions[0]);
-}
-
-TEST(BenchDiffTest, GoodputBelowTheFloorFailsRegardlessOfBaseline) {
-  // Current-only gate: even a baseline that was itself below the floor
-  // cannot excuse a current run below it.
-  const std::string base = OverloadArtifact(0.42, true, true);
-  const std::string cur = OverloadArtifact(0.42, true, true);
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.regressions[0].find("goodput"), std::string::npos)
-      << r.regressions[0];
-}
-
-TEST(BenchDiffTest, ShedAnswersNotBitExactFails) {
-  const std::string base = OverloadArtifact(0.97, true, true);
-  const std::string cur = OverloadArtifact(0.97, false, true);
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.regressions[0].find("bit-exact"), std::string::npos)
-      << r.regressions[0];
-}
-
-TEST(BenchDiffTest, UnreconciledServeReportFails) {
-  const std::string base = OverloadArtifact(0.97, true, true);
-  const std::string cur = OverloadArtifact(0.97, true, false);
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.regressions[0].find("reconcile"), std::string::npos)
-      << r.regressions[0];
-}
-
-TEST(BenchDiffTest, GoodputFloorIsOverridable) {
-  const std::string a = OverloadArtifact(0.85, true, true);
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(a, a, DiffOptions{}, &r).ok());
-  EXPECT_FALSE(r.ok());  // default floor is 0.90
-  DiffOptions loose;
-  loose.min_goodput_ratio = 0.80;
-  ASSERT_TRUE(DiffBench(a, a, loose, &r).ok());
-  EXPECT_TRUE(r.ok());
-}
-
-TEST(BenchDiffTest, OverloadGatesApplyToCellsAbsentFromTheBaseline) {
-  // New cells are normally notes, never failures — but the overload gates
-  // are absolute, so a failing brand-new cell must still fail the diff.
-  const std::string base = OverloadArtifact(0.97, true, true);
-  const std::string cur = OverloadArtifact(0.42, false, true, "new_");
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
-  ASSERT_FALSE(r.ok());
-  // Both the goodput floor and the exactness gate fired on the new cells.
-  EXPECT_GE(r.regressions.size(), 2u);
-}
-
 TEST(BenchDiffTest, MalformedInputIsAnInputErrorNotACrash) {
   const std::string a = Artifact(0.46, 0.47, 25, 0.95);
   DiffResult r;

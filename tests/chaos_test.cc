@@ -198,13 +198,9 @@ TEST(ChaosTest, EightThreadsFaultyDiskNeverAbortsAndReconciles) {
   plan.seed = 29;
   rig.env.set_plan(plan);
 
-  core::ServeReport report;
-  const core::AggregateResult& agg = report.agg;
+  core::AggregateResult agg;
   std::vector<core::QueryResult> results;
-  ASSERT_TRUE(rig.system
-                  ->Serve(rig.log.test, k, {.n_threads = 8}, &report,
-                          &results)
-                  .ok());
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 8, &agg, &results).ok());
 
   uint64_t reported_failures = 0;
   size_t degraded = 0;
@@ -233,10 +229,7 @@ TEST(ChaosTest, EightThreadsFaultyDiskNeverAbortsAndReconciles) {
   // Healthy disk again: the concurrent path returns to bit-exact answers.
   storage::FaultPlan healthy;
   rig.env.set_plan(healthy);
-  ASSERT_TRUE(rig.system
-                  ->Serve(rig.log.test, k, {.n_threads = 8}, &report,
-                          &results)
-                  .ok());
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 8, &agg, &results).ok());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_FALSE(results[i].degraded);
     EXPECT_EQ(results[i].result_ids, truth[i]) << "query " << i;
@@ -244,12 +237,12 @@ TEST(ChaosTest, EightThreadsFaultyDiskNeverAbortsAndReconciles) {
   EXPECT_EQ(agg.read_failures, 0u);
 }
 
-TEST(ChaosTest, ShedSoakOnAFlakyDiskStaysAccountable) {
+TEST(ChaosTest, SickHealthySoakAtEightThreadsStaysAccountable) {
   core::SystemOptions opt;
   opt.ndom = 256;
   // Retries off: every injected fault surfaces as exactly one engine-level
-  // read failure of a query that ran, so each round reconciles with the
-  // injector as well as with its own report.
+  // read failure, so each round reconciles with the injector as well as
+  // with its own aggregate.
   opt.io_retry.max_retries = 0;
   ChaosRig rig(opt);
   const size_t k = 10;
@@ -263,10 +256,9 @@ TEST(ChaosTest, ShedSoakOnAFlakyDiskStaysAccountable) {
     truth.push_back(r.result_ids);
   }
 
-  // Alternate sick and healthy rounds under open-loop shedding: 8 workers
-  // behind a 4-slot queue, so admission drops arrivals while reads fail.
-  // Nothing aborts, every report reconciles exactly, shed queries never
-  // ran, and unflagged answers stay bit-exact.
+  // Alternate sick and healthy rounds on 8 threads. Nothing aborts, every
+  // round's aggregate reconciles with its queries and with the injector,
+  // and unflagged answers stay bit-exact.
   for (int round = 0; round < 4; ++round) {
     if (round % 2 == 0) {
       storage::FaultPlan plan;
@@ -277,37 +269,22 @@ TEST(ChaosTest, ShedSoakOnAFlakyDiskStaysAccountable) {
     } else {
       rig.env.set_plan({});
     }
-    core::ServeOptions sopt;
-    sopt.n_threads = 8;
-    sopt.queue_capacity = 4;
-    sopt.admission = core::AdmissionPolicy::kShed;
-    core::ServeReport report;
+    core::AggregateResult agg;
     std::vector<core::QueryResult> per_query;
-    ASSERT_TRUE(
-        rig.system->Serve(rig.log.test, k, sopt, &report, &per_query).ok())
+    ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 8, &agg, &per_query).ok())
         << "round " << round;
-    EXPECT_EQ(report.completed + report.shed, report.submitted);
-    EXPECT_EQ(report.submitted, rig.log.test.size());
-    EXPECT_EQ(report.shed_queue_full + report.shed_timeout +
-                  report.shed_expired,
-              report.shed);
-    size_t flagged_shed = 0;
+    ASSERT_EQ(per_query.size(), rig.log.test.size());
     uint64_t reported_failures = 0;
     for (size_t i = 0; i < per_query.size(); ++i) {
       reported_failures += per_query[i].read_failures;
-      if (per_query[i].shed()) {
-        flagged_shed++;
-        EXPECT_TRUE(per_query[i].result_ids.empty());
-        EXPECT_EQ(per_query[i].fetched, 0u);
-      } else if (!per_query[i].degraded) {
+      if (!per_query[i].degraded) {
         // A query the engine did not flag is the exact fault-free answer.
         EXPECT_EQ(per_query[i].result_ids, truth[i])
             << "round " << round << " query " << i;
       }
     }
-    EXPECT_EQ(flagged_shed, report.shed);
-    EXPECT_EQ(report.agg.queries, report.completed);
-    EXPECT_EQ(report.agg.read_failures, reported_failures);
+    EXPECT_EQ(agg.queries, rig.log.test.size());
+    EXPECT_EQ(agg.read_failures, reported_failures);
     EXPECT_EQ(reported_failures, rig.env.injected_read_faults() +
                                      rig.env.injected_corruptions())
         << "round " << round;
@@ -316,13 +293,9 @@ TEST(ChaosTest, ShedSoakOnAFlakyDiskStaysAccountable) {
   // Recovery: on a healthy disk the concurrent path returns to bit-exact
   // answers all the way through.
   rig.env.set_plan({});
-  core::ServeReport report;
-  const core::AggregateResult& agg = report.agg;
+  core::AggregateResult agg;
   std::vector<core::QueryResult> results;
-  ASSERT_TRUE(rig.system
-                  ->Serve(rig.log.test, k, {.n_threads = 8}, &report,
-                          &results)
-                  .ok());
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 8, &agg, &results).ok());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_FALSE(results[i].degraded) << "query " << i;
     EXPECT_EQ(results[i].result_ids, truth[i]) << "query " << i;
@@ -351,12 +324,9 @@ TEST(ChaosTest, FlightRecorderCapturesEveryDegradedQueryWithItsCause) {
   plan.seed = 31;
   rig.env.set_plan(plan);
 
-  core::ServeReport report;
+  core::AggregateResult agg;
   std::vector<core::QueryResult> results;
-  ASSERT_TRUE(rig.system
-                  ->Serve(rig.log.test, k, {.n_threads = 8}, &report,
-                          &results)
-                  .ok());
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 8, &agg, &results).ok());
   EXPECT_EQ(recorder.recorded(), results.size());
 
   // Every degraded query must be in the tail-retained list, carrying the
@@ -422,9 +392,8 @@ TEST(ChaosTest, AggregateDegradedAccountingMatchesPerQuery) {
   }
 
   rig.env.set_plan(plan);  // replay the exact same fault sequence
-  core::ServeReport report;
-  ASSERT_TRUE(rig.system->Serve(rig.log.test, 10, {}, &report).ok());
-  const core::AggregateResult& agg = report.agg;
+  core::AggregateResult agg;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, 10, 1, &agg).ok());
   EXPECT_EQ(agg.degraded_queries, degraded);
   EXPECT_EQ(agg.read_failures, failures);
   EXPECT_DOUBLE_EQ(agg.degraded_rate,

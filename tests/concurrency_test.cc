@@ -1,17 +1,16 @@
-// Concurrency tests (docs/CONCURRENCY.md): the worker-pool primitives, and
-// the backbone invariant of the batch entry — N workers in one System::Serve
-// call produce bit-exact per-query results, bit-exact I/O-derived
-// aggregates, and merged HFF cache counters equal to the serial totals, for
-// every static cache method. One test races queries against
-// maintenance-style cache rebuilds: publication is atomic, so every answer
-// stays exact. Golden hashes pin what a one-worker batch does to an LRU
-// cache (EXACT, HC-O, iHC-O) and what a static fill leaves in every method.
+// Concurrency tests (docs/CONCURRENCY.md): the backbone invariant of the
+// batch entry — N threads in one System::Serve call produce bit-exact
+// per-query results, bit-exact I/O-derived aggregates, and merged HFF cache
+// counters equal to the serial totals, for every static cache method. One
+// test races queries against maintenance-style cache rebuilds: publication
+// is atomic, so every answer stays exact. A failing query does not stop the
+// batch. Golden hashes pin what a one-thread batch does to an LRU cache
+// (EXACT, HC-O, iHC-O) and what a static fill leaves in every method.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -22,8 +21,6 @@
 #include "cache/knn_cache.h"
 #include "common/dataset.h"
 #include "core/system.h"
-#include "core/task_queue.h"
-#include "core/thread_pool.h"
 #include "hist/frequency.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
@@ -33,162 +30,6 @@ namespace eeb {
 namespace {
 
 constexpr size_t kThreads = 8;
-
-// ---- BoundedTaskQueue / ThreadPool units ---------------------------------
-
-TEST(BoundedTaskQueueTest, FifoSingleThread) {
-  core::BoundedTaskQueue q(4);
-  std::vector<int> order;
-  ASSERT_TRUE(q.Push([&] { order.push_back(1); }));
-  ASSERT_TRUE(q.Push([&] { order.push_back(2); }));
-  core::BoundedTaskQueue::Task t;
-  ASSERT_TRUE(q.Pop(&t));
-  t();
-  ASSERT_TRUE(q.Pop(&t));
-  t();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(BoundedTaskQueueTest, ShutdownRejectsPushButDrainsPending) {
-  core::BoundedTaskQueue q(4);
-  int ran = 0;
-  ASSERT_TRUE(q.Push([&] { ran++; }));
-  q.Shutdown();
-  EXPECT_FALSE(q.Push([&] { ran += 100; }));
-  core::BoundedTaskQueue::Task t;
-  ASSERT_TRUE(q.Pop(&t));  // enqueued before Shutdown: still delivered
-  t();
-  EXPECT_FALSE(q.Pop(&t));  // closed and drained
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(BoundedTaskQueueTest, PushBlocksAtCapacityUntilPop) {
-  core::BoundedTaskQueue q(1);
-  ASSERT_TRUE(q.Push([] {}));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(q.Push([] {}));  // blocks until the consumer pops
-    second_pushed.store(true);
-  });
-  // The producer must be blocked: the queue is full.
-  EXPECT_EQ(q.size(), 1u);
-  core::BoundedTaskQueue::Task t;
-  ASSERT_TRUE(q.Pop(&t));
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-}
-
-TEST(BoundedTaskQueueTest, TryPushShedsWhenFullAndRecoversAfterPop) {
-  core::BoundedTaskQueue q(2);
-  EXPECT_EQ(q.TryPush([] {}), core::PushOutcome::kAccepted);
-  EXPECT_EQ(q.TryPush([] {}), core::PushOutcome::kAccepted);
-  // Full: the verdict is immediate, no blocking.
-  EXPECT_EQ(q.TryPush([] {}), core::PushOutcome::kFull);
-  core::BoundedTaskQueue::Task t;
-  ASSERT_TRUE(q.Pop(&t));
-  // One freed slot is enough to admit again.
-  EXPECT_EQ(q.TryPush([] {}), core::PushOutcome::kAccepted);
-}
-
-TEST(BoundedTaskQueueTest, TryPushAfterShutdownReportsClosed) {
-  core::BoundedTaskQueue q(4);
-  q.Shutdown();
-  // kClosed, not kFull: the caller must distinguish "overloaded" (retry
-  // later) from "wound down" (stop submitting).
-  EXPECT_EQ(q.TryPush([] {}), core::PushOutcome::kClosed);
-  EXPECT_EQ(q.PushWithDeadline([] {}, 50.0), core::PushOutcome::kClosed);
-}
-
-TEST(BoundedTaskQueueTest, PushWithDeadlineTimesOutOnAPersistentlyFullQueue) {
-  core::BoundedTaskQueue q(1);
-  EXPECT_EQ(q.TryPush([] {}), core::PushOutcome::kAccepted);
-  // Nobody pops: the bounded wait must expire with kTimedOut, naming the
-  // policy that rejected the task (not kFull).
-  EXPECT_EQ(q.PushWithDeadline([] {}, 5.0), core::PushOutcome::kTimedOut);
-  // A zero budget degenerates to TryPush semantics.
-  EXPECT_EQ(q.PushWithDeadline([] {}, 0.0), core::PushOutcome::kTimedOut);
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(BoundedTaskQueueTest, PushWithDeadlineAdmitsWhenAConsumerFreesASlot) {
-  core::BoundedTaskQueue q(1);
-  EXPECT_EQ(q.TryPush([] {}), core::PushOutcome::kAccepted);
-  std::thread consumer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    core::BoundedTaskQueue::Task t;
-    ASSERT_TRUE(q.Pop(&t));
-  });
-  // A generous budget outlives the consumer's delay: the wait ends in
-  // admission, not a timeout.
-  EXPECT_EQ(q.PushWithDeadline([] {}, 10000.0), core::PushOutcome::kAccepted);
-  consumer.join();
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(BoundedTaskQueueTest, StatsReconcileAttemptsAcrossShutdown) {
-  core::BoundedTaskQueue q(2);
-  uint64_t attempts = 0;
-  ASSERT_TRUE(q.Push([] {}));
-  attempts++;
-  EXPECT_EQ(q.TryPush([] {}), core::PushOutcome::kAccepted);
-  attempts++;
-  EXPECT_EQ(q.TryPush([] {}), core::PushOutcome::kFull);
-  attempts++;
-  EXPECT_EQ(q.PushWithDeadline([] {}, 0.0), core::PushOutcome::kTimedOut);
-  attempts++;
-
-  core::QueueStats s = q.Stats();
-  EXPECT_EQ(s.depth, 2u);
-  EXPECT_EQ(s.capacity, 2u);
-  EXPECT_EQ(s.max_depth, 2u);
-  EXPECT_EQ(s.pushed, 2u);
-  EXPECT_EQ(s.popped, 0u);
-  EXPECT_EQ(s.rejected, 2u);
-  EXPECT_FALSE(s.closed);
-  EXPECT_EQ(attempts, s.pushed + s.rejected);
-
-  core::BoundedTaskQueue::Task t;
-  ASSERT_TRUE(q.Pop(&t));
-  ASSERT_TRUE(q.Pop(&t));
-  q.Shutdown();
-  EXPECT_FALSE(q.Push([] {}));
-  attempts++;
-  EXPECT_EQ(q.TryPush([] {}), core::PushOutcome::kClosed);
-  attempts++;
-
-  // Totals survive Shutdown: the post-mortem of a saturated window reads
-  // the same numbers the live gauges published.
-  s = q.Stats();
-  EXPECT_TRUE(s.closed);
-  EXPECT_EQ(s.depth, 0u);
-  EXPECT_EQ(s.max_depth, 2u);
-  EXPECT_EQ(s.pushed, 2u);
-  EXPECT_EQ(s.popped, 2u);
-  EXPECT_EQ(s.rejected, 4u);
-  EXPECT_EQ(attempts, s.pushed + s.rejected);
-  EXPECT_FALSE(q.Pop(&t));
-}
-
-TEST(ThreadPoolTest, RunsEveryTaskAcrossThreads) {
-  core::ThreadPool pool(kThreads);
-  constexpr int kTasks = 500;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_TRUE(pool.Submit([&] { ran.fetch_add(1); }));
-  }
-  pool.Drain();
-  EXPECT_EQ(ran.load(), kTasks);
-  // Drain is a barrier, not a shutdown: the pool accepts more work.
-  ASSERT_TRUE(pool.Submit([&] { ran.fetch_add(1); }));
-  pool.Drain();
-  EXPECT_EQ(ran.load(), kTasks + 1);
-}
-
-TEST(ThreadPoolTest, DrainWithNothingSubmittedReturnsImmediately) {
-  core::ThreadPool pool(2);
-  pool.Drain();
-  EXPECT_EQ(pool.num_threads(), 2u);
-}
 
 // ---- Sharded counters vs snapshot/reset interleaving ----------------------
 
@@ -427,13 +268,11 @@ TEST(ConcurrencyTest, EightThreadsBitExactVsSerialReference) {
     const uint64_t serial_hits = after_serial.hits - before_serial.hits;
     const uint64_t serial_misses = after_serial.misses - before_serial.misses;
 
-    // Concurrent pass over the same shared system, 8 workers.
-    core::ServeReport report;
+    // Concurrent pass over the same shared system, 8 threads.
+    core::AggregateResult agg;
     std::vector<core::QueryResult> conc;
-    ASSERT_TRUE(rig.system
-                    ->Serve(rig.log.test, k, {.n_threads = kThreads}, &report,
-                            &conc)
-                    .ok());
+    ASSERT_TRUE(
+        rig.system->Serve(rig.log.test, k, kThreads, &agg, &conc).ok());
     const cache::CacheStats after_conc = rig.system->cache()->stats();
 
     // Every query is bit-exact vs the serial reference: ids and every count
@@ -464,15 +303,11 @@ TEST(ConcurrencyTest, AggregateBitExactOneVsEightWorkers) {
   ConcurrencyRig rig;
   const size_t k = 10;
 
-  core::ServeReport one, eight;
-  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, {}, &one).ok());
-  ASSERT_TRUE(rig.system
-                  ->Serve(rig.log.test, k, {.n_threads = kThreads}, &eight)
-                  .ok());
-  const core::AggregateResult& serial = one.agg;
-  const core::AggregateResult& conc = eight.agg;
+  core::AggregateResult serial, conc;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 1, &serial).ok());
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, kThreads, &conc).ok());
 
-  // Aggregation folds per-query results in query order at any worker
+  // Aggregation folds per-query results in query order at any thread
   // count, so every deterministic (non-CPU-time) field matches bit for bit.
   EXPECT_EQ(conc.queries, serial.queries);
   EXPECT_DOUBLE_EQ(conc.avg_candidates, serial.avg_candidates);
@@ -493,36 +328,42 @@ TEST(ConcurrencyTest, SingleWorkerDegeneratesToSerial) {
   ConcurrencyRig rig;
   core::QueryResult serial;
   ASSERT_TRUE(rig.system->Query(rig.log.test[0], 10, &serial).ok());
-  core::ServeReport report;
-  std::vector<core::QueryResult> conc;
   const std::vector<std::vector<Scalar>> one{rig.log.test[0]};
-  ASSERT_TRUE(rig.system->Serve(one, 10, {}, &report, &conc).ok());
-  const core::AggregateResult& agg = report.agg;
-  ASSERT_EQ(conc.size(), 1u);
-  EXPECT_EQ(conc[0].result_ids, serial.result_ids);
-  EXPECT_EQ(agg.queries, 1u);
+  // One thread, and more threads than queries: the batch runs once either
+  // way.
+  for (const size_t threads : {size_t{1}, kThreads}) {
+    SCOPED_TRACE(threads);
+    core::AggregateResult agg;
+    std::vector<core::QueryResult> conc;
+    ASSERT_TRUE(rig.system->Serve(one, 10, threads, &agg, &conc).ok());
+    ASSERT_EQ(conc.size(), 1u);
+    EXPECT_EQ(conc[0].result_ids, serial.result_ids);
+    EXPECT_EQ(agg.queries, 1u);
+  }
+  // An empty batch is a valid batch.
+  core::AggregateResult agg;
+  std::vector<core::QueryResult> none;
+  ASSERT_TRUE(rig.system->Serve({}, 10, kThreads, &agg, &none).ok());
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(agg.queries, 0u);
 }
 
 TEST(ConcurrencyTest, RejectsZeroThreads) {
   ConcurrencyRig rig;
-  core::ServeReport report;
-  EXPECT_FALSE(
-      rig.system->Serve(rig.log.test, 10, {.n_threads = 0}, &report).ok());
-  EXPECT_TRUE(
-      rig.system->Serve(rig.log.test, 10, {.n_threads = 2}, &report).ok());
+  core::AggregateResult agg;
+  EXPECT_TRUE(rig.system->Serve(rig.log.test, 10, 0, &agg).IsInvalidArgument());
+  EXPECT_TRUE(rig.system->Serve(rig.log.test, 10, 2, &agg).ok());
 }
 
 TEST(ConcurrencyTest, TraceEventsMatchSerialAndTheFunnel) {
-  // Events live in each query's own result, so the pool path traces too:
+  // Events live in each query's own result, so a threaded batch traces too:
   // on a static cache every query's event stream is the serial one.
   ConcurrencyRig rig(/*trace_events=*/true);
   const size_t k = 10;
-  core::ServeReport report;
+  core::AggregateResult agg;
   std::vector<core::QueryResult> serial, conc;
-  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, {}, &report, &serial).ok());
-  ASSERT_TRUE(rig.system
-                  ->Serve(rig.log.test, k, {.n_threads = 4}, &report, &conc)
-                  .ok());
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 1, &agg, &serial).ok());
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 4, &agg, &conc).ok());
   ASSERT_EQ(conc.size(), serial.size());
   size_t hits = 0;
   for (size_t i = 0; i < conc.size(); ++i) {
@@ -553,7 +394,7 @@ TEST(ConcurrencyTest, QueriesStayExactWhileMaintenanceRebuildsCache) {
   }
 
   // A maintenance thread republishes the cache generation in a tight loop
-  // while 8 workers hammer queries. Epoch publication means every query
+  // while 8 threads hammer queries. Epoch publication means every query
   // reads one coherent generation; the histogram a probe decodes against
   // can never be mutated mid-flight.
   std::atomic<bool> stop{false};
@@ -566,12 +407,10 @@ TEST(ConcurrencyTest, QueriesStayExactWhileMaintenanceRebuildsCache) {
   });
 
   for (int round = 0; round < 3; ++round) {
-    core::ServeReport report;
+    core::AggregateResult agg;
     std::vector<core::QueryResult> conc;
-    ASSERT_TRUE(rig.system
-                    ->Serve(rig.log.test, k, {.n_threads = kThreads}, &report,
-                            &conc)
-                    .ok());
+    ASSERT_TRUE(
+        rig.system->Serve(rig.log.test, k, kThreads, &agg, &conc).ok());
     for (size_t i = 0; i < truth.size(); ++i) {
       EXPECT_EQ(conc[i].result_ids, truth[i])
           << "round " << round << " query " << i;
@@ -617,170 +456,25 @@ TEST(ConcurrencyTest, CacheSizeReadableWhileAdmitting) {
   EXPECT_LE(cache.size(), kCapacityItems);
 }
 
-// ---- Open-loop serving (System::Serve) ------------------------------------
+// ---- The batch entry's contract (System::Serve) ---------------------------
 
-// Serial reference results for the rig's test log: the bit-exactness oracle
-// every completed Serve query is checked against.
-std::vector<core::QueryResult> SerialReference(ConcurrencyRig* rig, size_t k) {
-  std::vector<core::QueryResult> serial(rig->log.test.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(rig->system->Query(rig->log.test[i], k, &serial[i]).ok());
-  }
-  return serial;
-}
-
-// The exact-reconciliation contract of one ServeReport: completed + shed ==
-// submitted, the three causes sum to shed, and the per-query shed flags agree
-// with the report. Shed queries must never have executed (no candidate
-// funnel, no results); completed ones must match the serial reference unless
-// `check_exact` is off (deadline runs legitimately degrade).
-void ExpectServeReconciles(const core::ServeReport& report,
-                           const std::vector<core::QueryResult>& per_query,
-                           const std::vector<core::QueryResult>& serial,
-                           bool check_exact) {
-  EXPECT_EQ(report.submitted, per_query.size());
-  EXPECT_EQ(report.completed + report.shed, report.submitted);
-  EXPECT_EQ(
-      report.shed_queue_full + report.shed_timeout + report.shed_expired,
-      report.shed);
-  size_t flagged_shed = 0;
-  for (size_t i = 0; i < per_query.size(); ++i) {
-    const core::QueryResult& r = per_query[i];
-    if (r.shed()) {
-      flagged_shed++;
-      EXPECT_NE(r.shed_cause, obs::ShedCause::kNone) << "query " << i;
-      EXPECT_TRUE(r.result_ids.empty()) << "query " << i;
-      EXPECT_EQ(r.candidates, 0u) << "query " << i;
-      EXPECT_EQ(r.fetched, 0u) << "query " << i;
-    } else {
-      EXPECT_EQ(r.shed_cause, obs::ShedCause::kNone) << "query " << i;
-      if (check_exact) {
-        EXPECT_EQ(r.result_ids, serial[i].result_ids) << "query " << i;
-        EXPECT_EQ(r.candidates, serial[i].candidates) << "query " << i;
-        EXPECT_EQ(r.cache_hits, serial[i].cache_hits) << "query " << i;
-        EXPECT_EQ(r.substituted, 0u) << "query " << i;
-      }
-    }
-  }
-  EXPECT_EQ(flagged_shed, report.shed);
-  EXPECT_EQ(report.agg.queries, report.completed);
-}
-
-TEST(ServeTest, BlockingServeIsBitExactAcrossWorkerCounts) {
+TEST(ServeTest, FailingQueriesDoNotStopTheBatch) {
   ConcurrencyRig rig;
-  const size_t k = 10;
-  const auto serial = SerialReference(&rig, k);
-
-  // Default options: blocking admission, no deadline — the closed-loop
-  // batch contract. Nothing may shed and every answer is exact.
-  core::ServeOptions opt;
-  opt.n_threads = kThreads;
-  core::ServeReport report;
-  std::vector<core::QueryResult> per_query;
-  ASSERT_TRUE(
-      rig.system->Serve(rig.log.test, k, opt, &report, &per_query).ok());
-  EXPECT_EQ(report.shed, 0u);
-  EXPECT_EQ(report.completed, rig.log.test.size());
-  ExpectServeReconciles(report, per_query, serial, /*check_exact=*/true);
-
-  // And the aggregate matches a one-worker Serve bit for bit.
-  core::ServeReport one;
-  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, {}, &one).ok());
-  const core::AggregateResult& conc = one.agg;
-  // CPU-time-bearing fields (avg_response_seconds) are excluded: only the
-  // deterministic, I/O-derived aggregates are contractually bit-exact.
-  EXPECT_EQ(report.agg.queries, conc.queries);
-  EXPECT_DOUBLE_EQ(report.agg.avg_candidates, conc.avg_candidates);
-  EXPECT_DOUBLE_EQ(report.agg.avg_fetched, conc.avg_fetched);
-  EXPECT_DOUBLE_EQ(report.agg.avg_refine_pages, conc.avg_refine_pages);
-  EXPECT_DOUBLE_EQ(report.agg.hit_ratio, conc.hit_ratio);
-  EXPECT_DOUBLE_EQ(report.agg.prune_ratio, conc.prune_ratio);
+  obs::MetricsRegistry registry;
+  rig.system->EnableMetrics(&registry);
+  // Two queries of the wrong dimension fail in the index; the other 78
+  // still run and reach the sink, and Serve reports the first error.
+  std::vector<std::vector<Scalar>> queries = rig.log.test;
+  ASSERT_EQ(queries.size(), 80u);
+  queries[3].push_back(0);
+  queries[7].pop_back();
+  core::AggregateResult agg;
+  const Status st = rig.system->Serve(queries, 10, /*n_threads=*/4, &agg);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(registry.GetCounter("engine.queries")->value(), 78u);
 }
 
-TEST(ServeTest, ShedAdmissionReconcilesExactlyUnderEightThreads) {
-  ConcurrencyRig rig;
-  const size_t k = 10;
-  const auto serial = SerialReference(&rig, k);
-
-  // A one-slot queue under an open-loop producer that never waits: most
-  // arrivals find the slot occupied. The invariant under test is exact
-  // accounting — shed + completed == submitted with no query lost or
-  // double-counted — not how many shed (that is scheduling-dependent).
-  core::ServeOptions opt;
-  opt.n_threads = kThreads;
-  opt.queue_capacity = 1;
-  opt.admission = core::AdmissionPolicy::kShed;
-  core::ServeReport report;
-  std::vector<core::QueryResult> per_query;
-  ASSERT_TRUE(
-      rig.system->Serve(rig.log.test, k, opt, &report, &per_query).ok());
-  ExpectServeReconciles(report, per_query, serial, /*check_exact=*/true);
-  EXPECT_GT(report.shed, 0u);
-  EXPECT_EQ(report.shed_queue_full, report.shed);  // the only active cause
-  for (const core::QueryResult& r : per_query) {
-    if (r.shed()) {
-      EXPECT_EQ(r.shed_cause, obs::ShedCause::kQueueFull);
-    }
-  }
-}
-
-TEST(ServeTest, TimeoutAdmissionShedsWithTheTimeoutCause) {
-  ConcurrencyRig rig;
-  const size_t k = 10;
-  const auto serial = SerialReference(&rig, k);
-
-  core::ServeOptions opt;
-  opt.n_threads = 2;
-  opt.queue_capacity = 1;
-  opt.admission = core::AdmissionPolicy::kTimeout;
-  opt.admission_timeout_ms = 0.01;  // far below a query's service time
-  core::ServeReport report;
-  std::vector<core::QueryResult> per_query;
-  ASSERT_TRUE(
-      rig.system->Serve(rig.log.test, k, opt, &report, &per_query).ok());
-  ExpectServeReconciles(report, per_query, serial, /*check_exact=*/true);
-  EXPECT_GT(report.shed, 0u);
-  EXPECT_EQ(report.shed_timeout, report.shed);
-  for (const core::QueryResult& r : per_query) {
-    if (r.shed()) {
-      EXPECT_EQ(r.shed_cause, obs::ShedCause::kQueueTimeout);
-    }
-  }
-}
-
-TEST(ServeTest, QueueWaitBurnsTheDeadlineAndExpiredQueriesNeverExecute) {
-  ConcurrencyRig rig;
-  const size_t k = 10;
-  const auto serial = SerialReference(&rig, k);
-
-  // One worker, a queue wide enough that admission never sheds, and an
-  // end-to-end deadline far below the backlog's drain time: all but the
-  // first few queries burn their whole budget waiting and must be shed on
-  // dequeue — without touching the engine.
-  core::ServeOptions opt;
-  opt.n_threads = 1;
-  opt.queue_capacity = rig.log.test.size();
-  opt.admission = core::AdmissionPolicy::kBlock;
-  opt.deadline_ms = 0.05;
-  core::ServeReport report;
-  std::vector<core::QueryResult> per_query;
-  ASSERT_TRUE(
-      rig.system->Serve(rig.log.test, k, opt, &report, &per_query).ok());
-  // Deadline-cut completions may degrade, so skip the bit-exact check; the
-  // accounting contract still holds exactly.
-  ExpectServeReconciles(report, per_query, serial, /*check_exact=*/false);
-  EXPECT_EQ(report.shed_expired, report.shed);
-  EXPECT_GE(report.shed_expired, rig.log.test.size() / 2);
-  for (const core::QueryResult& r : per_query) {
-    if (r.shed()) {
-      EXPECT_EQ(r.shed_cause, obs::ShedCause::kDeadlineExpired);
-      // The wait that killed it is on the record.
-      EXPECT_GE(r.queue_wait_ms, opt.deadline_ms);
-    }
-  }
-}
-
-// Pins what a one-worker batch does to an LRU cache: each query's answer,
+// Pins what a one-thread batch does to an LRU cache: each query's answer,
 // funnel and I/O in query order, the cache's hit/miss/admit/evict totals,
 // and the ids resident afterwards. Admission order decides evictions, so
 // any change to the order in which a serial batch touches the cache moves
@@ -799,10 +493,9 @@ LruBatchPin RunSerialLruBatch(core::CacheMethod method) {
                   ->ConfigureCache(method, /*cache_bytes=*/8 << 10,
                                    /*tau=*/4, /*lru=*/true)
                   .ok());
-  core::ServeReport report;
+  core::AggregateResult agg;
   std::vector<core::QueryResult> per_query;
-  EXPECT_TRUE(
-      rig.system->Serve(rig.log.test, 10, {}, &report, &per_query).ok());
+  EXPECT_TRUE(rig.system->Serve(rig.log.test, 10, 1, &agg, &per_query).ok());
   EXPECT_EQ(per_query.size(), rig.log.test.size());
 
   Fnv1a funnel;

@@ -58,71 +58,6 @@ TEST(LintTest, ConsumedStatusIsClean) {
   EXPECT_TRUE(Lint("src/foo/bar.cc", src).empty());
 }
 
-// ------------------------------------------------------- dropped-admission
-
-TEST(LintTest, DroppedAdmissionFiresOnABareCall) {
-  const std::string src =
-      "void F(eeb::core::BoundedTaskQueue* q) {\n"
-      "  q->TryPush(task);\n"
-      "}\n";
-  ExpectSingle(Lint("src/foo/bar.cc", src), "dropped-admission", 2);
-}
-
-TEST(LintTest, DroppedAdmissionFiresOnEveryAdmissionEntryPoint) {
-  const std::string src =
-      "void F(eeb::core::ThreadPool* pool, eeb::core::BoundedTaskQueue* q) {\n"
-      "  pool->TrySubmit(task);\n"
-      "  pool->SubmitWithDeadline(task, 1.0);\n"
-      "  q->PushWithDeadline(task, 1.0);\n"
-      "}\n";
-  const auto findings = Lint("src/foo/bar.cc", src);
-  ASSERT_EQ(findings.size(), 3u) << FormatText(findings);
-  for (const Finding& f : findings) {
-    EXPECT_EQ(f.rule, "dropped-admission");
-  }
-}
-
-TEST(LintTest, ConsumedAdmissionVerdictIsClean) {
-  const std::string src =
-      "void F(eeb::core::BoundedTaskQueue* q) {\n"
-      "  const PushOutcome a = q->TryPush(task);\n"
-      "  if (q->TryPush(task) == PushOutcome::kAccepted) return;\n"
-      "  switch (q->PushWithDeadline(task, 1.0)) {\n"
-      "    default: break;\n"
-      "  }\n"
-      "  return q->TryPush(task);\n"
-      "}\n";
-  EXPECT_TRUE(Lint("src/foo/bar.cc", src).empty());
-}
-
-TEST(LintTest, DroppedAdmissionJoinsBackwardOverAWrappedAssignment) {
-  // The '=' sits on the line before the call: the rule must join backward
-  // through the unterminated statement instead of flagging the call line.
-  const std::string src =
-      "void F(eeb::core::ThreadPool* pool) {\n"
-      "  const PushOutcome outcome =\n"
-      "      pool->TrySubmit(std::move(task));\n"
-      "  (void)outcome;\n"
-      "}\n";
-  EXPECT_TRUE(Lint("src/foo/bar.cc", src).empty());
-}
-
-TEST(LintTest, DroppedAdmissionScopedToLibraryCodeAndSuppressible) {
-  const std::string src =
-      "void F(eeb::core::BoundedTaskQueue* q) {\n"
-      "  q->TryPush(task);\n"
-      "}\n";
-  // Tests and tools may deliberately drop the verdict (e.g. to fill a
-  // queue); library code may not.
-  EXPECT_TRUE(Lint("tests/some_test.cc", src).empty());
-  EXPECT_TRUE(Lint("tools/some_tool.cc", src).empty());
-  const std::string suppressed =
-      "void F(eeb::core::BoundedTaskQueue* q) {\n"
-      "  q->TryPush(task);  // eeb-lint: allow(dropped-admission)\n"
-      "}\n";
-  EXPECT_TRUE(Lint("src/foo/bar.cc", suppressed).empty());
-}
-
 // ------------------------------------------------------------------ env-io
 
 TEST(LintTest, EnvIoFires) {
@@ -415,10 +350,10 @@ TEST(LintTest, RawIoErrorSuppressible) {
 
 TEST(LintTest, EveryRuleHasAName) {
   const std::vector<std::string> expected = {
-      "dropped-status", "dropped-admission", "env-io",
-      "determinism",    "iostream",          "naked-new",
-      "raw-ioerror",    "header-hygiene",    "layering",
-      "lock-coverage",  "hot-path",          "atomic-misuse"};
+      "dropped-status", "env-io",         "determinism",
+      "iostream",       "naked-new",      "raw-ioerror",
+      "header-hygiene", "layering",       "lock-coverage",
+      "hot-path",       "atomic-misuse"};
   EXPECT_EQ(RuleNames(), expected);
 }
 

@@ -107,16 +107,16 @@ TEST_F(MaintainerTest, ShiftedWorkloadTriggersRebuild) {
 
 TEST_F(MaintainerTest, RebuildImprovesHitRatioOnNewWorkload) {
   // Serving epoch-B queries with the epoch-A cache vs after maintenance.
-  ServeReport before;
-  ASSERT_TRUE(system_->Serve(log_b_.test, 10, {}, &before).ok());
+  AggregateResult before;
+  ASSERT_TRUE(system_->Serve(log_b_.test, 10, 1, &before).ok());
 
   CacheMaintainer maint(system_.get(), {.rebuild_threshold = 0.15});
   ASSERT_TRUE(maint.EndEpoch(log_b_.workload).ok());
   ASSERT_EQ(maint.rebuilds(), 1u);
 
-  ServeReport after;
-  ASSERT_TRUE(system_->Serve(log_b_.test, 10, {}, &after).ok());
-  EXPECT_GT(after.agg.hit_ratio, before.agg.hit_ratio)
+  AggregateResult after;
+  ASSERT_TRUE(system_->Serve(log_b_.test, 10, 1, &after).ok());
+  EXPECT_GT(after.hit_ratio, before.hit_ratio)
       << "rebuilt HFF content should serve the new workload better";
 }
 
@@ -139,8 +139,8 @@ TEST_F(MaintainerTest, HistoryBlendingKeepsOldHotPoints) {
   CacheMaintainer plain(system_.get(), {.rebuild_threshold = 0.0,
                                         .history_decay = 0.0});
   ASSERT_TRUE(plain.EndEpoch(log_b_.workload).ok());
-  ServeReport back_plain;
-  ASSERT_TRUE(system_->Serve(log_a_.test, 10, {}, &back_plain).ok());
+  AggregateResult back_plain;
+  ASSERT_TRUE(system_->Serve(log_a_.test, 10, 1, &back_plain).ok());
 
   // Reset to the A-built state, then maintain with history.
   ASSERT_TRUE(system_->RefreshWorkload(log_a_.workload).ok());
@@ -149,10 +149,10 @@ TEST_F(MaintainerTest, HistoryBlendingKeepsOldHotPoints) {
                                           .history_decay = 0.8});
   ASSERT_TRUE(blended.EndEpoch(log_a_.workload).ok());
   ASSERT_TRUE(blended.EndEpoch(log_b_.workload).ok());
-  ServeReport back_blended;
-  ASSERT_TRUE(system_->Serve(log_a_.test, 10, {}, &back_blended).ok());
+  AggregateResult back_blended;
+  ASSERT_TRUE(system_->Serve(log_a_.test, 10, 1, &back_blended).ok());
 
-  EXPECT_GE(back_blended.agg.hit_ratio, back_plain.agg.hit_ratio)
+  EXPECT_GE(back_blended.hit_ratio, back_plain.hit_ratio)
       << "history blending should not serve returning workloads worse";
   // Epoch A matches the active stats exactly (drift 0), so only the B
   // epoch rebuilds.

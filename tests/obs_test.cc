@@ -405,10 +405,10 @@ TEST(MetricNames, AllRegisteredNamesAreValid) {
   system->SetCacheAnalytics(&analytics);
   ASSERT_TRUE(system->ConfigureCache(core::CacheMethod::kHcO, 4096).ok());
 
-  core::ServeReport report;
-  ASSERT_TRUE(system->Serve(log.test, 10, {}, &report).ok());
+  core::AggregateResult agg;
+  ASSERT_TRUE(system->Serve(log.test, 10, 1, &agg).ok());
   ASSERT_TRUE(system->ReconfigureCache().ok());  // generation-swap gauges
-  ASSERT_TRUE(system->Serve(log.test, 10, {}, &report).ok());
+  ASSERT_TRUE(system->Serve(log.test, 10, 1, &agg).ok());
   analytics.PublishMetrics();
   window.PublishTo(&metrics);
 
@@ -573,10 +573,9 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
   ASSERT_TRUE(
       system->ConfigureCache(core::CacheMethod::kHcO, 4096).ok());
 
-  core::ServeReport report;
+  core::AggregateResult agg;
   std::vector<core::QueryResult> results;
-  ASSERT_TRUE(system->Serve(log.test, 10, {}, &report, &results).ok());
-  const core::AggregateResult& agg = report.agg;
+  ASSERT_TRUE(system->Serve(log.test, 10, 1, &agg, &results).ok());
 
   // Batch-level instruments.
   EXPECT_EQ(metrics.GetCounter("engine.queries")->value(), log.test.size());
@@ -617,7 +616,7 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
   EXPECT_NE(json.find("\"system.response_seconds\""), std::string::npos);
 
   system->EnableMetrics(nullptr);
-  ASSERT_TRUE(system->Serve(log.test, 10, {}, &report).ok());  // detached ok
+  ASSERT_TRUE(system->Serve(log.test, 10, 1, &agg).ok());  // detached ok
 }
 
 // One thread drives a cache (probe / admit / publish) while another exports

@@ -67,9 +67,9 @@ class SystemTest : public ::testing::Test {
                       uint32_t tau = 0, bool lru = false) {
     EXPECT_TRUE(
         system_->ConfigureCache(method, cache_bytes, tau, lru).ok());
-    ServeReport report;
-    EXPECT_TRUE(system_->Serve(log_->test, 10, {}, &report).ok());
-    return report.agg;
+    AggregateResult agg;
+    EXPECT_TRUE(system_->Serve(log_->test, 10, 1, &agg).ok());
+    return agg;
   }
 
   // Builds a system over the suite's data with point 17, dimension 5 set to

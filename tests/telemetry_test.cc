@@ -47,13 +47,6 @@ obs::QueryRecord Sample(double seconds, uint32_t candidates = 0,
   return s;
 }
 
-// One arrival dropped by admission control.
-obs::QueryRecord Shed() {
-  obs::QueryRecord s;
-  s.explain.shed_cause = obs::ShedCause::kQueueFull;
-  return s;
-}
-
 // ---- WindowedMetrics ------------------------------------------------------
 
 TEST(WindowedMetricsTest, AggregatesQpsMeanMaxAndRatiosWithFakeClock) {
@@ -244,24 +237,12 @@ TEST(WindowedMetricsTest, SnapshotsWithinOneEpochAreIdempotent) {
   EXPECT_DOUBLE_EQ(s1.p95_seconds, s2.p95_seconds);
 }
 
-TEST(WindowedMetricsTest, QueueGaugesLastObservationWins) {
-  obs::WindowedMetrics w;
-  w.SampleQueue(/*queue_depth=*/7, /*busy_workers=*/3, /*workers=*/8);
-  w.SampleQueue(/*queue_depth=*/2, /*busy_workers=*/4, /*workers=*/8);
-  const obs::WindowSnapshot snap = w.GetSnapshot();
-  EXPECT_EQ(snap.queue_depth, 2u);
-  EXPECT_EQ(snap.busy_workers, 4u);
-  EXPECT_EQ(snap.workers, 8u);
-  EXPECT_DOUBLE_EQ(snap.worker_utilization, 0.5);
-}
-
 TEST(WindowedMetricsTest, PublishToSetsLiveGauges) {
   double t = 0.0;
   obs::WindowOptions opt;
   opt.now = [&t] { return t; };
   obs::WindowedMetrics w(opt);
   w.RecordQuery(Sample(0.010, 10, 5));
-  w.SampleQueue(1, 2, 4);
   t = 2.0;
 
   obs::MetricsRegistry registry;
@@ -271,8 +252,6 @@ TEST(WindowedMetricsTest, PublishToSetsLiveGauges) {
   EXPECT_DOUBLE_EQ(registry.GetGauge("live.cache.hit_ratio")->value(), 0.5);
   EXPECT_DOUBLE_EQ(registry.GetGauge("live.latency.max_seconds")->value(),
                    0.010);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("live.worker_utilization")->value(),
-                   0.5);
   // Publishing is idempotent on a quiet window: gauges are Set, not Added.
   w.PublishTo(&registry);
   EXPECT_DOUBLE_EQ(registry.GetGauge("live.queries")->value(), 1.0);
@@ -288,81 +267,6 @@ TEST(WindowedMetricsTest, SnapshotJsonHasLiveAndCumulativeSections) {
   EXPECT_NE(line.find("\"cumulative\":{\"queries\":1"), std::string::npos);
   EXPECT_NE(line.find("\"latency\":{"), std::string::npos);
   EXPECT_EQ(line.find('\n'), std::string::npos);  // one line, no newline
-}
-
-TEST(WindowedMetricsTest, ShedSamplesCountInShedRateButNotLatency) {
-  double t = 0.0;
-  obs::WindowOptions opt;
-  opt.now = [&t] { return t; };
-  obs::WindowedMetrics w(opt);
-
-  w.RecordQuery(Sample(0.010, /*candidates=*/100, /*hits=*/40));
-  w.RecordQuery(Sample(0.030, /*candidates=*/100, /*hits=*/40));
-  w.RecordQuery(Sample(0.020, /*candidates=*/100, /*hits=*/40));
-  w.RecordQuery(Shed());
-  w.RecordQuery(Shed());
-  t = 2.0;
-  const obs::WindowSnapshot snap = w.GetSnapshot();
-
-  // Shed arrivals never executed: they appear in the shed rate's
-  // denominator as arrivals, but must not dilute latency, QPS or the
-  // candidate funnel toward zero.
-  EXPECT_EQ(snap.queries, 3u);
-  EXPECT_EQ(snap.shed, 2u);
-  EXPECT_DOUBLE_EQ(snap.shed_rate, 0.4);  // 2 / (3 + 2) arrivals
-  EXPECT_DOUBLE_EQ(snap.qps, 1.5);        // completed only
-  EXPECT_DOUBLE_EQ(snap.mean_seconds, 0.020);
-  EXPECT_DOUBLE_EQ(snap.max_seconds, 0.030);
-  EXPECT_EQ(snap.candidates, 300u);
-  EXPECT_DOUBLE_EQ(snap.hit_ratio, 0.4);
-  EXPECT_EQ(snap.total_queries, 3u);
-  EXPECT_EQ(snap.total_shed, 2u);
-}
-
-TEST(WindowedMetricsTest, QueueLifetimeStatsLastObservationWins) {
-  obs::WindowedMetrics w;
-  w.SampleQueueStats(/*capacity=*/16, /*max_depth=*/12, /*rejected=*/5);
-  w.SampleQueueStats(/*capacity=*/16, /*max_depth=*/14, /*rejected=*/9);
-  const obs::WindowSnapshot snap = w.GetSnapshot();
-  EXPECT_EQ(snap.queue_capacity, 16u);
-  EXPECT_EQ(snap.queue_max_depth, 14u);
-  EXPECT_EQ(snap.queue_rejected, 9u);
-}
-
-TEST(WindowedMetricsTest, PublishToSetsShedAndQueueGauges) {
-  double t = 0.0;
-  obs::WindowOptions opt;
-  opt.now = [&t] { return t; };
-  obs::WindowedMetrics w(opt);
-  w.RecordQuery(Sample(0.010, 10, 5));
-  w.RecordQuery(Shed());
-  w.SampleQueueStats(8, 7, 3);
-  t = 1.0;
-
-  obs::MetricsRegistry registry;
-  w.PublishTo(&registry);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("live.shed")->value(), 1.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("live.shed_rate")->value(), 0.5);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("live.queue_capacity")->value(), 8.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("live.queue_max_depth")->value(), 7.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("live.queue_rejected")->value(), 3.0);
-}
-
-TEST(WindowedMetricsTest, SnapshotJsonCarriesShedAndQueueFields) {
-  obs::WindowedMetrics w;
-  w.RecordQuery(Sample(0.010, 10, 5));
-  w.RecordQuery(Shed());
-  w.SampleQueueStats(16, 14, 9);
-  const std::string line =
-      obs::WindowSnapshotJson(w.GetSnapshot(), /*uptime=*/1.0);
-  EXPECT_NE(line.find("\"shed\":1,\"shed_rate\":0.5"), std::string::npos)
-      << line;
-  EXPECT_NE(line.find("\"queue_capacity\":16"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"queue_max_depth\":14"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"queue_rejected\":9"), std::string::npos) << line;
-  // The cumulative section keeps its own shed total.
-  EXPECT_NE(line.find("\"cumulative\":{"), std::string::npos);
-  EXPECT_NE(line.rfind("\"shed\":1}}"), std::string::npos) << line;
 }
 
 // ---- FlightRecorder -------------------------------------------------------
@@ -603,8 +507,8 @@ TEST(TelemetryEndToEndTest, SerialRunRecordsEachBatchIndexOnce) {
   obs::FlightRecorder recorder(ropt);
   rig.system->SetRecorder(&recorder);
 
-  core::ServeReport report;
-  ASSERT_TRUE(rig.system->Serve(rig.log.test, 10, {}, &report).ok());
+  core::AggregateResult agg;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, 10, 1, &agg).ok());
 
   // Same check as the concurrent run below: the recorder names each query
   // by its slot in the batch.
@@ -614,7 +518,7 @@ TEST(TelemetryEndToEndTest, SerialRunRecordsEachBatchIndexOnce) {
   std::set<uint64_t> indices;
   for (const obs::QueryRecord& r : recent) indices.insert(r.query_index);
   EXPECT_EQ(indices.size(), rig.log.test.size());  // each index once
-  // One worker runs the batch in order, so seq order is batch order.
+  // One thread runs the batch in order, so seq order is batch order.
   for (size_t i = 0; i < recent.size(); ++i) {
     EXPECT_EQ(recent[i].query_index, i);
   }
@@ -635,13 +539,9 @@ TEST(TelemetryEndToEndTest, ConcurrentRunReconcilesWindowAgainstCounters) {
   rig.system->SetWindow(&window);
   rig.system->SetRecorder(&recorder);
 
-  core::ServeReport report;
+  core::AggregateResult agg;
   std::vector<core::QueryResult> results;
-  ASSERT_TRUE(rig.system
-                  ->Serve(rig.log.test, k, {.n_threads = 8}, &report,
-                          &results)
-                  .ok());
-  const core::AggregateResult& agg = report.agg;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 8, &agg, &results).ok());
 
   // Windowed totals == cumulative registry counters, to the last event.
   const obs::WindowSnapshot snap = window.GetSnapshot();
@@ -698,8 +598,8 @@ TEST(TelemetryEndToEndTest, GenerationSwapMidWindowRebasesTapsAndAnalytics) {
   rig.system->SetWindow(&window);
   rig.system->SetCacheAnalytics(&analytics);
 
-  core::ServeReport report;
-  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, {}, &report).ok());
+  core::AggregateResult agg;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 1, &agg).ok());
   const obs::WindowSnapshot before = window.GetSnapshot();
   const uint64_t accesses_gen1 = analytics.total_accesses();
   EXPECT_GT(accesses_gen1, 0u);
@@ -713,7 +613,7 @@ TEST(TelemetryEndToEndTest, GenerationSwapMidWindowRebasesTapsAndAnalytics) {
                   ->ConfigureCache(core::CacheMethod::kExact,
                                    /*cache_bytes=*/2 << 10)
                   .ok());
-  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, {}, &report).ok());
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 1, &agg).ok());
 
   const obs::WindowSnapshot after = window.GetSnapshot();
   EXPECT_EQ(after.total_queries, 2 * rig.log.test.size());
@@ -752,9 +652,8 @@ TEST(TelemetryEndToEndTest, ConcurrentAnalyticsReconciles) {
   rig.system->SetWindow(&window);
   rig.system->SetCacheAnalytics(&analytics);
 
-  core::ServeReport report;
-  ASSERT_TRUE(
-      rig.system->Serve(rig.log.test, k, {.n_threads = 8}, &report).ok());
+  core::AggregateResult agg;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, k, 8, &agg).ok());
 
   // Every probe reached the instrument exactly once.
   const obs::WindowSnapshot snap = window.GetSnapshot();
@@ -782,7 +681,7 @@ TEST(TelemetryEndToEndTest, ConcurrentAnalyticsReconciles) {
 
   // The what-if panel counted every access, and more capacity never loses
   // an LRU hit. Twice the capacity holds every point, so there each
-  // re-access hits whatever order the workers probed in.
+  // re-access hits whatever order the threads probed in.
   const std::array<obs::CacheAnalytics::WhatIfPoint, 3> panel =
       analytics.LruWhatIf();
   ASSERT_EQ(panel[1].size_items, rig.system->cache()->capacity_items());
@@ -807,18 +706,15 @@ TEST(TelemetryEndToEndTest, PublisherEmitsPeriodicSnapshotsDuringServing) {
   {
     obs::StatsPublisher::Options popt;
     popt.interval_ms = 10;
-    popt.pre_sample = [&rig] { rig.system->SampleWorkerGauges(); };
     obs::StatsPublisher publisher(&window, &metrics, &sink, popt);
 
     // Serve concurrently until the publisher has ticked at least twice
     // (plus its final line on Stop). Bounded by rounds, not wall clock, so
     // a loaded single-core box cannot starve the assertion into flaking.
-    core::ServeReport report;
+    core::AggregateResult agg;
     int rounds = 0;
     while (publisher.lines_published() < 3 && rounds < 500) {
-      ASSERT_TRUE(
-          rig.system->Serve(rig.log.test, 10, {.n_threads = 8}, &report)
-              .ok());
+      ASSERT_TRUE(rig.system->Serve(rig.log.test, 10, 8, &agg).ok());
       ++rounds;
     }
     publisher.Stop();

@@ -8,7 +8,6 @@
 //              [--max-avg-latency 0.15] [--max-tail-latency 0.25]
 //              [--max-io 0.10] [--max-hit-drop 0.05]
 //              [--max-qps-drop 0.25] [--max-mrc-error 0.05]
-//              [--min-goodput 0.90]
 //
 // Exit codes: 0 no regression, 1 regression(s) found, 2 usage/input error.
 
@@ -39,7 +38,6 @@ int Usage() {
       "                  [--max-avg-latency R] [--max-tail-latency R]\n"
       "                  [--max-io R] [--max-hit-drop R]\n"
       "                  [--max-qps-drop R] [--max-mrc-error R]\n"
-      "                  [--min-goodput R]\n"
       "exit: 0 = no regression, 1 = regression, 2 = usage/input error\n");
   return 2;
 }
@@ -79,8 +77,6 @@ int Main(int argc, char** argv) {
       ok = ratio(&opt.max_qps_drop);
     } else if (arg == "--max-mrc-error") {
       ok = ratio(&opt.max_mrc_error);
-    } else if (arg == "--min-goodput") {
-      ok = ratio(&opt.min_goodput_ratio);
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
       return Usage();

@@ -375,33 +375,6 @@ Status DiffBench(std::string_view baseline_json, std::string_view current_json,
     if (!in_base) {
       out->notes.push_back(name + ": new cell (no baseline to compare)");
     }
-    // Overload-suite gates are current-only and apply to every current
-    // cell, baseline or not: goodput collapse, wrong answers on completed
-    // queries, or a shed ledger that doesn't reconcile is broken outright.
-    double gr = 0.0;
-    if (Num2(cc, "overload", "goodput_ratio", &gr) &&
-        gr < options.min_goodput_ratio - 1e-12) {
-      out->regressions.push_back(
-          name + ": goodput ratio " +
-          FormatF("%.4g (min %.2g)", gr, options.min_goodput_ratio, 0.0));
-    }
-    const JsonValue* serve = cc.Find("serve");
-    if (serve != nullptr) {
-      const JsonValue* answers = serve->Find("answers_ok");
-      if (answers != nullptr && answers->type == JsonValue::Type::kBool &&
-          !answers->boolean) {
-        out->regressions.push_back(
-            name + ": completed queries not bit-exact against the serial "
-                   "reference under load shedding");
-      }
-      const JsonValue* srec = serve->Find("reconciled");
-      if (srec != nullptr && srec->type == JsonValue::Type::kBool &&
-          !srec->boolean) {
-        out->regressions.push_back(
-            name + ": serve report does not reconcile "
-                   "(completed + shed != submitted)");
-      }
-    }
   }
   return Status::OK();
 }

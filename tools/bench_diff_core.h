@@ -63,16 +63,6 @@ struct DiffOptions {
   /// summing to total misses) always fails. Cells without an analytics
   /// section are unaffected.
   double max_mrc_error = 0.05;
-  /// Minimum overload.goodput_ratio (goodput over the deliverable rate,
-  /// min(arrival, capacity)) for overload-suite cells. Current-only, like
-  /// bit_exact: a serving path whose goodput collapses under offered load
-  /// is broken regardless of what the baseline did. Also current-only on
-  /// overload cells: "serve" cells with "answers_ok": false (a completed
-  /// query diverged from the serial reference — shedding must never change
-  /// answers) or "reconciled": false (completed + shed != submitted, or
-  /// the shed causes don't sum) always fail. Cells without an overload or
-  /// serve section are unaffected.
-  double min_goodput_ratio = 0.90;
 };
 
 /// Outcome of one comparison.

@@ -33,7 +33,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -325,7 +324,7 @@ int RunSuite(const SuiteSpec& suite, const std::string& out_path) {
 // FCFS makespan over n servers (all queries arrive at t=0, each runs on the
 // earliest-free server), and the open-loop percentiles replay the same
 // service times against a fixed-rate arrival process at 80% of capacity.
-// Wall-clock QPS from a real n-worker Serve run is recorded per cell
+// Wall-clock QPS from a real n-thread Serve run is recorded per cell
 // (wall_qps) but informational only — bench_diff never gates on it. Every
 // cell also re-checks the concurrent results bit-exact against the serial
 // reference; a mismatch fails the run AND marks the artifact so bench_diff
@@ -440,12 +439,11 @@ int RunConcurrencySuite(const std::string& out_path,
     c.p95 = SortedPercentile(sojourns, 0.95);
     c.p99 = SortedPercentile(sojourns, 0.99);
 
-    core::ServeReport report;
+    core::AggregateResult agg;
     std::vector<core::QueryResult> results;
     Timer wall;
-    bench::Check(
-        wb->system->Serve(wb->log.test, k, {.n_threads = n}, &report, &results),
-        "Serve");
+    bench::Check(wb->system->Serve(wb->log.test, k, n, &agg, &results),
+                 "Serve");
     const double wall_seconds = wall.ElapsedSeconds();
     c.wall_qps = wall_seconds > 0
                      ? static_cast<double>(results.size()) / wall_seconds
@@ -532,9 +530,12 @@ int RunConcurrencySuite(const std::string& out_path,
 // ------------------------------------------------------- analytics suite --
 //
 // Validates the cache-introspection layer against ground truth. Every cell
-// is an LRU cache run with eager_miss_fetch on, so the live cache is
-// exactly the admit-on-miss LRU that the Mattson stack-distance model (and
-// hence the sampled MRC) predicts for: the MRC-predicted miss ratio at the
+// is an LRU cache run with eager_miss_fetch on, so every probe miss is
+// admitted at once, close to the admit-on-miss LRU that the Mattson
+// stack-distance model (and hence the sampled MRC) predicts for. Not
+// exactly: refinement also admits every fetched survivor, probe hits
+// included, and re-admitting a resident id refreshes its recency, which
+// the probe-only model never sees. The MRC-predicted miss ratio at the
 // live capacity must match the measured one to within bench_diff's
 // max_mrc_error. The artifact also records the exact miss-cause breakdown
 // (compulsory + capacity + invalidation must equal misses — a reconciliation
@@ -547,9 +548,11 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
   const workload::QueryLogSpec log_spec =
       workload::MaybeQuick(workload::DefaultLogSpec());
   core::SystemOptions opt;
-  // Eager miss fetch turns every probe miss into an immediate admit; with
-  // the --lru cells below the live cache is then a textbook admit-on-miss
-  // LRU over the candidate stream — the reference the MRC models.
+  // Eager miss fetch turns every probe miss into an immediate admit, so the
+  // --lru cells below approximate the admit-on-miss LRU over the candidate
+  // stream that the MRC models. Refinement still re-admits the probe hits
+  // it fetches, which refreshes their recency: the live hit ratio can
+  // differ a little from the probe-only model's.
   opt.engine.eager_miss_fetch = true;
   auto wb = bench::MakeWorkbench(SmokeSpec(), opt);
   const size_t file_bytes = wb->spec.n * wb->spec.dim * sizeof(float);
@@ -615,9 +618,7 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
                  "ConfigureCache");
     c.capacity_items = wb->system->cache()->capacity_items();
 
-    core::ServeReport report;
-    bench::Check(wb->system->Serve(wb->log.test, kK, {}, &report), "Serve");
-    c.agg = report.agg;
+    bench::Check(wb->system->Serve(wb->log.test, kK, 1, &c.agg), "Serve");
 
     c.predicted_miss = analytics.PredictedMissRatioAt(c.capacity_items);
     c.measured_miss = 1.0 - c.agg.hit_ratio;
@@ -762,289 +763,6 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
   return 0;
 }
 
-// -------------------------------------------------------- overload suite --
-//
-// Overload resilience (docs/ROBUSTNESS.md): does goodput plateau near
-// capacity when the offered load exceeds it, instead of collapsing under
-// queueing? As with the concurrency suite the gated numbers are modeled,
-// not wall-clock: the per-query modeled service times from a serial
-// reference pass are replayed through a deterministic bounded-queue FCFS
-// simulation with shed admission at offered loads of 0.5x/1x/2x/4x the
-// modeled capacity. The gate (bench_diff --min-goodput, current-only) is
-// goodput_ratio = goodput / min(arrival_qps, capacity_qps) >= 0.9 at every
-// multiplier — i.e. completed work tracks offered load below saturation
-// and stays within 10% of capacity above it.
-//
-// The suite then runs the real System::Serve entry under every admission
-// policy. Wall-clock shed counts are machine-dependent and never gated;
-// what IS gated (current-only, like bit_exact) is that sheds are honest:
-// every completed query is bit-exact against the serial reference
-// (answers_ok — a shed query must never come back wrong or degraded) and
-// the report reconciles exactly (completed + shed == submitted, causes sum
-// to shed, per-query shed flags match the report).
-
-struct OverloadSim {
-  size_t submitted = 0;
-  size_t completed = 0;
-  size_t shed = 0;
-  double shed_rate = 0.0;
-  double goodput_qps = 0.0;
-  double goodput_ratio = 0.0;
-  double p95_sojourn = 0.0;
-};
-
-// Deterministic bounded-queue FCFS: arrivals in bursts at a fixed mean
-// rate; an arrival finding `queue_cap` admitted-but-unstarted queries ahead
-// of it is shed (the model of BoundedTaskQueue::TryPush), everything else
-// runs to completion on the earliest-free server.
-OverloadSim SimulateBoundedQueue(const std::vector<double>& service,
-                                 size_t n_servers, size_t queue_cap,
-                                 double arrival_qps, double capacity_qps,
-                                 size_t burst) {
-  OverloadSim sim;
-  sim.submitted = service.size();
-  const double interarrival = 1.0 / arrival_qps;
-  std::vector<double> free_at(n_servers, 0.0);
-  std::deque<double> pending_starts;  // admitted, not yet started
-  std::vector<double> sojourns;
-  double last_finish = 0.0;
-  for (size_t i = 0; i < service.size(); ++i) {
-    const double arrival = interarrival * static_cast<double>(burst) *
-                           static_cast<double>(i / burst);
-    while (!pending_starts.empty() && pending_starts.front() <= arrival) {
-      pending_starts.pop_front();
-    }
-    if (pending_starts.size() >= queue_cap) {
-      ++sim.shed;
-      continue;
-    }
-    double& server = *std::min_element(free_at.begin(), free_at.end());
-    const double start = std::max(arrival, server);
-    server = start + service[i];
-    last_finish = std::max(last_finish, server);
-    sojourns.push_back(server - arrival);
-    if (start > arrival) pending_starts.push_back(start);
-    ++sim.completed;
-  }
-  sim.shed_rate = sim.submitted > 0
-                      ? static_cast<double>(sim.shed) /
-                            static_cast<double>(sim.submitted)
-                      : 0.0;
-  sim.goodput_qps = last_finish > 0.0
-                        ? static_cast<double>(sim.completed) / last_finish
-                        : 0.0;
-  const double deliverable = std::min(arrival_qps, capacity_qps);
-  sim.goodput_ratio = deliverable > 0.0 ? sim.goodput_qps / deliverable : 0.0;
-  sim.p95_sojourn = SortedPercentile(sojourns, 0.95);
-  return sim;
-}
-
-int RunOverloadSuite(const std::string& out_path,
-                     const std::string& recorder_path) {
-  const workload::QueryLogSpec log_spec =
-      workload::MaybeQuick(workload::DefaultLogSpec());
-  auto wb = bench::MakeWorkbench(SmokeSpec());
-  const size_t file_bytes = wb->spec.n * wb->spec.dim * sizeof(float);
-  const size_t cache_bytes = static_cast<size_t>(file_bytes * 0.30);
-  const size_t k = 10;
-  bench::Check(
-      wb->system->ConfigureCache(core::CacheMethod::kHcO, cache_bytes),
-      "ConfigureCache");
-
-  obs::WindowedMetrics window;
-  obs::FlightRecorder recorder;
-  wb->system->SetWindow(&window);
-  wb->system->SetRecorder(&recorder);
-
-  // Serial reference: bit-exactness baseline + modeled service times.
-  std::fprintf(stderr, "[overload] serial reference pass...\n");
-  std::vector<core::QueryResult> serial(wb->log.test.size());
-  std::vector<double> service;
-  service.reserve(serial.size());
-  double total_service = 0.0;
-  for (size_t i = 0; i < wb->log.test.size(); ++i) {
-    bench::Check(wb->system->Query(wb->log.test[i], k, &serial[i]), "Query");
-    storage::IoStats io = serial[i].gen_io;
-    io += serial[i].refine_io;
-    service.push_back(serial[i].gen_seconds + serial[i].reduce_seconds +
-                      serial[i].refine_seconds +
-                      wb->system->disk_model().Seconds(io));
-    total_service += service.back();
-  }
-
-  constexpr size_t kThreads = 4;
-  constexpr size_t kQueueCap = 16;
-  constexpr size_t kBurst = 4;
-  const double capacity_qps =
-      static_cast<double>(service.size()) / FcfsMakespan(service, kThreads);
-
-  struct ModeledCell {
-    std::string name;
-    double multiplier = 0.0;
-    OverloadSim sim;
-  };
-  constexpr double kMultipliers[] = {0.5, 1.0, 2.0, 4.0};
-  std::vector<ModeledCell> modeled;
-  for (double m : kMultipliers) {
-    ModeledCell c;
-    c.multiplier = m;
-    char name[32];
-    std::snprintf(name, sizeof(name), "offered_%gx", m);
-    c.name = name;
-    c.sim = SimulateBoundedQueue(service, kThreads, kQueueCap,
-                                 m * capacity_qps, capacity_qps, kBurst);
-    std::fprintf(stderr,
-                 "[overload] %s: goodput=%.1f qps ratio=%.3f shed=%zu/%zu "
-                 "p95=%.3fs\n",
-                 c.name.c_str(), c.sim.goodput_qps, c.sim.goodput_ratio,
-                 c.sim.shed, c.sim.submitted, c.sim.p95_sojourn);
-    modeled.push_back(std::move(c));
-  }
-
-  // Live Serve passes: one per admission policy. The block cell must
-  // complete everything (closed-loop contract); the shed/timeout cells may
-  // shed any machine-dependent amount, but always honestly.
-  struct LiveCell {
-    std::string name;
-    core::ServeOptions opt;
-    core::ServeReport report;
-    bool answers_ok = false;
-    bool reconciled = false;
-  };
-  std::vector<LiveCell> live;
-  {
-    LiveCell block;
-    block.name = "serve_block";
-    block.opt.n_threads = kThreads;
-    block.opt.queue_capacity = 8;
-    block.opt.admission = core::AdmissionPolicy::kBlock;
-    live.push_back(block);
-    LiveCell shed;
-    shed.name = "serve_shed";
-    shed.opt.n_threads = kThreads;
-    shed.opt.queue_capacity = 4;
-    shed.opt.admission = core::AdmissionPolicy::kShed;
-    live.push_back(shed);
-    LiveCell timeout;
-    timeout.name = "serve_timeout";
-    timeout.opt.n_threads = kThreads;
-    timeout.opt.queue_capacity = 4;
-    timeout.opt.admission = core::AdmissionPolicy::kTimeout;
-    timeout.opt.admission_timeout_ms = 0.2;
-    live.push_back(timeout);
-  }
-  bool all_honest = true;
-  for (LiveCell& c : live) {
-    std::fprintf(stderr, "[overload] cell %s...\n", c.name.c_str());
-    std::vector<core::QueryResult> per_query;
-    bench::Check(
-        wb->system->Serve(wb->log.test, k, c.opt, &c.report, &per_query),
-        "Serve");
-    size_t flagged_shed = 0;
-    c.answers_ok = per_query.size() == serial.size();
-    for (size_t i = 0; i < per_query.size() && c.answers_ok; ++i) {
-      if (per_query[i].shed()) {
-        ++flagged_shed;
-        continue;
-      }
-      c.answers_ok = per_query[i].result_ids == serial[i].result_ids &&
-                     per_query[i].candidates == serial[i].candidates &&
-                     per_query[i].cache_hits == serial[i].cache_hits &&
-                     per_query[i].remaining == serial[i].remaining &&
-                     per_query[i].substituted == 0;
-    }
-    c.reconciled =
-        c.report.submitted == wb->log.test.size() &&
-        c.report.completed + c.report.shed == c.report.submitted &&
-        c.report.shed_queue_full + c.report.shed_timeout +
-                c.report.shed_expired ==
-            c.report.shed &&
-        flagged_shed == c.report.shed;
-    if (c.opt.admission == core::AdmissionPolicy::kBlock &&
-        c.report.shed != 0) {
-      c.reconciled = false;  // blocking admission must never shed
-    }
-    all_honest = all_honest && c.answers_ok && c.reconciled;
-    std::fprintf(stderr,
-                 "[overload] %s: submitted=%zu completed=%zu shed=%zu "
-                 "answers_ok=%s reconciled=%s\n",
-                 c.name.c_str(), c.report.submitted, c.report.completed,
-                 c.report.shed, c.answers_ok ? "yes" : "NO",
-                 c.reconciled ? "yes" : "NO");
-  }
-
-  std::string json;
-  AppendF(&json, "{\"schema_version\":1,\"suite\":\"overload\",");
-  AppendF(&json, "\"dataset\":{\"name\":\"%s\",\"n\":%zu,\"dim\":%zu,",
-          JsonEscape(wb->spec.name).c_str(), wb->spec.n, wb->spec.dim);
-  AppendF(&json, "\"ndom\":%u,\"seed\":%" PRIu64 "},", wb->spec.ndom,
-          wb->spec.seed);
-  AppendF(&json, "\"log\":{\"test_size\":%zu,\"seed\":%" PRIu64 "},",
-          wb->log.test.size(), log_spec.seed);
-  const char* quick = std::getenv("EEB_QUICK");
-  AppendF(&json, "\"quick\":%s,",
-          quick != nullptr && quick[0] != '\0' ? "true" : "false");
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  AppendF(&json, "\"build\":{\"compiler\":\"%s\",\"type\":\"%s\"},",
-          JsonEscape(__VERSION__).c_str(), build_type);
-  AppendF(&json,
-          "\"config\":{\"method\":\"HC-O\",\"cache_bytes\":%zu,\"k\":%zu,"
-          "\"threads\":%zu,\"queue_capacity\":%zu,\"burst\":%zu,"
-          "\"capacity_qps\":%.9g,\"avg_service_seconds\":%.9g},",
-          cache_bytes, k, kThreads, kQueueCap, kBurst, capacity_qps,
-          total_service / static_cast<double>(service.size()));
-  json.append("\"cells\":[");
-  for (size_t i = 0; i < modeled.size(); ++i) {
-    const ModeledCell& c = modeled[i];
-    if (i > 0) json.push_back(',');
-    AppendF(&json, "{\"name\":\"%s\",", JsonEscape(c.name).c_str());
-    AppendF(&json,
-            "\"overload\":{\"offered_multiplier\":%.9g,\"arrival_qps\":%.9g,"
-            "\"capacity_qps\":%.9g,\"submitted\":%zu,\"completed\":%zu,"
-            "\"shed\":%zu,\"shed_rate\":%.9g,\"goodput_qps\":%.9g,"
-            "\"goodput_ratio\":%.9g,\"p95_sojourn_seconds\":%.9g}}",
-            c.multiplier, c.multiplier * capacity_qps, capacity_qps,
-            c.sim.submitted, c.sim.completed, c.sim.shed, c.sim.shed_rate,
-            c.sim.goodput_qps, c.sim.goodput_ratio, c.sim.p95_sojourn);
-  }
-  for (const LiveCell& c : live) {
-    json.push_back(',');
-    AppendF(&json, "{\"name\":\"%s\",", JsonEscape(c.name).c_str());
-    AppendF(&json,
-            "\"serve\":{\"admission\":\"%s\",\"threads\":%zu,"
-            "\"queue_capacity\":%zu,\"submitted\":%zu,\"completed\":%zu,"
-            "\"shed\":%zu,\"shed_queue_full\":%zu,\"shed_timeout\":%zu,"
-            "\"shed_expired\":%zu,\"answers_ok\":%s,\"reconciled\":%s}}",
-            core::AdmissionPolicyName(c.opt.admission), c.opt.n_threads,
-            c.opt.queue_capacity, c.report.submitted, c.report.completed,
-            c.report.shed, c.report.shed_queue_full, c.report.shed_timeout,
-            c.report.shed_expired, c.answers_ok ? "true" : "false",
-            c.reconciled ? "true" : "false");
-  }
-  json.append("]}\n");
-
-  const Status st = obs::WriteStringToFile(out_path, json);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: cannot write %s: %s\n", out_path.c_str(),
-                 st.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "[overload] wrote %s (%zu cells)\n", out_path.c_str(),
-               modeled.size() + live.size());
-  if (!all_honest) {
-    std::fprintf(stderr,
-                 "error: a Serve cell shed dishonestly (see answers_ok / "
-                 "reconciled flags)\n");
-    DumpRecorder(recorder, recorder_path);
-    return 1;
-  }
-  return 0;
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: eeb_bench --suite <name> [--out <path>]\n"
@@ -1097,9 +815,6 @@ int Main(int argc, char** argv) {
     std::printf("%-8s %zu cells  %s\n", "analytics", size_t{3},
                 "Cache introspection: MRC prediction vs measured LRU miss "
                 "ratio, miss classes, LRU what-if panel (smoke)");
-    std::printf("%-8s %zu cells  %s\n", "overload", size_t{7},
-                "Overload resilience: modeled goodput plateau at 0.5-4x "
-                "capacity + honest-shedding Serve cells (HC-O, smoke)");
     return 0;
   }
   if (suite_name.empty()) return Usage();
@@ -1109,10 +824,6 @@ int Main(int argc, char** argv) {
   if (suite_name == "concurrency") {
     if (out_path.empty()) out_path = "BENCH_concurrency.json";
     return RunConcurrencySuite(out_path, recorder_path);
-  }
-  if (suite_name == "overload") {
-    if (out_path.empty()) out_path = "BENCH_overload.json";
-    return RunOverloadSuite(out_path, recorder_path);
   }
   if (suite_name == "analytics") {
     if (out_path.empty()) out_path = "BENCH_analytics.json";

@@ -1,17 +1,16 @@
 // eeb_cli — command-line front end for the library.
 //
 //   eeb_cli gen   --out data.fvecs [--n 50000] [--dim 64] [--ndom 1024]
-//                 [--clusters 32] [--sparsity 0.0] [--seed 1]
+//                 [--clusters 32] [--stddev S] [--sparsity 0.0] [--seed 1]
 //   eeb_cli info  --data data.fvecs
 //   eeb_cli query --data data.fvecs [--queries q.fvecs] [--k 10]
 //                 [--cache none|exact|hc-w|hc-v|hc-m|hc-d|hc-o|c-va]
-//                 [--cache-mb 8] [--tau 0] [--workload 1000] [--test 50]
-//                 [--lru] [--eager] [--deadline-ms MS] [--io-retries N]
+//                 [--cache-mb 8] [--tau 0] [--ndom V] [--integral 1]
+//                 [--workload 1000] [--test 50] [--lru] [--eager]
+//                 [--deadline-ms MS] [--io-retries N]
 //                 [--metrics-out m.json] [--metrics-prom m.prom]
 //                 [--trace-out t.jsonl]
 //                 [--threads N] [--repeat R] [--explain]
-//                 [--admission block|shed|timeout]
-//                 [--admission-timeout-ms MS] [--queue-cap N]
 //                 [--stats-interval-ms MS] [--stats-out s.jsonl]
 //                 [--recorder-out r.json] [--mrc-out mrc.json]
 //                 [--mrc-rate 0.01]
@@ -24,17 +23,15 @@
 // (its explain record plus per-candidate events).
 //
 // The test batch runs through System::Serve. Live serving mode: --threads
-// sets its worker count (default 1), --repeat re-runs it (a long-lived
-// run), --stats-interval-ms/--stats-out stream one live.* JSON snapshot
-// line per interval, --explain prints a per-query explain record, and
-// --recorder-out dumps the flight recorder (recent ring + retained
-// slow/degraded/shed queries).
+// sets how many threads run it (default 1), --repeat re-runs it (a
+// long-lived run), --stats-interval-ms/--stats-out stream one live.* JSON
+// snapshot line per interval, --explain prints a per-query explain record,
+// and --recorder-out dumps the flight recorder (recent ring + retained
+// slow/degraded queries). --deadline-ms sets the engine's per-query
+// deadline (EngineOptions::deadline_ms).
 //
-// Overload mode (docs/ROBUSTNESS.md): --admission sets how Serve admits
-// arrivals — "shed" drops them on a full queue, "timeout" waits up to
-// --admission-timeout-ms first; --queue-cap bounds the backlog, and with
-// --deadline-ms the queue wait counts against each query's end-to-end
-// deadline. The summary then reports the shed reconciliation.
+// Each command accepts only the flags listed above; any other --flag exits
+// 2 naming it, so a typo never silently runs a default.
 
 #include <cerrno>
 #include <cstdio>
@@ -64,12 +61,14 @@ namespace {
 
 using namespace eeb;
 
-// Minimal --key value argument parser. Flags listed in `bool_flags` take no
-// value (present means "1"); every other flag requires one — a trailing
-// --flag with no value is an error, not silently ignored.
+// Minimal --key value argument parser over the flags a command accepts.
+// Flags in `bool_flags` take no value (present means "1"); flags in
+// `value_flags` require one — a trailing --flag with no value is an error,
+// not silently ignored — and any other --flag exits 2.
 class Args {
  public:
   Args(int argc, char** argv, int start,
+       const std::set<std::string>& value_flags,
        const std::set<std::string>& bool_flags = {}) {
     int i = start;
     while (i < argc) {
@@ -82,6 +81,10 @@ class Args {
         kv_[key] = "1";
         i += 1;
         continue;
+      }
+      if (value_flags.count(key) == 0) {
+        std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+        std::exit(2);
       }
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for --%s\n", key.c_str());
@@ -206,14 +209,6 @@ int CmdInfo(const Args& args) {
   return 0;
 }
 
-core::AdmissionPolicy ParseAdmission(const std::string& name) {
-  if (name == "block") return core::AdmissionPolicy::kBlock;
-  if (name == "shed") return core::AdmissionPolicy::kShed;
-  if (name == "timeout") return core::AdmissionPolicy::kTimeout;
-  std::fprintf(stderr, "unknown admission policy: %s\n", name.c_str());
-  std::exit(2);
-}
-
 core::CacheMethod ParseMethod(const std::string& name) {
   if (name == "none") return core::CacheMethod::kNone;
   if (name == "exact") return core::CacheMethod::kExact;
@@ -249,14 +244,10 @@ int CmdQuery(const Args& args) {
       args.Int("stats-interval-ms", 1000, 0, std::numeric_limits<int>::max()));
   // k is 32-bit in the per-query record.
   const size_t k = static_cast<size_t>(args.Int("k", 10, 1, kMaxU32));
-  // --threads 0 also means one worker; the cap keeps a typo from spawning
+  // --threads 0 also means one thread; the cap keeps a typo from spawning
   // millions of threads.
   const size_t threads =
       static_cast<size_t>(std::max<long>(1, args.Int("threads", 1, 0, 1024)));
-  const size_t queue_cap = static_cast<size_t>(args.Int("queue-cap", 0));
-  const core::AdmissionPolicy admission =
-      ParseAdmission(args.Str("admission", "block"));
-  const double admission_timeout_ms = args.Dbl("admission-timeout-ms", 1.0);
   const double mrc_rate = args.Dbl("mrc-rate", 0.01);
   if (args.Has("mrc-rate") && !(mrc_rate > 0.0 && mrc_rate <= 1.0)) {
     Die(Status::InvalidArgument("--mrc-rate must be in (0, 1]"),
@@ -398,33 +389,20 @@ int CmdQuery(const Args& args) {
     }
     obs::StatsPublisher::Options pub_opt;
     pub_opt.interval_ms = stats_interval_ms;
-    pub_opt.pre_sample = [&system] { system->SampleWorkerGauges(); };
     publisher = std::make_unique<obs::StatsPublisher>(
         &window, want_metrics ? &metrics : nullptr, sink, pub_opt);
   }
 
-  const bool serve_mode = args.Has("admission") || args.Has("queue-cap") ||
-                          args.Has("admission-timeout-ms");
-  core::ServeOptions sopt;
-  sopt.n_threads = threads;
-  sopt.queue_capacity = queue_cap;
-  sopt.admission = admission;
-  sopt.admission_timeout_ms = admission_timeout_ms;
-  // Queue wait counts against --deadline-ms only in overload mode. Otherwise
-  // the engine applies the deadline alone, or a one-worker batch would
-  // charge each query the time its predecessors spent in the engine.
-  sopt.deadline_ms = serve_mode && args.Has("deadline-ms") ? deadline_ms : -1.0;
-  core::ServeReport serve_report;
+  core::AggregateResult agg;
   // --explain and --trace-out both read the per-query results.
   std::vector<core::QueryResult> per_query;
   std::vector<core::QueryResult>* const want_per_query =
       explain || trace ? &per_query : nullptr;
   std::string trace_jsonl;
   for (long r = 0; r < repeat; ++r) {
-    st = system->Serve(log.test, k, sopt, &serve_report, want_per_query);
+    st = system->Serve(log.test, k, threads, &agg, want_per_query);
     if (!st.ok()) Die(st, "run queries");
     for (size_t i = 0; trace && i < per_query.size(); ++i) {
-      if (per_query[i].shed()) continue;  // never executed: nothing to trace
       obs::AppendTraceJson(i, per_query[i], per_query[i].events, &trace_jsonl);
       trace_jsonl.push_back('\n');
     }
@@ -464,7 +442,6 @@ int CmdQuery(const Args& args) {
     }
   }
 
-  const core::AggregateResult& agg = serve_report.agg;
   std::printf("dataset: %zu x %zu-d, ndom=%u | cache: %s %.1f MB tau=%u\n",
               data.size(), data.dim(), ndom, core::CacheMethodName(method),
               cache_bytes / double(1 << 20), system->last_tau());
@@ -482,14 +459,6 @@ int CmdQuery(const Args& args) {
               "%.2f | read failures %zu | deadline cuts %zu\n",
               agg.degraded_queries, agg.queries, agg.degraded_rate,
               agg.avg_substituted, agg.read_failures, agg.deadline_cuts);
-  if (serve_mode) {
-    std::printf("admission: %s | submitted %zu completed %zu shed %zu "
-                "(queue_full %zu timeout %zu expired %zu)\n",
-                core::AdmissionPolicyName(admission),
-                serve_report.submitted, serve_report.completed,
-                serve_report.shed, serve_report.shed_queue_full,
-                serve_report.shed_timeout, serve_report.shed_expired);
-  }
   {
     const obs::WindowSnapshot live = window.GetSnapshot();
     std::printf("live: window %.1fs qps %.1f | p95 %.4fs ewma %.4fs | "
@@ -527,16 +496,15 @@ void Usage() {
   std::fprintf(stderr,
                "usage: eeb_cli <gen|info|query> [--flag value ...]\n"
                "  gen   --out F [--n N --dim D --ndom V --clusters C "
-               "--sparsity S --seed X]\n"
+               "--stddev S --sparsity S --seed X]\n"
                "  info  --data F\n"
                "  query --data F [--queries F --k K --cache M --cache-mb MB "
                "--tau T]\n"
+               "        [--ndom V --integral 0|1 --workload N --test N]\n"
                "        [--lru] [--eager] [--deadline-ms MS] [--io-retries N]\n"
                "        [--metrics-out F.json] [--metrics-prom F.prom] "
                "[--trace-out F.jsonl]\n"
                "        [--threads N] [--repeat R] [--explain]\n"
-               "        [--admission block|shed|timeout] "
-               "[--admission-timeout-ms MS] [--queue-cap N]\n"
                "        [--stats-interval-ms MS] [--stats-out F.jsonl] "
                "[--recorder-out F.json]\n"
                "        [--mrc-out F.json] [--mrc-rate R]\n");
@@ -550,10 +518,21 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  if (cmd == "gen") return CmdGen(Args(argc, argv, 2));
-  if (cmd == "info") return CmdInfo(Args(argc, argv, 2));
+  if (cmd == "gen") {
+    return CmdGen(Args(argc, argv, 2,
+                       {"out", "n", "dim", "ndom", "clusters", "stddev",
+                        "sparsity", "seed"}));
+  }
+  if (cmd == "info") return CmdInfo(Args(argc, argv, 2, {"data"}));
   if (cmd == "query") {
-    return CmdQuery(Args(argc, argv, 2, {"lru", "eager", "explain"}));
+    return CmdQuery(Args(
+        argc, argv, 2,
+        {"data", "queries", "k", "cache", "cache-mb", "tau", "ndom",
+         "integral", "workload", "test", "deadline-ms", "io-retries",
+         "metrics-out", "metrics-prom", "trace-out", "threads", "repeat",
+         "stats-interval-ms", "stats-out", "recorder-out", "mrc-out",
+         "mrc-rate"},
+        {"lru", "eager", "explain"}));
   }
   Usage();
   return 2;

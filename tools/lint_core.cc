@@ -216,61 +216,6 @@ void CheckDroppedStatus(const std::string& path,
   }
 }
 
-/// dropped-admission: a call to a non-blocking admission method (TryPush /
-/// PushWithDeadline on BoundedTaskQueue, TrySubmit / SubmitWithDeadline on
-/// ThreadPool) used as a bare statement. These return a PushResult verdict,
-/// not a Status, so [[nodiscard]] on Status does not cover them — and a
-/// dropped verdict means a query silently vanishes: the caller can no
-/// longer tell an accepted task from a shed one, which breaks the
-/// completed + shed == submitted reconciliation invariant (see
-/// docs/ROBUSTNESS.md). A result is consumed by assignment, return,
-/// switch, a condition, or a test assertion.
-void CheckDroppedAdmission(const std::string& path,
-                           const std::vector<Line>& lines,
-                           const Suppressions& sup,
-                           std::vector<Finding>* findings) {
-  // Library code only: tests and tools drop verdicts deliberately (filling
-  // a queue to force kFull), and [[nodiscard]] already warns there.
-  if (!IsLibraryCode(path)) return;
-  static const std::regex kCall(
-      R"(^\s*[A-Za-z_][\w:\.\[\]\(\)\->]*(->|\.))"
-      R"((TryPush|PushWithDeadline|TrySubmit|SubmitWithDeadline)\s*\()");
-  static const std::regex kConsumed(
-      R"(=|\breturn\b|\bswitch\b|\bcase\b|\bif\b|\bwhile\b|\bfor\b)"
-      R"(|EXPECT_|ASSERT_)");
-  for (size_t i = 0; i < lines.size(); ++i) {
-    const std::string& code = lines[i].code;
-    if (!std::regex_search(code, kCall)) continue;
-    std::string stmt = code;
-    for (size_t j = i + 1;
-         j < lines.size() && j < i + 5 && stmt.find(';') == std::string::npos;
-         ++j) {
-      stmt += ' ';
-      stmt += lines[j].code;
-    }
-    // A wrapped assignment/return puts the consumer on an earlier line
-    // (`const PushOutcome outcome =` above the call); join backwards until
-    // the previous statement's end so it exonerates the call.
-    for (size_t j = i; j > 0 && i - j < 4; --j) {
-      std::string prev = lines[j - 1].code;
-      while (!prev.empty() &&
-             std::isspace(static_cast<unsigned char>(prev.back()))) {
-        prev.pop_back();
-      }
-      if (prev.empty() || prev.back() == ';' || prev.back() == '{' ||
-          prev.back() == '}') {
-        break;
-      }
-      stmt = prev + ' ' + stmt;
-    }
-    if (std::regex_search(stmt, kConsumed)) continue;
-    AddFinding(findings, sup, path, i, "dropped-admission",
-               "admission verdict (PushOutcome) is silently dropped; a query "
-               "submitted this way can vanish without being counted as "
-               "accepted or shed — branch on the result");
-  }
-}
-
 /// env-io: raw file opens in library code. All disk access goes through
 /// storage::Env so that I/O accounting has a single choke point; the POSIX
 /// Env implementation itself is the allowlisted bottom of that stack.
@@ -943,10 +888,10 @@ std::string Trim(std::string s) {
 
 const std::vector<std::string>& RuleNames() {
   static const std::vector<std::string> kRules = {
-      "dropped-status", "dropped-admission", "env-io",
-      "determinism",    "iostream",          "naked-new",
-      "raw-ioerror",    "header-hygiene",    "layering",
-      "lock-coverage",  "hot-path",          "atomic-misuse"};
+      "dropped-status", "env-io",         "determinism",
+      "iostream",       "naked-new",      "raw-ioerror",
+      "header-hygiene", "layering",       "lock-coverage",
+      "hot-path",       "atomic-misuse"};
   return kRules;
 }
 
@@ -1041,7 +986,6 @@ void CheckSource(const std::string& path, const std::string& content,
   const Suppressions sup = CollectSuppressions(lines);
   const size_t first = findings->size();
   CheckDroppedStatus(path, lines, sup, findings);
-  CheckDroppedAdmission(path, lines, sup, findings);
   CheckEnvIo(path, lines, sup, findings);
   CheckDeterminism(path, lines, sup, findings);
   CheckIostream(path, lines, sup, findings);

@@ -6,11 +6,6 @@
 //   dropped-status   a known Status-returning call used as a bare statement
 //                    (redundant with [[nodiscard]] Status, but catches code
 //                    that is not compiled on this configuration)
-//   dropped-admission  a non-blocking admission call (TryPush /
-//                    PushWithDeadline / TrySubmit / SubmitWithDeadline)
-//                    whose PushOutcome verdict is discarded — the submitted
-//                    query can then vanish without being counted as
-//                    accepted or shed
 //   env-io           raw file opens (fopen / ::open / fstream) in library
 //                    code bypassing the storage::Env choke point
 //   determinism      std::rand / random_device / mt19937 / time-seeds in

@@ -86,8 +86,8 @@ int Main(int argc, char** argv) {
   };
 
   auto run_batch = [&] {
-    core::ServeReport report;
-    bench::Check(wb->system->Serve(wb->log.test, k, {}, &report), "Serve");
+    core::AggregateResult agg;
+    bench::Check(wb->system->Serve(wb->log.test, k, 1, &agg), "Serve");
   };
 
   // Warmup both configurations (page allocations, first-touch shards).
