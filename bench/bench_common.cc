@@ -2,41 +2,12 @@
 
 #include <unistd.h>
 
-#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 
 #include "common/timer.h"
-#include "obs/export.h"
 
 namespace eeb::bench {
-namespace {
-
-// Metrics JSONL sink shared by every RunCell of the binary; opened by
-// Banner, re-opened (closing the previous sink) when a binary runs several
-// banners, and flushed+closed at process exit.
-FILE* g_metrics_file = nullptr;
-std::string g_bench_id;
-
-void CloseMetricsSink() {
-  if (g_metrics_file == nullptr) return;
-  std::fflush(g_metrics_file);
-  std::fclose(g_metrics_file);
-  g_metrics_file = nullptr;
-}
-
-std::string SanitizeId(const std::string& id) {
-  std::string out;
-  for (char c : id) {
-    out.push_back(std::isalnum(static_cast<unsigned char>(c))
-                      ? static_cast<char>(
-                            std::tolower(static_cast<unsigned char>(c)))
-                      : '_');
-  }
-  return out;
-}
-
-}  // namespace
 
 void Check(const Status& st, const char* what) {
   if (!st.ok()) {
@@ -92,27 +63,6 @@ void Banner(const std::string& id, const std::string& what) {
               5.0);
   std::printf("SHAPES (ordering, ratios, crossovers), not absolute times.\n");
   std::printf("==========================================================\n");
-
-  // A second Banner (multi-experiment binary) retargets the sink: close the
-  // previous file first so its lines are durable and the handle is not
-  // leaked.
-  if (g_metrics_file != nullptr && id != g_bench_id) CloseMetricsSink();
-  if (g_metrics_file == nullptr) {
-    g_bench_id = id;
-    const char* env_path = std::getenv("EEB_METRICS_OUT");
-    const std::string path = env_path != nullptr && env_path[0] != '\0'
-                                 ? std::string(env_path)
-                                 : "metrics_" + SanitizeId(id) + ".jsonl";
-    g_metrics_file = std::fopen(path.c_str(), "w");
-    if (g_metrics_file == nullptr) {
-      std::fprintf(stderr, "warning: cannot open metrics sink %s\n",
-                   path.c_str());
-    } else {
-      std::fprintf(stderr, "[bench] metrics JSONL -> %s\n", path.c_str());
-      static const bool registered = std::atexit(CloseMetricsSink) == 0;
-      (void)registered;
-    }
-  }
 }
 
 core::AggregateResult RunCell(Workbench& wb, core::CacheMethod method,
@@ -122,25 +72,6 @@ core::AggregateResult RunCell(Workbench& wb, core::CacheMethod method,
         "ConfigureCache");
   core::AggregateResult agg;
   Check(wb.system->Serve(wb.log.test, k, 1, &agg), "Serve");
-
-  if (g_metrics_file != nullptr) {
-    // One line per cell: config, headline aggregates, and a cumulative
-    // registry snapshot (counters are process totals, not per-cell deltas).
-    std::fprintf(
-        g_metrics_file,
-        "{\"bench\":\"%s\",\"dataset\":\"%s\",\"method\":\"%s\","
-        "\"cache_bytes\":%zu,\"k\":%zu,\"tau\":%u,\"lru\":%s,"
-        "\"hit_ratio\":%.9g,\"prune_ratio\":%.9g,"
-        "\"avg_response_seconds\":%.9g,\"p50\":%.9g,\"p95\":%.9g,"
-        "\"p99\":%.9g,\"metrics\":%s}\n",
-        g_bench_id.c_str(), wb.spec.name.c_str(),
-        core::CacheMethodName(method), cache_bytes, k,
-        wb.system->last_tau(), lru ? "true" : "false", agg.hit_ratio,
-        agg.prune_ratio, agg.avg_response_seconds, agg.p50_response_seconds,
-        agg.p95_response_seconds, agg.p99_response_seconds,
-        obs::ExportJson(wb.metrics).c_str());
-    std::fflush(g_metrics_file);
-  }
   return agg;
 }
 

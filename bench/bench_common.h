@@ -38,10 +38,6 @@ std::unique_ptr<Workbench> MakeWorkbench(
     core::SystemOptions opt = core::SystemOptions{});
 
 /// Prints the experiment banner: which paper table/figure it regenerates.
-/// Also opens the bench metrics JSONL sink — every subsequent RunCell
-/// appends one line with the cell's config, headline aggregates, and a
-/// cumulative metrics-registry snapshot. The path is $EEB_METRICS_OUT when
-/// set, else metrics_<sanitized id>.jsonl in the working directory.
 void Banner(const std::string& id, const std::string& what);
 
 /// Dies with a message if `st` is not OK.

@@ -8,7 +8,6 @@
 #include <filesystem>
 
 #include "core/maintenance.h"
-#include "hist/serialize.h"
 #include "workload/generator.h"
 
 int main() {
@@ -76,17 +75,5 @@ int main() {
   std::printf("maintenance: drift %.3f -> %s\n", maintainer.last_drift(),
               maintainer.rebuilds() ? "REBUILD" : "keep");
   report("serving B after maintenance", log_b.test);
-
-  // The rebuilt histogram can be persisted for other query servers.
-  hist::Histogram snapshot;
-  std::string blob;
-  if (system->BuildGlobalHistogram(core::CacheMethod::kHcO,
-                                   system->last_tau(), &snapshot)
-          .ok()) {
-    hist::AppendHistogram(snapshot, &blob);
-    std::printf("\npersisted the rebuilt HC-O histogram: %zu bytes "
-                "(tau=%u, %u buckets)\n",
-                blob.size(), system->last_tau(), snapshot.num_buckets());
-  }
   return 0;
 }

@@ -2,8 +2,7 @@
 // (shapes, escapes, malformed input) and DiffBench's gate semantics —
 // identical artifacts pass, an injected >=20% latency regression fails, a
 // hit-ratio drop fails, a missing cell fails, improvements and new cells
-// are notes, thresholds are overridable, and quick/full artifacts refuse
-// to compare.
+// are notes, and quick/full artifacts refuse to compare.
 
 #include <gtest/gtest.h>
 
@@ -85,7 +84,7 @@ TEST(JsonParserTest, ParsesARealArtifact) {
 TEST(BenchDiffTest, IdenticalArtifactsPass) {
   const std::string a = Artifact(0.46, 0.47, 25, 0.95);
   DiffResult r;
-  ASSERT_TRUE(DiffBench(a, a, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(a, a, &r).ok());
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.regressions.empty());
 }
@@ -96,7 +95,7 @@ TEST(BenchDiffTest, TwentyPercentLatencyRegressionFails) {
   const std::string base = Artifact(0.50, 0.52, 25, 0.95);
   const std::string cur = Artifact(0.60, 0.52, 25, 0.95);
   DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(base, cur, &r).ok());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.regressions[0].find("avg latency"), std::string::npos);
 }
@@ -105,14 +104,10 @@ TEST(BenchDiffTest, TailLatencyHasItsOwnLooserThreshold) {
   // +20% tail only: below the 25% tail threshold, passes.
   const std::string base = Artifact(0.50, 0.50, 25, 0.95);
   DiffResult r;
-  ASSERT_TRUE(
-      DiffBench(base, Artifact(0.50, 0.60, 25, 0.95), DiffOptions{}, &r)
-          .ok());
+  ASSERT_TRUE(DiffBench(base, Artifact(0.50, 0.60, 25, 0.95), &r).ok());
   EXPECT_TRUE(r.ok());
   // +30% tail: fails.
-  ASSERT_TRUE(
-      DiffBench(base, Artifact(0.50, 0.65, 25, 0.95), DiffOptions{}, &r)
-          .ok());
+  ASSERT_TRUE(DiffBench(base, Artifact(0.50, 0.65, 25, 0.95), &r).ok());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.regressions[0].find("p95 latency"), std::string::npos);
 }
@@ -121,7 +116,7 @@ TEST(BenchDiffTest, HitRatioDropFails) {
   const std::string base = Artifact(0.46, 0.47, 25, 0.95);
   const std::string cur = Artifact(0.46, 0.47, 25, 0.80);
   DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(base, cur, &r).ok());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.regressions[0].find("hit ratio"), std::string::npos);
 }
@@ -130,7 +125,7 @@ TEST(BenchDiffTest, PageIoIncreaseFails) {
   const std::string base = Artifact(0.46, 0.47, 100, 0.95);
   const std::string cur = Artifact(0.46, 0.47, 140, 0.95);
   DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(base, cur, &r).ok());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.regressions[0].find("pages/query"), std::string::npos);
 }
@@ -143,7 +138,7 @@ TEST(BenchDiffTest, MissingCellFails) {
   const std::string base = Artifact(0.46, 0.47, 25, 0.95, extra);
   const std::string cur = Artifact(0.46, 0.47, 25, 0.95);
   DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(base, cur, &r).ok());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.regressions[0].find("missing"), std::string::npos);
 }
@@ -156,23 +151,9 @@ TEST(BenchDiffTest, ImprovementsAndNewCellsAreNotesNotFailures) {
   const std::string base = Artifact(0.50, 0.52, 25, 0.90);
   const std::string cur = Artifact(0.30, 0.32, 25, 0.99, extra);
   DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(base, cur, &r).ok());
   EXPECT_TRUE(r.ok());
   EXPECT_FALSE(r.notes.empty());
-}
-
-TEST(BenchDiffTest, ThresholdOverrideWidensTheGate) {
-  const std::string base = Artifact(0.50, 0.52, 25, 0.95);
-  const std::string cur = Artifact(0.60, 0.52, 25, 0.95);  // +20% avg
-  DiffOptions loose;
-  loose.max_avg_latency_increase = 0.30;
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, loose, &r).ok());
-  EXPECT_TRUE(r.ok());
-  DiffOptions tight;
-  tight.max_avg_latency_increase = 0.10;
-  ASSERT_TRUE(DiffBench(base, cur, tight, &r).ok());
-  EXPECT_FALSE(r.ok());
 }
 
 TEST(BenchDiffTest, QuickModeMismatchIsAnInputError) {
@@ -180,15 +161,15 @@ TEST(BenchDiffTest, QuickModeMismatchIsAnInputError) {
   const std::string quick =
       Artifact(0.46, 0.47, 25, 0.95, "", /*quick=*/true);
   DiffResult r;
-  EXPECT_FALSE(DiffBench(full, quick, DiffOptions{}, &r).ok());
+  EXPECT_FALSE(DiffBench(full, quick, &r).ok());
 }
 
 TEST(BenchDiffTest, SuiteMismatchIsAnInputError) {
   const std::string a = Artifact(0.46, 0.47, 25, 0.95);
   const std::string b =
-      Artifact(0.46, 0.47, 25, 0.95, "", false, "fig13");
+      Artifact(0.46, 0.47, 25, 0.95, "", false, "analytics");
   DiffResult r;
-  EXPECT_FALSE(DiffBench(a, b, DiffOptions{}, &r).ok());
+  EXPECT_FALSE(DiffBench(a, b, &r).ok());
 }
 
 // Artifact with a robustness section (post-fault-tolerance schema).
@@ -227,7 +208,7 @@ TEST(BenchDiffTest, AnyDegradedQueryOnCleanDiskFails) {
   const std::string old_base = Artifact(0.46, 0.47, 25, 0.95);
   const std::string cur = ArtifactWithDegraded(0.02);
   DiffResult r;
-  ASSERT_TRUE(DiffBench(old_base, cur, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(old_base, cur, &r).ok());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.regressions[0].find("degraded rate"), std::string::npos);
 }
@@ -236,93 +217,11 @@ TEST(BenchDiffTest, ZeroDegradedRatePasses) {
   const std::string old_base = Artifact(0.46, 0.47, 25, 0.95);
   const std::string cur = ArtifactWithDegraded(0.0);
   DiffResult r;
-  ASSERT_TRUE(DiffBench(old_base, cur, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(old_base, cur, &r).ok());
   EXPECT_TRUE(r.ok()) << (r.regressions.empty() ? "" : r.regressions[0]);
   // New-schema baseline vs itself also passes.
-  ASSERT_TRUE(DiffBench(cur, cur, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(cur, cur, &r).ok());
   EXPECT_TRUE(r.ok());
-}
-
-TEST(BenchDiffTest, DegradedRateThresholdIsOverridable) {
-  const std::string base = ArtifactWithDegraded(0.0);
-  const std::string cur = ArtifactWithDegraded(0.05);
-  DiffOptions chaos;  // a fault-injection bench expects some degradation
-  chaos.max_degraded_rate_increase = 0.10;
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, chaos, &r).ok());
-  EXPECT_TRUE(r.ok());
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
-  EXPECT_FALSE(r.ok());
-}
-
-// Concurrency-suite artifact with one tweakable thread cell.
-std::string ConcurrencyArtifact(double capacity_qps, double p95,
-                                bool bit_exact) {
-  char cell[512];
-  std::snprintf(
-      cell, sizeof(cell),
-      "{\"name\":\"threads_8\",\"threads\":8,"
-      "\"throughput\":{\"capacity_qps\":%g,\"speedup_vs_1\":7.6,"
-      "\"wall_qps\":3.1},"
-      "\"open_loop\":{\"utilization\":0.8,\"arrival_qps\":%g,"
-      "\"p50_seconds\":0.5,\"p95_seconds\":%g,\"p99_seconds\":%g},"
-      "\"bit_exact\":%s}",
-      capacity_qps, 0.8 * capacity_qps, p95, p95,
-      bit_exact ? "true" : "false");
-  return std::string(
-             "{\"schema_version\":1,\"suite\":\"concurrency\","
-             "\"dataset\":{\"name\":\"smoke\",\"n\":20000,\"dim\":32,"
-             "\"ndom\":256,\"seed\":5},\"log\":{\"test_size\":50,\"seed\":2},"
-             "\"quick\":false,"
-             "\"build\":{\"compiler\":\"x\",\"type\":\"release\"},"
-             "\"config\":{\"method\":\"HC-O\",\"cache_bytes\":786432,"
-             "\"k\":10,\"utilization\":0.8,\"avg_service_seconds\":0.45},"
-             "\"cells\":[") +
-         cell + "]}";
-}
-
-TEST(BenchDiffTest, QpsDropBeyondThresholdFails) {
-  // Acceptance criterion: an injected QPS regression past the default 25%
-  // threshold must fail the gate; a smaller dip must not.
-  const std::string base = ConcurrencyArtifact(16.0, 0.6, true);
-  DiffResult r;
-  ASSERT_TRUE(
-      DiffBench(base, ConcurrencyArtifact(13.0, 0.6, true), DiffOptions{}, &r)
-          .ok());
-  EXPECT_TRUE(r.ok());  // -19%: within threshold
-  ASSERT_TRUE(
-      DiffBench(base, ConcurrencyArtifact(10.0, 0.6, true), DiffOptions{}, &r)
-          .ok());
-  ASSERT_FALSE(r.ok());  // -37%: regression
-  EXPECT_NE(r.regressions[0].find("capacity QPS"), std::string::npos);
-}
-
-TEST(BenchDiffTest, QpsThresholdIsOverridable) {
-  const std::string base = ConcurrencyArtifact(16.0, 0.6, true);
-  const std::string cur = ConcurrencyArtifact(10.0, 0.6, true);  // -37%
-  DiffOptions loose;
-  loose.max_qps_drop = 0.50;
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, loose, &r).ok());
-  EXPECT_TRUE(r.ok());
-}
-
-TEST(BenchDiffTest, QpsImprovementIsANote) {
-  const std::string base = ConcurrencyArtifact(16.0, 0.6, true);
-  const std::string cur = ConcurrencyArtifact(24.0, 0.6, true);
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
-  EXPECT_TRUE(r.ok());
-  EXPECT_FALSE(r.notes.empty());
-}
-
-TEST(BenchDiffTest, BitExactFalseFailsEvenWithGoodQps) {
-  const std::string base = ConcurrencyArtifact(16.0, 0.6, true);
-  const std::string cur = ConcurrencyArtifact(20.0, 0.6, false);
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.regressions[0].find("bit-exact"), std::string::npos);
 }
 
 // Analytics-suite artifact with one tweakable cell: the MRC-prediction
@@ -361,30 +260,17 @@ TEST(BenchDiffTest, MrcPredictionErrorBeyondThresholdFails) {
   // fails regardless of what the baseline predicted.
   const std::string base = AnalyticsArtifact(0.01, true);
   DiffResult r;
-  ASSERT_TRUE(
-      DiffBench(base, AnalyticsArtifact(0.04, true), DiffOptions{}, &r).ok());
-  EXPECT_TRUE(r.ok());  // within the 0.05 default
-  ASSERT_TRUE(
-      DiffBench(base, AnalyticsArtifact(0.08, true), DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(base, AnalyticsArtifact(0.04, true), &r).ok());
+  EXPECT_TRUE(r.ok());  // within the 0.05 bound
+  ASSERT_TRUE(DiffBench(base, AnalyticsArtifact(0.08, true), &r).ok());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.regressions[0].find("MRC prediction error"), std::string::npos);
   // A bad baseline does not excuse a bad current artifact, and an accurate
   // current artifact passes even against a bad baseline.
   const std::string bad = AnalyticsArtifact(0.30, true);
-  ASSERT_TRUE(DiffBench(bad, bad, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(bad, bad, &r).ok());
   EXPECT_FALSE(r.ok());
-  ASSERT_TRUE(
-      DiffBench(bad, AnalyticsArtifact(0.01, true), DiffOptions{}, &r).ok());
-  EXPECT_TRUE(r.ok());
-}
-
-TEST(BenchDiffTest, MrcErrorThresholdIsOverridable) {
-  const std::string base = AnalyticsArtifact(0.01, true);
-  const std::string cur = AnalyticsArtifact(0.08, true);
-  DiffOptions loose;
-  loose.max_mrc_error = 0.10;
-  DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, loose, &r).ok());
+  ASSERT_TRUE(DiffBench(bad, AnalyticsArtifact(0.01, true), &r).ok());
   EXPECT_TRUE(r.ok());
 }
 
@@ -392,7 +278,7 @@ TEST(BenchDiffTest, UnreconciledMissClassesFailEvenWithAccurateMrc) {
   const std::string base = AnalyticsArtifact(0.01, true);
   const std::string cur = AnalyticsArtifact(0.01, false);
   DiffResult r;
-  ASSERT_TRUE(DiffBench(base, cur, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(base, cur, &r).ok());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.regressions[0].find("reconcile"), std::string::npos);
 }
@@ -402,16 +288,16 @@ TEST(BenchDiffTest, CellsWithoutAnalyticsSectionsAreUnaffectedByMrcGates) {
   // misfire on them.
   const std::string base = Artifact(0.46, 0.47, 25, 0.95);
   DiffResult r;
-  ASSERT_TRUE(DiffBench(base, base, DiffOptions{}, &r).ok());
+  ASSERT_TRUE(DiffBench(base, base, &r).ok());
   EXPECT_TRUE(r.ok());
 }
 
 TEST(BenchDiffTest, MalformedInputIsAnInputErrorNotACrash) {
   const std::string a = Artifact(0.46, 0.47, 25, 0.95);
   DiffResult r;
-  EXPECT_FALSE(DiffBench("{not json", a, DiffOptions{}, &r).ok());
-  EXPECT_FALSE(DiffBench(a, "[]", DiffOptions{}, &r).ok());
-  EXPECT_FALSE(DiffBench("{}", "{}", DiffOptions{}, &r).ok());
+  EXPECT_FALSE(DiffBench("{not json", a, &r).ok());
+  EXPECT_FALSE(DiffBench(a, "[]", &r).ok());
+  EXPECT_FALSE(DiffBench("{}", "{}", &r).ok());
 }
 
 }  // namespace

@@ -1,102 +1,13 @@
-// Tests for histogram serialization and fvecs dataset I/O, including
-// corruption handling.
+// Tests for fvecs dataset I/O, including corruption handling.
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "hist/builders.h"
-#include "hist/serialize.h"
 #include "storage/mem_env.h"
 #include "workload/fvecs.h"
 
 namespace eeb {
 namespace {
-
-TEST(HistSerializeTest, RoundTripBuffer) {
-  hist::FrequencyArray f(128);
-  Rng rng(3);
-  for (uint32_t x = 0; x < 128; ++x) f.Add(x, 1.0 + rng.Uniform(20));
-  hist::Histogram h;
-  ASSERT_TRUE(hist::BuildKnnOptimal(f, 16, &h).ok());
-
-  std::string blob;
-  hist::AppendHistogram(h, &blob);
-  std::string_view view(blob);
-  hist::Histogram parsed;
-  ASSERT_TRUE(hist::ParseHistogram(&view, &parsed).ok());
-  EXPECT_TRUE(view.empty());
-  ASSERT_EQ(parsed.num_buckets(), h.num_buckets());
-  for (uint32_t v = 0; v < 128; ++v) {
-    EXPECT_EQ(parsed.Lookup(v), h.Lookup(v));
-  }
-}
-
-TEST(HistSerializeTest, RoundTripFile) {
-  storage::MemEnv env;
-  hist::Histogram h;
-  ASSERT_TRUE(hist::BuildEquiWidth(256, 32, &h).ok());
-  ASSERT_TRUE(hist::SaveHistogram(&env, "/h", h).ok());
-  hist::Histogram loaded;
-  ASSERT_TRUE(hist::LoadHistogram(&env, "/h", &loaded).ok());
-  EXPECT_EQ(loaded.num_buckets(), 32u);
-  EXPECT_EQ(loaded.ndom(), 256u);
-}
-
-TEST(HistSerializeTest, IndividualBundleRoundTrip) {
-  std::vector<hist::FrequencyArray> freqs(5, hist::FrequencyArray(64));
-  hist::IndividualHistograms hs;
-  ASSERT_TRUE(
-      hist::BuildIndividual(freqs, 8, hist::BuilderKind::kEquiWidth, &hs)
-          .ok());
-  std::string blob;
-  hist::AppendIndividual(hs, &blob);
-  std::string_view view(blob);
-  hist::IndividualHistograms parsed;
-  ASSERT_TRUE(hist::ParseIndividual(&view, &parsed).ok());
-  ASSERT_EQ(parsed.dim(), 5u);
-  EXPECT_EQ(parsed.at(2).num_buckets(), hs.at(2).num_buckets());
-}
-
-TEST(HistSerializeTest, RejectsCorruptBlobs) {
-  hist::Histogram h;
-  ASSERT_TRUE(hist::BuildEquiWidth(64, 8, &h).ok());
-  std::string blob;
-  hist::AppendHistogram(h, &blob);
-
-  // Truncation.
-  std::string_view shorty(blob.data(), blob.size() - 5);
-  hist::Histogram out;
-  EXPECT_TRUE(hist::ParseHistogram(&shorty, &out).IsCorruption());
-
-  // Bad magic.
-  std::string bad = blob;
-  bad[0] = 'x';
-  std::string_view badview(bad);
-  EXPECT_TRUE(hist::ParseHistogram(&badview, &out).IsCorruption());
-
-  // Corrupt interval (break the tiling): Create() must refuse.
-  std::string evil = blob;
-  evil[12] = static_cast<char>(evil[12] + 1);  // first bucket's lo
-  std::string_view evilview(evil);
-  EXPECT_FALSE(hist::ParseHistogram(&evilview, &out).ok());
-
-  // Counts read from the blob must not size an allocation the blob cannot
-  // back: a 12-byte blob claiming 2^32 - 1 buckets over a 2^32 - 1 domain,
-  // and an 8-byte bundle claiming 2^32 - 1 dimensions.
-  auto u32 = [](uint32_t v) {
-    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  std::string huge = blob.substr(0, 4) + u32(0xffffffffu) + u32(0xffffffffu);
-  std::string_view hugeview(huge);
-  EXPECT_TRUE(hist::ParseHistogram(&hugeview, &out).IsCorruption());
-
-  std::string bundle;
-  hist::AppendIndividual(hist::IndividualHistograms({h}), &bundle);
-  std::string wide = bundle.substr(0, 4) + u32(0xffffffffu);
-  std::string_view wideview(wide);
-  hist::IndividualHistograms parsed;
-  EXPECT_TRUE(hist::ParseIndividual(&wideview, &parsed).IsCorruption());
-}
 
 TEST(FvecsTest, RoundTrip) {
   storage::MemEnv env;

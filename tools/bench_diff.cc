@@ -1,18 +1,15 @@
 // CI perf-regression gate: compares two BENCH_<suite>.json artifacts
 // (baseline vs current) and exits nonzero when any cell regressed beyond
-// the thresholds. Improvements and new cells are reported but never fail.
+// the fixed thresholds in bench_diff_core.cc. Improvements and new cells
+// are reported but never fail.
 //
 // Usage:
 //   bench_diff --baseline bench/baselines/BENCH_smoke.json
 //              --current BENCH_smoke.json
-//              [--max-avg-latency 0.15] [--max-tail-latency 0.25]
-//              [--max-io 0.10] [--max-hit-drop 0.05]
-//              [--max-qps-drop 0.25] [--max-mrc-error 0.05]
 //
 // Exit codes: 0 no regression, 1 regression(s) found, 2 usage/input error.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -35,9 +32,6 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: bench_diff --baseline <path> --current <path>\n"
-      "                  [--max-avg-latency R] [--max-tail-latency R]\n"
-      "                  [--max-io R] [--max-hit-drop R]\n"
-      "                  [--max-qps-drop R] [--max-mrc-error R]\n"
       "exit: 0 = no regression, 1 = regression, 2 = usage/input error\n");
   return 2;
 }
@@ -45,47 +39,17 @@ int Usage() {
 int Main(int argc, char** argv) {
   std::string baseline_path;
   std::string current_path;
-  benchdiff::DiffOptions opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg != "--baseline" && arg != "--current") {
+      std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
+      return Usage();
+    }
     if (i + 1 >= argc) {
       std::fprintf(stderr, "error: %s needs a value\n", arg.c_str());
       return Usage();
     }
-    const std::string val = argv[++i];
-    auto ratio = [&](double* out) {
-      char* end = nullptr;
-      const double d = std::strtod(val.c_str(), &end);
-      if (end != val.c_str() + val.size() || d < 0.0) return false;
-      *out = d;
-      return true;
-    };
-    bool ok = true;
-    if (arg == "--baseline") {
-      baseline_path = val;
-    } else if (arg == "--current") {
-      current_path = val;
-    } else if (arg == "--max-avg-latency") {
-      ok = ratio(&opt.max_avg_latency_increase);
-    } else if (arg == "--max-tail-latency") {
-      ok = ratio(&opt.max_tail_latency_increase);
-    } else if (arg == "--max-io") {
-      ok = ratio(&opt.max_io_increase);
-    } else if (arg == "--max-hit-drop") {
-      ok = ratio(&opt.max_hit_drop);
-    } else if (arg == "--max-qps-drop") {
-      ok = ratio(&opt.max_qps_drop);
-    } else if (arg == "--max-mrc-error") {
-      ok = ratio(&opt.max_mrc_error);
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
-      return Usage();
-    }
-    if (!ok) {
-      std::fprintf(stderr, "error: bad value for %s: %s\n", arg.c_str(),
-                   val.c_str());
-      return Usage();
-    }
+    (arg == "--baseline" ? baseline_path : current_path) = argv[++i];
   }
   if (baseline_path.empty() || current_path.empty()) return Usage();
 
@@ -100,8 +64,7 @@ int Main(int argc, char** argv) {
   }
 
   benchdiff::DiffResult result;
-  const Status st =
-      benchdiff::DiffBench(baseline_json, current_json, opt, &result);
+  const Status st = benchdiff::DiffBench(baseline_json, current_json, &result);
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 2;

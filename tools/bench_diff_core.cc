@@ -8,6 +8,22 @@
 namespace eeb::benchdiff {
 namespace {
 
+// Regression thresholds. Latency and page bounds are relative increases
+// over the baseline; the hit-ratio bound is an absolute drop.
+constexpr double kMaxAvgLatencyIncrease = 0.15;
+constexpr double kMaxTailLatencyIncrease = 0.25;  // p95
+constexpr double kMaxIoIncrease = 0.10;           // refine + gen pages/query
+constexpr double kMaxHitDrop = 0.05;
+// Absolute increase allowed in robustness.degraded_rate: any degraded query
+// on the clean bench disk is a regression, so degradation never happens
+// silently. A baseline without a robustness section counts as rate 0.
+constexpr double kMaxDegradedRateIncrease = 0.0;
+// Absolute |MRC-predicted - measured| miss ratio allowed in an analytics
+// cell. Like the reconciliation flag, it is checked on the current artifact
+// alone: an introspection layer that mispredicts is broken, whatever the
+// baseline said.
+constexpr double kMaxMrcError = 0.05;
+
 // ------------------------------------------------------------ JSON parser --
 
 class Parser {
@@ -228,7 +244,7 @@ Status ParseJson(std::string_view text, JsonValue* out) {
 }
 
 Status DiffBench(std::string_view baseline_json, std::string_view current_json,
-                 const DiffOptions& options, DiffResult* out) {
+                 DiffResult* out) {
   *out = DiffResult{};
   JsonValue base, cur;
   Status st = ParseJson(baseline_json, &base);
@@ -285,29 +301,28 @@ Status DiffBench(std::string_view baseline_json, std::string_view current_json,
     double b = 0.0, c = 0.0;
     if (Num2(bc, "latency", "avg_seconds", &b) &&
         Num2(*cc, "latency", "avg_seconds", &c)) {
-      CheckIncrease(name, "avg latency", b, c,
-                    options.max_avg_latency_increase, 1e-6, out);
+      CheckIncrease(name, "avg latency", b, c, kMaxAvgLatencyIncrease, 1e-6,
+                    out);
     }
     if (Num2(bc, "latency", "p95_seconds", &b) &&
         Num2(*cc, "latency", "p95_seconds", &c)) {
-      CheckIncrease(name, "p95 latency", b, c,
-                    options.max_tail_latency_increase, 1e-6, out);
+      CheckIncrease(name, "p95 latency", b, c, kMaxTailLatencyIncrease, 1e-6,
+                    out);
     }
     double brp = 0.0, bgp = 0.0, crp = 0.0, cgp = 0.0;
     if (Num2(bc, "io", "avg_refine_pages", &brp) &&
         Num2(bc, "io", "avg_gen_pages", &bgp) &&
         Num2(*cc, "io", "avg_refine_pages", &crp) &&
         Num2(*cc, "io", "avg_gen_pages", &cgp)) {
-      CheckIncrease(name, "pages/query", brp + bgp, crp + cgp,
-                    options.max_io_increase, 0.5, out);
+      CheckIncrease(name, "pages/query", brp + bgp, crp + cgp, kMaxIoIncrease,
+                    0.5, out);
     }
     if (Num2(bc, "cache", "hit_ratio", &b) &&
         Num2(*cc, "cache", "hit_ratio", &c)) {
-      if (c < b - options.max_hit_drop) {
+      if (c < b - kMaxHitDrop) {
         out->regressions.push_back(
             name + ": hit ratio " +
-            FormatF("%.4g -> %.4g (drop > %.2g)", b, c,
-                    options.max_hit_drop));
+            FormatF("%.4g -> %.4g (drop > %.2g)", b, c, kMaxHitDrop));
       }
     }
     // Degraded-query rate: pre-robustness baselines have no section, which
@@ -316,43 +331,20 @@ Status DiffBench(std::string_view baseline_json, std::string_view current_json,
     double cdr = 0.0;
     Num2(bc, "robustness", "degraded_rate", &bdr);
     if (Num2(*cc, "robustness", "degraded_rate", &cdr) &&
-        cdr > bdr + options.max_degraded_rate_increase + 1e-12) {
+        cdr > bdr + kMaxDegradedRateIncrease + 1e-12) {
       out->regressions.push_back(
           name + ": degraded rate " +
           FormatF("%.4g -> %.4g (max increase %.2g)", bdr, cdr,
-                  options.max_degraded_rate_increase));
+                  kMaxDegradedRateIncrease));
     }
-    // Concurrency-suite cells: modeled capacity throughput must not drop.
-    if (Num2(bc, "throughput", "capacity_qps", &b) &&
-        Num2(*cc, "throughput", "capacity_qps", &c)) {
-      if (c < b * (1.0 - options.max_qps_drop)) {
-        out->regressions.push_back(
-            name + ": capacity QPS " +
-            FormatF("%.4g -> %.4g (drop > %.2g)", b, c,
-                    options.max_qps_drop));
-      } else if (b > 0.0 && c > b * 1.10) {
-        out->notes.push_back(name + ": capacity QPS improved " +
-                             FormatF("%.4g -> %.4g (+%.1f%%)", b, c,
-                                     100.0 * (c - b) / b));
-      }
-    }
-    // A concurrent run that diverged from the serial reference is always a
-    // regression, whatever the throughput did.
-    const JsonValue* bit = cc->Find("bit_exact");
-    if (bit != nullptr && bit->type == JsonValue::Type::kBool &&
-        !bit->boolean) {
-      out->regressions.push_back(name +
-                                 ": concurrent results not bit-exact "
-                                 "against the serial reference");
-    }
-    // Analytics-suite cells: both gates are current-only, like bit_exact —
-    // an introspection layer whose MRC misprediction exceeds the budget, or
+    // Analytics-suite cells: both gates are current-only — an
+    // introspection layer whose MRC misprediction exceeds the budget, or
     // whose miss-cause counters don't reconcile, is broken outright.
     if (Num2(*cc, "analytics", "prediction_error", &c) &&
-        c > options.max_mrc_error + 1e-12) {
+        c > kMaxMrcError + 1e-12) {
       out->regressions.push_back(
           name + ": MRC prediction error " +
-          FormatF("%.4g (max %.2g)", c, options.max_mrc_error, 0.0));
+          FormatF("%.4g (max %.2g)", c, kMaxMrcError, 0.0));
     }
     const JsonValue* analytics = cc->Find("analytics");
     const JsonValue* reconciled =

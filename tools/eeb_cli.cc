@@ -10,7 +10,7 @@
 //                 [--deadline-ms MS] [--io-retries N]
 //                 [--metrics-out m.json] [--metrics-prom m.prom]
 //                 [--trace-out t.jsonl]
-//                 [--threads N] [--repeat R] [--explain]
+//                 [--threads N] [--explain]
 //                 [--stats-interval-ms MS] [--stats-out s.jsonl]
 //                 [--recorder-out r.json] [--mrc-out mrc.json]
 //                 [--mrc-rate 0.01]
@@ -22,11 +22,11 @@
 // Prometheus text); --trace-out writes one JSON line per executed query
 // (its explain record plus per-candidate events).
 //
-// The test batch runs through System::Serve. Live serving mode: --threads
-// sets how many threads run it (default 1), --repeat re-runs it (a
-// long-lived run), --stats-interval-ms/--stats-out stream one live.* JSON
-// snapshot line per interval, --explain prints a per-query explain record,
-// and --recorder-out dumps the flight recorder (recent ring + retained
+// The test batch runs through one System::Serve call. Live serving mode:
+// --threads sets how many threads run it (default 1),
+// --stats-interval-ms/--stats-out stream one live.* JSON snapshot line per
+// interval, --explain prints a per-query explain record, and
+// --recorder-out dumps the flight recorder (recent ring + retained
 // slow/degraded queries). --deadline-ms sets the engine's per-query
 // deadline (EngineOptions::deadline_ms).
 //
@@ -234,7 +234,6 @@ int CmdQuery(const Args& args) {
   const int io_retries = static_cast<int>(
       args.Int("io-retries", storage::RetryPolicy{}.max_retries, 0,
                std::numeric_limits<int>::max()));
-  const long repeat = std::max<long>(1, args.Int("repeat", 1));
   const core::CacheMethod method = ParseMethod(args.Str("cache", "hc-o"));
   // Capped at 2^43 MB so the byte count (MB * 2^20) fits size_t.
   const size_t cache_bytes = static_cast<size_t>(
@@ -398,14 +397,12 @@ int CmdQuery(const Args& args) {
   std::vector<core::QueryResult> per_query;
   std::vector<core::QueryResult>* const want_per_query =
       explain || trace ? &per_query : nullptr;
+  st = system->Serve(log.test, k, threads, &agg, want_per_query);
+  if (!st.ok()) Die(st, "run queries");
   std::string trace_jsonl;
-  for (long r = 0; r < repeat; ++r) {
-    st = system->Serve(log.test, k, threads, &agg, want_per_query);
-    if (!st.ok()) Die(st, "run queries");
-    for (size_t i = 0; trace && i < per_query.size(); ++i) {
-      obs::AppendTraceJson(i, per_query[i], per_query[i].events, &trace_jsonl);
-      trace_jsonl.push_back('\n');
-    }
+  for (size_t i = 0; trace && i < per_query.size(); ++i) {
+    obs::AppendTraceJson(i, per_query[i], per_query[i].events, &trace_jsonl);
+    trace_jsonl.push_back('\n');
   }
   if (publisher != nullptr) publisher->Stop();
 
@@ -504,7 +501,7 @@ void Usage() {
                "        [--lru] [--eager] [--deadline-ms MS] [--io-retries N]\n"
                "        [--metrics-out F.json] [--metrics-prom F.prom] "
                "[--trace-out F.jsonl]\n"
-               "        [--threads N] [--repeat R] [--explain]\n"
+               "        [--threads N] [--explain]\n"
                "        [--stats-interval-ms MS] [--stats-out F.jsonl] "
                "[--recorder-out F.json]\n"
                "        [--mrc-out F.json] [--mrc-rate R]\n");
@@ -529,7 +526,7 @@ int main(int argc, char** argv) {
         argc, argv, 2,
         {"data", "queries", "k", "cache", "cache-mb", "tau", "ndom",
          "integral", "workload", "test", "deadline-ms", "io-retries",
-         "metrics-out", "metrics-prom", "trace-out", "threads", "repeat",
+         "metrics-out", "metrics-prom", "trace-out", "threads",
          "stats-interval-ms", "stats-out", "recorder-out", "mrc-out",
          "mrc-rate"},
         {"lru", "eager", "explain"}));
