@@ -1,9 +1,6 @@
 #include "bench/bench_common.h"
 
-#include <unistd.h>
-
 #include <cstdlib>
-#include <filesystem>
 
 #include "common/timer.h"
 
@@ -20,10 +17,9 @@ std::unique_ptr<Workbench> MakeWorkbench(workload::DatasetSpec spec,
                                          core::SystemOptions opt) {
   auto wb = std::make_unique<Workbench>();
   wb->spec = workload::MaybeQuick(spec);
-  wb->dir = (std::filesystem::temp_directory_path() /
-             ("eeb_bench_" + wb->spec.name + "_" + std::to_string(getpid())))
-                .string();
-  std::filesystem::create_directories(wb->dir);
+  if (!wb->dir.ok()) {
+    Check(Status::IOError("cannot create a temp directory"), "MakeWorkbench");
+  }
 
   Timer t;
   wb->data = workload::GenerateClustered(wb->spec);
@@ -42,9 +38,11 @@ std::unique_ptr<Workbench> MakeWorkbench(workload::DatasetSpec spec,
     opt.lsh.beta_candidates =
         std::max<uint32_t>(100, static_cast<uint32_t>(wb->spec.n / 400));
   }
-  Check(core::System::Create(storage::Env::Default(), wb->dir, wb->data,
-                             wb->log.workload, opt, &wb->system),
-        "System::Create");
+  const Status st = core::System::Create(storage::Env::Default(),
+                                         wb->dir.path(), wb->data,
+                                         wb->log.workload, opt, &wb->system);
+  if (!st.ok()) wb.reset();  // Check exits, and std::exit skips destructors
+  Check(st, "System::Create");
   wb->default_cache_bytes = workload::DefaultCacheBytes(wb->spec);
   wb->system->EnableMetrics(&wb->metrics);
   std::fprintf(stderr,

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/scoped_temp_dir.h"
 #include "core/system.h"
 #include "obs/metrics.h"
 #include "workload/generator.h"
@@ -20,6 +21,9 @@ namespace eeb::bench {
 
 /// Everything one experiment needs for one dataset.
 struct Workbench {
+  // The point file's private directory. Declared first so it is removed
+  // last, after the system that holds the file open.
+  ScopedTempDir dir{"eeb_bench"};
   workload::DatasetSpec spec;
   Dataset data;
   workload::QueryLog log;
@@ -28,7 +32,6 @@ struct Workbench {
   obs::MetricsRegistry metrics;
   std::unique_ptr<core::System> system;
   size_t default_cache_bytes = 0;
-  std::string dir;
 };
 
 /// Builds a workbench. Aborts (prints + exits) on error — bench binaries

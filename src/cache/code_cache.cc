@@ -47,9 +47,14 @@ std::span<BucketId> CodeCacheBase::Scratch() const {
 }
 
 void CodeCacheBase::AdmitCodes(PointId id, std::span<const BucketId> codes) {
-  MutexLock lock(mu_);
-  const uint32_t slot = AdmitSlot(id);
-  if (slot != kNoSlot) store_.Write(slot, codes);
+  bool evicted = false;
+  {
+    MutexLock lock(mu_);
+    const uint32_t slot = AdmitSlot(id, &evicted);
+    if (slot == kNoSlot) return;
+    store_.Write(slot, codes);
+  }
+  PublishAdmit(evicted);
 }
 
 uint32_t CodeCacheBase::AppendSlot() { return store_.AllocateSlot(); }

@@ -30,9 +30,14 @@ bool ExactCache::Probe(std::span<const Scalar> q, PointId id, double* lb,
 
 void ExactCache::Admit(PointId id, std::span<const Scalar> exact) {
   if (!admits()) return;
-  MutexLock lock(mu_);
-  const uint32_t slot = AdmitSlot(id);
-  if (slot != kNoSlot) WriteSlot(slot, exact);
+  bool evicted = false;
+  {
+    MutexLock lock(mu_);
+    const uint32_t slot = AdmitSlot(id, &evicted);
+    if (slot == kNoSlot) return;
+    WriteSlot(slot, exact);
+  }
+  PublishAdmit(evicted);
 }
 
 uint32_t ExactCache::AppendSlot() {

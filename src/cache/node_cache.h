@@ -6,6 +6,7 @@
 #ifndef EEB_CACHE_NODE_CACHE_H_
 #define EEB_CACHE_NODE_CACHE_H_
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <unordered_map>
@@ -14,7 +15,6 @@
 #include "common/dataset.h"
 #include "common/status.h"
 #include "cache/code_store.h"
-#include "cache/knn_cache.h"
 #include "hist/bounds.h"
 #include "hist/histogram.h"
 
@@ -23,6 +23,20 @@ namespace eeb::cache {
 /// Callback invoked per point of a cached node: (id, lb, ub). Exact caches
 /// pass lb == ub == exact distance.
 using NodePointFn = std::function<void(PointId, double, double)>;
+
+/// A node cache's own hit/miss pair (the point caches leave theirs to the
+/// per-query record).
+struct CacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+
+  double HitRatio() const {
+    const uint64_t total = hits + misses;
+    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
+  }
+
+  void Reset() { *this = CacheStats{}; }
+};
 
 /// Abstract leaf-node cache.
 class NodeCache {

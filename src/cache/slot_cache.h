@@ -3,8 +3,8 @@
 // slot of a store its subclass owns (float values or a CodeStore).
 // SlotCache owns everything else: which id holds which slot, the capacity,
 // the HFF fill and LRU admission/eviction policy (paper Sec. 2.2, Fig. 8),
-// and the hit/miss/fill/admit/evict accounting. A subclass keeps only its
-// payload and what a hit computes from it (ReadSlot).
+// and the admit/evict accounting. A subclass keeps only its payload and what
+// a hit computes from it (ReadSlot).
 //
 // Concurrency (docs/CONCURRENCY.md): a statically filled (HFF) cache is
 // immutable after Fill, so lookups take no lock. Under LRU a lookup moves
@@ -60,12 +60,36 @@ class LruTracker {
 class SlotCache : public KnnCache {
  public:
   /// Items currently cached. Reads an atomic count maintained under `mu_`,
-  /// so it is safe to call concurrently with LRU probes/admissions (the
-  /// occupancy gauge publishes it once per query).
+  /// so it is safe to call concurrently with LRU probes/admissions.
   size_t size() const override {
     return item_count_.load(std::memory_order_relaxed);
   }
   size_t capacity_items() const override { return capacity_items_; }
+
+  void BindMetrics(obs::MetricsRegistry* registry) override EEB_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (registry == nullptr) {
+      admits_counter_.store(nullptr, std::memory_order_relaxed);
+      evictions_counter_.store(nullptr, std::memory_order_relaxed);
+      items_gauge_ = nullptr;
+      return;
+    }
+    admits_counter_.store(registry->GetCounter("cache.admits"),
+                          std::memory_order_relaxed);
+    evictions_counter_.store(registry->GetCounter("cache.evictions"),
+                             std::memory_order_relaxed);
+    items_gauge_ = registry->GetGauge("cache.items");
+    registry->GetGauge("cache.capacity_items")
+        ->Set(static_cast<double>(capacity_items_));
+    registry->GetGauge("cache.item_bytes")
+        ->Set(static_cast<double>(item_bytes()));
+    items_gauge_->Set(static_cast<double>(slot_of_.size()));
+  }
+
+  CacheActivity activity() const override {
+    return CacheActivity{admits_.load(std::memory_order_relaxed),
+                         evictions_.load(std::memory_order_relaxed)};
+  }
 
  protected:
   static constexpr uint32_t kNoSlot = ~uint32_t{0};
@@ -92,15 +116,17 @@ class SlotCache : public KnnCache {
     const uint32_t slot = AppendSlot();
     slot_of_[id] = slot;
     if (lru_) lru_list_.Insert(id);
-    item_count_.store(slot_of_.size(), std::memory_order_relaxed);
-    NoteFillInsert();
+    CountItems();
     return slot;
   }
 
   /// LRU admission of `id` (requires admits()): refreshes a resident id and
-  /// returns kNoSlot; otherwise returns the slot its payload goes to, a new
-  /// one below capacity or else the evicted least recently used id's.
-  uint32_t AdmitSlot(PointId id) EEB_REQUIRES(mu_) {
+  /// returns kNoSlot; otherwise counts the admission and returns the slot
+  /// its payload goes to, a new one below capacity or else the evicted
+  /// least recently used id's (`*evicted` is set then). The caller passes
+  /// the outcome to PublishAdmit once it has released `mu_`.
+  uint32_t AdmitSlot(PointId id, bool* evicted) EEB_REQUIRES(mu_) {
+    *evicted = false;
     if (slot_of_.count(id)) {
       lru_list_.Touch(id);
       return kNoSlot;
@@ -112,28 +138,40 @@ class SlotCache : public KnnCache {
       auto victim = slot_of_.find(lru_list_.EvictBack());
       slot = victim->second;
       slot_of_.erase(victim);
-      NoteEviction();
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+      *evicted = true;
     }
     slot_of_[id] = slot;
     lru_list_.Insert(id);
-    item_count_.store(slot_of_.size(), std::memory_order_relaxed);
-    NoteAdmit();
+    admits_.fetch_add(1, std::memory_order_relaxed);
+    if (!*evicted) CountItems();  // an eviction leaves the occupancy as it is
     return slot;
   }
 
-  /// Probe bookkeeping: counts a hit or a miss for `id` and, on a hit,
-  /// runs ReadSlot on its slot. Under LRU the recency touch and ReadSlot
-  /// hold `mu_`, so a concurrent admission cannot recycle the slot mid-read.
+  /// Adds an admission that AdmitSlot made, and the eviction that made room
+  /// for it, to the bound registry counters. Called after `mu_` is
+  /// released: the registry's counters are shared by every thread, and
+  /// keeping their cache lines out of the critical section keeps the LRU
+  /// lock's hold time what it is unbound.
+  void PublishAdmit(bool evicted) EEB_EXCLUDES(mu_) {
+    if (obs::Counter* c = admits_counter_.load(std::memory_order_relaxed)) {
+      c->Add(1);
+    }
+    if (!evicted) return;
+    if (obs::Counter* c = evictions_counter_.load(std::memory_order_relaxed)) {
+      c->Add(1);
+    }
+  }
+
+  /// Probe bookkeeping: on a hit for `id`, runs ReadSlot on its slot. Under
+  /// LRU the recency touch and ReadSlot hold `mu_`, so a concurrent
+  /// admission cannot recycle the slot mid-read.
   bool Lookup(std::span<const Scalar> q, PointId id, double* lb, double* ub)
       EEB_EXCLUDES(mu_) {
     if (!lru_) return LookupStatic(q, id, lb, ub);
     MutexLock lock(mu_);
     auto it = slot_of_.find(id);
-    if (it == slot_of_.end()) {
-      NoteMiss();
-      return false;
-    }
-    NoteHit();
+    if (it == slot_of_.end()) return false;
     lru_list_.Touch(id);
     ReadSlot(it->second, q, lb, ub);
     return true;
@@ -157,23 +195,36 @@ class SlotCache : public KnnCache {
   bool LookupStatic(std::span<const Scalar> q, PointId id, double* lb,
                     double* ub) EEB_NO_THREAD_SAFETY_ANALYSIS {
     auto it = slot_of_.find(id);
-    if (it == slot_of_.end()) {
-      NoteMiss();
-      return false;
-    }
-    NoteHit();
+    if (it == slot_of_.end()) return false;
     ReadSlot(it->second, q, lb, ub);
     return true;
+  }
+
+  /// Refreshes the occupancy mirror, and the cache.items gauge when bound,
+  /// at the end of every mutation that changes the occupancy.
+  void CountItems() EEB_REQUIRES(mu_) {
+    item_count_.store(slot_of_.size(), std::memory_order_relaxed);
+    if (items_gauge_ != nullptr) {
+      items_gauge_->Set(static_cast<double>(slot_of_.size()));
+    }
   }
 
   const bool lru_;
   const size_t capacity_items_;
   std::unordered_map<PointId, uint32_t> slot_of_ EEB_GUARDED_BY(mu_);
   LruTracker lru_list_ EEB_GUARDED_BY(mu_);
-  // Mirror of slot_of_.size(), refreshed under mu_ at the end of every
-  // mutation; lets size() (and the occupancy gauge behind it) read
-  // occupancy without taking the LRU lock.
+  // Mirror of slot_of_.size(), refreshed under mu_ whenever it changes;
+  // lets size() read occupancy without taking the LRU lock.
   std::atomic<size_t> item_count_{0};
+  // Written under mu_ where an admission or eviction happens; read lock-free
+  // by activity().
+  std::atomic<uint64_t> admits_{0};
+  std::atomic<uint64_t> evictions_{0};
+  // Bound instruments (nullptr while unbound). The counters are atomic
+  // because PublishAdmit reads them outside mu_.
+  std::atomic<obs::Counter*> admits_counter_{nullptr};
+  std::atomic<obs::Counter*> evictions_counter_{nullptr};
+  obs::Gauge* items_gauge_ EEB_GUARDED_BY(mu_) = nullptr;
 };
 
 }  // namespace eeb::cache

@@ -1,14 +1,15 @@
-// A private scratch directory for tests that need real files.
+// A private scratch directory for a run that needs real files: the CLI's
+// point file, a bench workbench, a test case.
 //
-// gtest_discover_tests runs every test case as its own process, and
-// `ctest -j` runs those processes side by side, so a fixture path shared
-// between cases lets one case delete or rewrite files another is still
-// reading. ScopedTempDir creates a fresh directory with mkdtemp under the
-// system temp directory and removes it, with everything in it, on
+// Runs go side by side (`ctest -j` runs every test case as its own process,
+// and several CLI or bench runs may share a machine), so a fixed path lets
+// one run delete or rewrite files another is still reading. ScopedTempDir
+// creates a fresh directory with mkdtemp under the system temp directory
+// ($TMPDIR, else /tmp) and removes it, with everything in it, on
 // destruction. Declare it before the objects that hold files open in it.
 
-#ifndef EEB_TESTS_SCOPED_TEMP_DIR_H_
-#define EEB_TESTS_SCOPED_TEMP_DIR_H_
+#ifndef EEB_COMMON_SCOPED_TEMP_DIR_H_
+#define EEB_COMMON_SCOPED_TEMP_DIR_H_
 
 #include <stdlib.h>
 
@@ -48,4 +49,4 @@ class ScopedTempDir {
 
 }  // namespace eeb
 
-#endif  // EEB_TESTS_SCOPED_TEMP_DIR_H_
+#endif  // EEB_COMMON_SCOPED_TEMP_DIR_H_

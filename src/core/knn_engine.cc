@@ -255,10 +255,6 @@ Status KnnEngine::Query(std::span<const Scalar> q, size_t k,
   } else if (out->deadline_hit) {
     out->degraded_cause = obs::DegradedCause::kDeadline;
   }
-  // Cache and storage batch their hot-path events; publish once per query.
-  if (cache != nullptr) cache->PublishMetrics();
-  if (analytics_ != nullptr) analytics_->PublishMetrics();
-  points_->PublishIo(out->refine_io);
   return Status::OK();
 }
 

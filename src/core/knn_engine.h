@@ -40,8 +40,9 @@ namespace eeb::core {
 
 /// Per-query result: the answer plus the per-query record. Every funnel
 /// count, phase time, bound and cause lives in the obs::QueryExplain base
-/// (docs/OBSERVABILITY.md), written once by the engine; the flight recorder
-/// stores the same bytes by slicing.
+/// (docs/OBSERVABILITY.md), written once by the engine, which publishes
+/// nothing else; System's sink folds the record into every live surface,
+/// and the flight recorder stores the same bytes by slicing.
 struct QueryResult : obs::QueryExplain {
   std::vector<PointId> result_ids;  ///< the k nearest ids (Def. 3)
   storage::IoStats gen_io;     ///< index accesses (phase 1)
@@ -119,8 +120,8 @@ class KnnEngine {
   }
 
   /// Attaches the cache-introspection instrument; every cache probe then
-  /// feeds OnAccess(candidate, hit) — reuse-distance sampling, miss
-  /// classification, working-set sketches. nullptr (default) disables it.
+  /// feeds OnAccess(candidate, hit): reuse-distance sampling and miss
+  /// classification. nullptr (default) disables it.
   void set_analytics(obs::CacheAnalytics* analytics) {
     analytics_ = analytics;
   }

@@ -60,16 +60,9 @@ Status CacheMaintainer::EndEpoch(
   const double hot_drift =
       DistributionDrift(epoch_stats.freq, system_->workload_stats().freq);
   last_drift_ = std::max(value_drift, hot_drift);
-  // Read-only drift corroboration from the cache-introspection instrument:
-  // a low inter-window Jaccard says the key working set itself churned,
-  // complementing the value-distribution drift above. Observed, not acted
-  // on.
-  last_ws_jaccard_ =
-      analytics_ != nullptr ? analytics_->working_set().jaccard : 0.0;
   if (obs_.last_drift != nullptr) {
     obs_.analyze_seconds->Record(timer.ElapsedSeconds());
     obs_.last_drift->Set(last_drift_);
-    obs_.ws_jaccard->Set(last_ws_jaccard_);
   }
 
   // Blend the epoch into the EWMA history regardless of rebuild decisions,
@@ -135,7 +128,6 @@ void CacheMaintainer::BindMetrics(obs::MetricsRegistry* registry) {
   obs_.epochs = registry->GetCounter("maintenance.epochs");
   obs_.rebuilds = registry->GetCounter("maintenance.rebuilds");
   obs_.last_drift = registry->GetGauge("maintenance.last_drift");
-  obs_.ws_jaccard = registry->GetGauge("maintenance.ws_jaccard");
   obs_.analyze_seconds = registry->GetHistogram("maintenance.analyze_seconds");
   obs_.rebuild_seconds = registry->GetHistogram("maintenance.rebuild_seconds");
 }

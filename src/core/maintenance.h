@@ -65,34 +65,18 @@ class CacheMaintainer {
   /// analyze/rebuild timing histograms) in `registry`; nullptr detaches.
   void BindMetrics(obs::MetricsRegistry* registry);
 
-  /// Attaches the cache-introspection instrument as a read-only drift
-  /// signal: each EndEpoch records its working-set Jaccard overlap next to
-  /// the distribution drift (maintenance.ws_jaccard). The signal is
-  /// observed, never acted on — the rebuild decision stays with the
-  /// distribution-drift threshold. nullptr detaches.
-  void SetAnalytics(const obs::CacheAnalytics* analytics) {
-    analytics_ = analytics;
-  }
-
-  /// Working-set Jaccard observed at the last EndEpoch (0 when no
-  /// analytics instrument is attached or no window has completed).
-  double last_ws_jaccard() const { return last_ws_jaccard_; }
-
  private:
   System* system_;
   MaintenanceOptions options_;
-  const obs::CacheAnalytics* analytics_ = nullptr;
   uint64_t epochs_ = 0;
   uint64_t rebuilds_ = 0;
   double last_drift_ = 0.0;
-  double last_ws_jaccard_ = 0.0;
 
   // Bound instruments (nullptr when observability is off).
   struct Instruments {
     obs::Counter* epochs = nullptr;
     obs::Counter* rebuilds = nullptr;
     obs::Gauge* last_drift = nullptr;
-    obs::Gauge* ws_jaccard = nullptr;
     obs::LatencyHistogram* analyze_seconds = nullptr;
     obs::LatencyHistogram* rebuild_seconds = nullptr;
   } obs_;

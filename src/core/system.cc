@@ -138,7 +138,6 @@ Status System::Create(storage::Env* env, const std::string& dir,
 void System::EnableMetrics(obs::MetricsRegistry* registry) {
   metrics_ = registry;
   lsh_->BindMetrics(registry);
-  points_->BindMetrics(registry);
   retry_env_->BindMetrics(registry);
   if (auto gen = generation(); gen != nullptr) {
     gen->cache->BindMetrics(registry);
@@ -159,11 +158,13 @@ void System::EnableMetrics(obs::MetricsRegistry* registry) {
       .substituted = registry->GetCounter("engine.degraded_substituted"),
       .read_failures = registry->GetCounter("engine.read_failures"),
       .deadline_cuts = registry->GetCounter("engine.deadline_cuts"),
+      .point_reads = registry->GetCounter("storage.point_reads"),
+      .page_reads = registry->GetCounter("storage.random_page_reads"),
+      .bytes_read = registry->GetCounter("storage.bytes_read"),
       .gen_seconds = registry->GetHistogram("engine.gen_seconds"),
       .reduce_seconds = registry->GetHistogram("engine.reduce_seconds"),
       .refine_seconds = registry->GetHistogram("engine.refine_seconds"),
-      .response_seconds = registry->GetHistogram("system.response_seconds"),
-      .modeled_io_seconds = registry->GetGauge("system.modeled_io_seconds"),
+      .query_seconds = registry->GetHistogram("engine.query_seconds"),
   };
 }
 
@@ -194,7 +195,7 @@ void System::InstallCacheTap() {
     auto gen = generation();
     if (gen == nullptr || gen->cache == nullptr) return {};
     const cache::KnnCache::CacheActivity a = gen->cache->activity();
-    return obs::CacheTapSample{a.hits, a.misses, a.admits, a.evictions};
+    return obs::CacheTapSample{a.admits, a.evictions};
   });
 }
 
@@ -205,21 +206,10 @@ Status System::Execute(std::span<const Scalar> q, size_t k,
   return Status::OK();
 }
 
-double System::ModeledResponse(const QueryResult& r,
-                               double* modeled_io) const {
-  storage::IoStats io = r.gen_io;
-  io += r.refine_io;
-  const double io_seconds = disk_model_.Seconds(io);
-  if (modeled_io != nullptr) *modeled_io = io_seconds;
-  return r.gen_seconds + r.reduce_seconds + r.refine_seconds + io_seconds;
-}
-
 void System::OnQueryFinished(const QueryResult& r, uint64_t query_index) {
   obs::QueryRecord record;
   record.query_index = query_index;
   record.explain = r;
-  double modeled_io = 0.0;
-  record.response_seconds = ModeledResponse(r, &modeled_io);
   const QueryInstruments& m = instruments_;
   if (m.queries != nullptr) {
     m.queries->Add(1);
@@ -235,11 +225,13 @@ void System::OnQueryFinished(const QueryResult& r, uint64_t query_index) {
     m.substituted->Add(r.substituted);
     m.read_failures->Add(r.read_failures);
     if (r.deadline_hit) m.deadline_cuts->Add(1);
+    m.point_reads->Add(r.refine_io.point_reads);
+    m.page_reads->Add(r.refine_io.page_reads);
+    m.bytes_read->Add(r.refine_io.bytes_read);
     m.gen_seconds->Record(r.gen_seconds);
     m.reduce_seconds->Record(r.reduce_seconds);
     m.refine_seconds->Record(r.refine_seconds);
-    m.response_seconds->Record(record.response_seconds);
-    m.modeled_io_seconds->Add(modeled_io);
+    m.query_seconds->Record(r.query_seconds());
   }
   if (window_ != nullptr) window_->RecordQuery(record);
   if (recorder_ != nullptr) recorder_->Record(record);
@@ -598,12 +590,15 @@ void System::AggregateResults(const std::vector<QueryResult>& results,
   double probes = 0.0;
   double reduced = 0.0;
   storage::IoStats gen_total, refine_total;
-  // Modeled response-time distribution; log-bucketed so batches of any size
-  // aggregate in O(1) memory (satisfies the same p50<=p95<=p99 contract as
-  // the exact sort it replaces, within one bucket width).
-  obs::LatencyHistogram latencies;
+  // Modeled response of each query: its measured time plus the disk model
+  // over its page counts. This is the one place the disk model prices a
+  // query.
+  std::vector<double> responses;
+  responses.reserve(results.size());
   for (const QueryResult& r : results) {
-    latencies.Record(ModeledResponse(r));
+    storage::IoStats io = r.gen_io;
+    io += r.refine_io;
+    responses.push_back(r.query_seconds() + disk_model_.Seconds(io));
     out->avg_candidates += static_cast<double>(r.candidates);
     out->avg_remaining += static_cast<double>(r.remaining);
     out->avg_fetched += static_cast<double>(r.fetched);
@@ -645,9 +640,16 @@ void System::AggregateResults(const std::vector<QueryResult>& results,
   out->degraded_rate = static_cast<double>(out->degraded_queries) / nq;
   out->avg_substituted /= nq;
 
-  out->p50_response_seconds = latencies.Percentile(0.50);
-  out->p95_response_seconds = latencies.Percentile(0.95);
-  out->p99_response_seconds = latencies.Percentile(0.99);
+  // Exact nearest-rank order statistics: index floor(p * (n - 1)) of the
+  // sorted responses.
+  std::sort(responses.begin(), responses.end());
+  auto percentile = [&responses](double p) {
+    return responses[static_cast<size_t>(
+        p * static_cast<double>(responses.size() - 1))];
+  };
+  out->p50_response_seconds = percentile(0.50);
+  out->p95_response_seconds = percentile(0.95);
+  out->p99_response_seconds = percentile(0.99);
 }
 
 }  // namespace eeb::core

@@ -98,7 +98,8 @@ struct AggregateResult {
   double avg_response_seconds = 0.0;  ///< total per query
 
   // Modeled per-query response-time distribution (tail latency matters to
-  // interactive retrieval; the paper reports means only).
+  // interactive retrieval; the paper reports means only): exact nearest-rank
+  // order statistics, index floor(p * (n - 1)) of the sorted responses.
   double p50_response_seconds = 0.0;
   double p95_response_seconds = 0.0;
   double p99_response_seconds = 0.0;
@@ -197,27 +198,29 @@ class System {
   size_t last_histogram_space_bytes() const { return last_space_bytes_; }
   uint32_t last_tau() const { return last_tau_; }
 
-  /// Binds every pipeline component (index, storage, cache) plus the
-  /// per-query engine.* / system.* instruments in `registry`. The registry
-  /// must outlive the system; nullptr detaches everything. Caches installed
-  /// by later ConfigureCache calls are bound automatically.
+  /// Binds the components' own instruments (index lsh.*, I/O retry io.*,
+  /// cache admissions and evictions) plus the per-query engine.* and
+  /// storage.* counters the sink folds from each query's record, in
+  /// `registry`. The registry must outlive the system; nullptr detaches
+  /// everything. Caches installed by later ConfigureCache calls are bound
+  /// automatically.
   void EnableMetrics(obs::MetricsRegistry* registry);
 
   /// Attaches the live-telemetry window (docs/OBSERVABILITY.md): every
-  /// finished query is folded into it (modeled response, candidate funnel,
-  /// degraded flags), and a cache tap is installed so windowed hit/admit/
-  /// evict ratios follow the live cache generation across rebuilds. Safe at
-  /// any thread count. nullptr detaches.
+  /// finished query is folded into it (measured time, candidate funnel,
+  /// degraded flags), and a cache tap is installed so windowed admissions
+  /// and evictions follow the live cache generation across rebuilds. Safe
+  /// at any thread count. nullptr detaches.
   void SetWindow(obs::WindowedMetrics* window);
 
   /// Attaches the flight recorder: every finished query lands in the ring;
-  /// slow/degraded ones are tail-retained with their full explain record.
-  /// nullptr detaches.
+  /// slow (by measured time) and degraded ones are tail-retained with their
+  /// full explain record. nullptr detaches.
   void SetRecorder(obs::FlightRecorder* recorder);
 
   /// Attaches the cache-introspection instrument (docs/OBSERVABILITY.md):
-  /// every cache probe feeds its reuse-distance sampler, miss classifier
-  /// and working-set sketches; generation swaps are forwarded so
+  /// every cache probe feeds its reuse-distance sampler and miss
+  /// classifier; generation swaps are forwarded so
   /// invalidation misses classify correctly, and the MRC reference size
   /// tracks the live cache's item capacity (the what-if panel restarts only
   /// when that capacity changes). nullptr detaches.
@@ -264,22 +267,18 @@ class System {
   Status Execute(std::span<const Scalar> q, size_t k, uint64_t query_index,
                  QueryResult* out);
 
-  /// The one per-query telemetry sink: feeds the engine.* / system.*
-  /// instruments, the window and the flight recorder. `query_index` is the
-  /// query's slot in its batch (0 for a single Query).
+  /// The one per-query telemetry sink: folds the query's record, and
+  /// nothing else, into the engine.* / storage.* instruments, the window
+  /// and the flight recorder. `query_index` is the query's slot in its
+  /// batch (0 for a single Query).
   void OnQueryFinished(const QueryResult& r, uint64_t query_index);
-
-  /// Modeled response of one executed query: its measured phase time plus
-  /// the disk model over its page counts. `modeled_io`, when non-null,
-  /// receives the disk-model share.
-  double ModeledResponse(const QueryResult& r,
-                         double* modeled_io = nullptr) const;
 
   Status BuildCacheObject(CacheMethod method, size_t cache_bytes, uint32_t tau,
                           bool lru, std::shared_ptr<CacheGeneration>* out);
 
   /// Batch aggregation: a pure fold of per-query results in query order
-  /// (identical floating-point accumulation at any thread count).
+  /// (identical floating-point accumulation at any thread count), and the
+  /// one caller of the disk model.
   void AggregateResults(const std::vector<QueryResult>& results,
                         AggregateResult* out) const;
 
@@ -348,11 +347,13 @@ class System {
     obs::Counter* substituted = nullptr;
     obs::Counter* read_failures = nullptr;
     obs::Counter* deadline_cuts = nullptr;
+    obs::Counter* point_reads = nullptr;  // refine_io, as storage.*
+    obs::Counter* page_reads = nullptr;
+    obs::Counter* bytes_read = nullptr;
     obs::LatencyHistogram* gen_seconds = nullptr;
     obs::LatencyHistogram* reduce_seconds = nullptr;
     obs::LatencyHistogram* refine_seconds = nullptr;
-    obs::LatencyHistogram* response_seconds = nullptr;
-    obs::Gauge* modeled_io_seconds = nullptr;
+    obs::LatencyHistogram* query_seconds = nullptr;
   } instruments_ EEB_UNGUARDED(
       "bound before serving; the instruments are internally atomic");
 

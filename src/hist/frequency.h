@@ -28,17 +28,6 @@ class FrequencyArray {
 
   void Add(uint32_t value, double weight = 1.0) { counts_[value] += weight; }
 
-  /// Accumulates another array over the same domain — the merge step for
-  /// per-thread frequency shards built concurrently (docs/CONCURRENCY.md).
-  /// Domains must match; extra entries in `other` are a caller bug and are
-  /// ignored defensively.
-  void Merge(const FrequencyArray& other) {
-    const size_t n = counts_.size() < other.counts_.size()
-                         ? counts_.size()
-                         : other.counts_.size();
-    for (size_t i = 0; i < n; ++i) counts_[i] += other.counts_[i];
-  }
-
   double operator[](uint32_t value) const { return counts_[value]; }
 
   double Total() const {

@@ -25,27 +25,7 @@ CacheAnalytics::Options Sanitize(CacheAnalytics::Options options) {
   if (options.sampling_rate > 1.0) options.sampling_rate = 1.0;
   options.max_sampled_keys = std::max<size_t>(options.max_sampled_keys, 16);
   options.key_space = std::max<uint64_t>(options.key_space, 64);
-  options.ws_window_accesses =
-      std::max<uint64_t>(options.ws_window_accesses, 64);
   return options;
-}
-
-// Standard HyperLogLog estimator with the small-range correction; the
-// large-range correction is irrelevant at these cardinalities.
-double EstimateFromRegisters(const uint64_t* regs, size_t m) {
-  double sum = 0.0;
-  size_t zeros = 0;
-  for (size_t i = 0; i < m; ++i) {
-    sum += std::ldexp(1.0, -static_cast<int>(regs[i]));
-    if (regs[i] == 0) ++zeros;
-  }
-  const double md = static_cast<double>(m);
-  const double alpha = 0.7213 / (1.0 + 1.079 / md);
-  double e = alpha * md * md / sum;
-  if (e <= 2.5 * md && zeros > 0) {
-    e = md * std::log(md / static_cast<double>(zeros));
-  }
-  return e;
 }
 
 }  // namespace
@@ -73,7 +53,6 @@ CacheAnalytics::CacheAnalytics(Options options)
       pos_key_(position_capacity_, 0),
       table_(max_sampled_) {
   dist_hist_.fill(0);
-  hll_prev_.fill(0);
 }
 
 void CacheAnalytics::OnAccess(uint64_t key, bool hit) {
@@ -97,12 +76,6 @@ void CacheAnalytics::OnAccess(uint64_t key, bool hit) {
   } else {
     miss_capacity_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  // Working-set sketch; rotation fires once per window boundary (each
-  // access observes a distinct counter value).
-  HllAdd(key);
-  const uint64_t n = ws_accesses_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n % options_.ws_window_accesses == 0) RotateWindow();
 
   // The SHARDS gate: one hash plus one compare decides membership in the
   // sampled substream; only members pay the mutex and tree update.
@@ -322,61 +295,6 @@ CacheAnalytics::MissBreakdown CacheAnalytics::miss_breakdown() const {
   return b;
 }
 
-void CacheAnalytics::HllAdd(uint64_t key) {
-  // A second hash stream (constant-xored input) decorrelates the sketch
-  // from the sampling gate, which consumes Mix64(key) directly.
-  const uint64_t h = Mix64(key ^ 0x5851f42d4c957f2dULL);
-  const size_t idx = static_cast<size_t>(h >> 56);
-  const uint64_t w = h << 8;
-  const uint64_t rank =
-      w == 0 ? 57 : static_cast<uint64_t>(std::countl_zero(w)) + 1;
-  uint64_t old = hll_cur_[idx].load(std::memory_order_relaxed);
-  while (old < rank && !hll_cur_[idx].compare_exchange_weak(
-                           old, rank, std::memory_order_relaxed)) {
-  }
-}
-
-double CacheAnalytics::EstimateCurrentCardinality() const {
-  std::array<uint64_t, kHllRegisters> regs;
-  for (size_t i = 0; i < kHllRegisters; ++i) {
-    regs[i] = hll_cur_[i].load(std::memory_order_relaxed);
-  }
-  return EstimateFromRegisters(regs.data(), kHllRegisters);
-}
-
-void CacheAnalytics::RotateWindow() {
-  MutexLock lock(ws_mu_);
-  std::array<uint64_t, kHllRegisters> cur;
-  for (size_t i = 0; i < kHllRegisters; ++i) {
-    cur[i] = hll_cur_[i].exchange(0, std::memory_order_relaxed);
-  }
-  const double cur_card = EstimateFromRegisters(cur.data(), kHllRegisters);
-  if (windows_completed_ > 0) {
-    // Jaccard by inclusion-exclusion over the merged (register-max) sketch.
-    std::array<uint64_t, kHllRegisters> merged;
-    for (size_t i = 0; i < kHllRegisters; ++i) {
-      merged[i] = std::max(cur[i], hll_prev_[i]);
-    }
-    const double u = EstimateFromRegisters(merged.data(), kHllRegisters);
-    const double inter = prev_cardinality_ + cur_card - u;
-    last_jaccard_ =
-        (u > 0.0 && inter > 0.0) ? std::min(inter / u, 1.0) : 0.0;
-  }
-  hll_prev_ = cur;
-  prev_cardinality_ = cur_card;
-  ++windows_completed_;
-}
-
-CacheAnalytics::WorkingSet CacheAnalytics::working_set() const {
-  WorkingSet ws;
-  ws.current_cardinality = EstimateCurrentCardinality();
-  MutexLock lock(ws_mu_);
-  ws.previous_cardinality = prev_cardinality_;
-  ws.jaccard = last_jaccard_;
-  ws.windows = windows_completed_;
-  return ws;
-}
-
 void CacheAnalytics::BindMetrics(MetricsRegistry* registry) {
   MutexLock lock(publish_mu_);
   registry_ = registry;
@@ -424,12 +342,6 @@ void CacheAnalytics::PublishMetrics() {
     registry_->GetGauge("cache.mrc.lru_2x.hit_ratio")->Set(panel[2].hit_ratio);
   }
 
-  const WorkingSet ws = working_set();
-  registry_->GetGauge("cache.ws.current_cardinality")
-      ->Set(ws.current_cardinality);
-  registry_->GetGauge("cache.ws.previous_cardinality")
-      ->Set(ws.previous_cardinality);
-  registry_->GetGauge("cache.ws.jaccard")->Set(ws.jaccard);
   registry_->GetGauge("cache.analytics.generation_swaps")
       ->Set(static_cast<double>(
           generation_swaps_.load(std::memory_order_relaxed)));
@@ -437,7 +349,6 @@ void CacheAnalytics::PublishMetrics() {
 
 std::string CacheAnalytics::MrcJson() const {
   const MissBreakdown mb = miss_breakdown();
-  const WorkingSet ws = working_set();
   const std::vector<MrcPoint> points = Mrc();
   uint64_t sampled = 0;
   uint64_t cold = 0;
@@ -479,12 +390,6 @@ std::string CacheAnalytics::MrcJson() const {
           ",\"capacity\":%" PRIu64 ",\"invalidation\":%" PRIu64
           ",\"misses\":%" PRIu64 "}",
           mb.compulsory, mb.capacity, mb.invalidation, mb.misses);
-  AppendF(&out,
-          ",\"working_set\":{\"current_cardinality\":%.9g"
-          ",\"previous_cardinality\":%.9g,\"jaccard\":%.9g"
-          ",\"windows\":%" PRIu64 "}",
-          ws.current_cardinality, ws.previous_cardinality, ws.jaccard,
-          ws.windows);
   out += ",\"points\":[";
   for (size_t i = 0; i < points.size(); ++i) {
     AppendF(&out, "%s{\"size_items\":%" PRIu64 ",\"miss_ratio\":%.9g}",

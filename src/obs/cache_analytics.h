@@ -1,5 +1,5 @@
 // Cache introspection: the measurement substrate for cache re-tuning
-// decisions (ROADMAP item 4). Three independent instruments behind one
+// decisions (ROADMAP item 4). Two independent instruments behind one
 // hot-path entry point, OnAccess(key, hit):
 //
 //   * A SHARDS-style spatially-sampled reuse-distance tracker. A key is
@@ -19,12 +19,6 @@
 //     last cache publication but not since), or capacity (everything
 //     else). Each miss increments exactly one cause counter, so
 //     compulsory + capacity + invalidation == misses always reconciles.
-//
-//   * Working-set drift sketches. A small HyperLogLog estimates the
-//     distinct-key cardinality of the current access window; on window
-//     rotation the sketch is compared with the previous window's to produce
-//     a Jaccard-overlap estimate, a read-only drift signal for the
-//     maintenance policy.
 //
 // Everything is sized at construction: the hot path performs no allocation
 // and, off the sampled substream, no locking. obs sits below cache/core in
@@ -60,8 +54,6 @@ class CacheAnalytics {
     // Classifier bitset size; keys are aliased modulo this. Size it at or
     // above the dataset cardinality for exact classification.
     uint64_t key_space = uint64_t{1} << 20;
-    // Working-set window length in accesses (sketch rotation period).
-    uint64_t ws_window_accesses = 4096;
   };
 
   /// One point of the miss-ratio curve: the predicted LRU miss ratio of a
@@ -91,16 +83,6 @@ class CacheAnalytics {
     uint64_t invalidation = 0;
   };
 
-  /// Working-set view: estimated distinct keys in the current (partial)
-  /// window, the previous full window, and their Jaccard overlap (computed
-  /// at the last rotation; 0 until two windows have completed).
-  struct WorkingSet {
-    double current_cardinality = 0.0;
-    double previous_cardinality = 0.0;
-    double jaccard = 0.0;
-    uint64_t windows = 0;  // completed window rotations
-  };
-
   // Two constructors instead of one defaulted argument: a `= {}` default
   // for a nested struct with member initializers is ill-formed until the
   // enclosing class is complete, but a delegating body is parsed late.
@@ -112,7 +94,7 @@ class CacheAnalytics {
 
   /// Hot-path hook: one cache probe of `key`, which `hit` or missed.
   /// Allocation-free; lock-free except on the sampled substream.
-  void OnAccess(uint64_t key, bool hit) EEB_EXCLUDES(rd_mu_, ws_mu_);
+  void OnAccess(uint64_t key, bool hit) EEB_EXCLUDES(rd_mu_);
 
   /// Marks a cache generation swap: keys seen before but not after are
   /// classified as invalidation misses on their next miss.
@@ -126,7 +108,6 @@ class CacheAnalytics {
   uint64_t reference_size() const EEB_EXCLUDES(rd_mu_);
 
   MissBreakdown miss_breakdown() const;
-  WorkingSet working_set() const EEB_EXCLUDES(ws_mu_);
 
   /// The miss-ratio curve from the sampled reuse distances, one point per
   /// distinct log-bucket edge up to the largest observed distance.
@@ -157,15 +138,15 @@ class CacheAnalytics {
 
   /// The MRC artifact body: {"sampling_rate":…,"total_accesses":…,
   /// "sampled_accesses":…,"cold_sampled":…,"tracked_keys":…,
-  /// "overflow_evictions":…,"miss_classes":{…},"working_set":{…},
-  /// "points":[{"size_items":…,"miss_ratio":…},…]}; with a reference size
-  /// it also carries "reference" and "lru_what_if":[{"size_items":…,
-  /// "hit_ratio":…}×3].
-  std::string MrcJson() const EEB_EXCLUDES(rd_mu_, ws_mu_);
+  /// "overflow_evictions":…,"miss_classes":{…},"points":[{"size_items":…,
+  /// "miss_ratio":…},…]}; with a reference size it also carries "reference"
+  /// and "lru_what_if":[{"size_items":…,"hit_ratio":…}×3].
+  std::string MrcJson() const EEB_EXCLUDES(rd_mu_);
 
-  /// Binds the "cache.miss.*" counters and "cache.mrc.*" / "cache.ws.*"
-  /// gauges; PublishMetrics then moves counter deltas (so a registry
-  /// ResetAll loses nothing) and refreshes the gauges.
+  /// Binds the "cache.miss.*" counters and "cache.mrc.*" gauges;
+  /// PublishMetrics then moves counter deltas (so a registry ResetAll loses
+  /// nothing) and refreshes the gauges. Nothing on the query path publishes:
+  /// call PublishMetrics when a reader is about to read the registry.
   void BindMetrics(MetricsRegistry* registry) EEB_EXCLUDES(publish_mu_);
   void PublishMetrics() EEB_EXCLUDES(publish_mu_);
 
@@ -178,7 +159,6 @@ class CacheAnalytics {
   static constexpr int kDistBucketsPerOctave = 8;
   static constexpr int kDistOctaves = 40;
   static constexpr int kDistBuckets = kDistOctaves * kDistBucketsPerOctave + 1;
-  static constexpr size_t kHllRegisters = 256;  // 8 index bits
 
   static int DistBucket(double d);
   static double DistBucketUpper(int idx);
@@ -191,10 +171,6 @@ class CacheAnalytics {
   uint32_t FenwickPrefix(size_t pos) const EEB_REQUIRES(rd_mu_);
   size_t FenwickFirstOccupied() const EEB_REQUIRES(rd_mu_);
   double HitsAtLocked(double size_items) const EEB_REQUIRES(rd_mu_);
-
-  void HllAdd(uint64_t key);
-  void RotateWindow() EEB_EXCLUDES(ws_mu_);
-  double EstimateCurrentCardinality() const;
 
   const Options options_;
   const uint64_t sample_threshold_;  // sampled iff Mix64(key) <= threshold
@@ -234,19 +210,6 @@ class CacheAnalytics {
   uint64_t ref_size_items_ EEB_GUARDED_BY(rd_mu_) = 0;
   uint64_t what_if_accesses_ EEB_GUARDED_BY(rd_mu_) = 0;
   std::array<uint64_t, 3> what_if_hits_ EEB_GUARDED_BY(rd_mu_){};
-
-  // --- working-set sketches ---
-  std::array<std::atomic<uint64_t>, kHllRegisters> hll_cur_ EEB_UNGUARDED(
-      "registers are relaxed CAS-max atomics written lock-free; rotation "
-      "drains them with exchange, and a concurrent update racing the "
-      "rotation lands in one window or the other (bounded smear, by "
-      "design)");
-  std::atomic<uint64_t> ws_accesses_{0};
-  mutable Mutex ws_mu_;
-  std::array<uint64_t, kHllRegisters> hll_prev_ EEB_GUARDED_BY(ws_mu_);
-  double prev_cardinality_ EEB_GUARDED_BY(ws_mu_) = 0.0;
-  double last_jaccard_ EEB_GUARDED_BY(ws_mu_) = 0.0;
-  uint64_t windows_completed_ EEB_GUARDED_BY(ws_mu_) = 0;
 
   // --- delta publication into a MetricsRegistry ---
   mutable Mutex publish_mu_;

@@ -90,8 +90,8 @@ void AppendExplainJson(const QueryExplain& e, std::string* out) {
 void AppendQueryRecordJson(const QueryRecord& r, std::string* out) {
   AppendF(out,
           "{\"seq\":%" PRIu64 ",\"query_index\":%" PRIu64
-          ",\"response_seconds\":%.9g,\"explain\":",
-          r.seq, r.query_index, r.response_seconds);
+          ",\"explain\":",
+          r.seq, r.query_index);
   AppendExplainJson(r.explain, out);
   out->append("}");
 }
@@ -185,7 +185,8 @@ uint64_t FlightRecorder::Record(QueryRecord record) {
   WriteCell(slot.cells[n % options_.ring_capacity], record);
 
   const double threshold = slow_threshold();
-  const bool slow = threshold > 0.0 && record.response_seconds >= threshold;
+  const bool slow =
+      threshold > 0.0 && record.explain.query_seconds() >= threshold;
   const bool degraded =
       record.explain.degraded_cause != DegradedCause::kNone ||
       record.explain.read_failures > 0;

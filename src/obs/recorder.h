@@ -113,15 +113,22 @@ struct QueryExplain {
   bool degraded = false;       // some result came from cached bounds
   bool deadline_hit = false;   // a phase was cut over by the deadline
   uint8_t pad_[5] = {};        // keep sizeof a multiple of 8 explicitly
+
+  /// Measured engine time of the query: the three phases' wall time. The
+  /// one clock the live surfaces report (window, recorder, the
+  /// engine.query_seconds histogram); only the batch aggregate adds the
+  /// disk model on top.
+  double query_seconds() const {
+    return gen_seconds + reduce_seconds + refine_seconds;
+  }
 };
 static_assert(std::is_trivially_copyable_v<QueryExplain>);
 static_assert(sizeof(QueryExplain) % 8 == 0);
 
-/// One flight-recorder entry: identity, outcome, and the explain record.
+/// One flight-recorder entry: identity and the explain record.
 struct QueryRecord {
   uint64_t seq = 0;          // recorder-global order (1-based; 0 = empty)
   uint64_t query_index = 0;  // caller's index within its batch
-  double response_seconds = 0.0;  // modeled: phase wall time + disk model
   QueryExplain explain;
 };
 static_assert(std::is_trivially_copyable_v<QueryRecord>);
@@ -145,9 +152,10 @@ class FlightRecorder {
     // Ring capacity per thread slot; total retained summaries is up to
     // kSlots * ring_capacity across however many slots threads touched.
     size_t ring_capacity = 256;
-    // Queries at or above this modeled-response threshold are retained with
-    // their full record. 0 disables the slowness criterion (degraded and
-    // corruption-hit queries are always retained).
+    // Queries whose measured time (QueryExplain::query_seconds) is at or
+    // above this threshold are retained with their full record. 0 disables
+    // the slowness criterion (degraded and corruption-hit queries are
+    // always retained).
     double slow_threshold_seconds = 0.0;
     // Bound on the retained slow/degraded list (oldest evicted first).
     size_t max_retained_slow = 256;

@@ -39,7 +39,6 @@ void WindowedMetrics::Slice::Clear(uint64_t new_epoch) {
   degraded = 0;
   deadline_hits = 0;
   read_failures = 0;
-  tap_misses = 0;
   tap_admits = 0;
   tap_evictions = 0;
   buckets.fill(0);
@@ -62,7 +61,7 @@ WindowedMetrics::Slice& WindowedMetrics::Touch(double now) {
 
 void WindowedMetrics::RecordQuery(const QueryRecord& record) {
   const QueryExplain& q = record.explain;
-  const double seconds = record.response_seconds;
+  const double seconds = q.query_seconds();
   total_queries_.fetch_add(1, std::memory_order_relaxed);
   total_candidates_.fetch_add(q.candidates, std::memory_order_relaxed);
   total_cache_hits_.fetch_add(q.cache_hits, std::memory_order_relaxed);
@@ -106,7 +105,6 @@ void WindowedMetrics::DrainTapLocked(double now) {
   if (tap_) {
     const CacheTapSample cur = tap_();
     Slice& slice = Touch(now);
-    slice.tap_misses += delta(cur.misses, tap_base_.misses);
     slice.tap_admits += delta(cur.admits, tap_base_.admits);
     slice.tap_evictions += delta(cur.evictions, tap_base_.evictions);
     tap_base_ = cur;
@@ -142,7 +140,6 @@ WindowSnapshot WindowedMetrics::GetSnapshot() {
       cur_epoch >= n_slices - 1 ? cur_epoch - (n_slices - 1) : 0;
 
   std::array<uint64_t, LatencyHistogram::kNumBuckets> buckets{};
-  uint64_t tap_misses = 0;
   for (const Slice& slice : slices_) {
     if (slice.epoch < oldest_epoch || slice.epoch > cur_epoch) continue;
     snap.queries += slice.queries;
@@ -153,7 +150,6 @@ WindowSnapshot WindowedMetrics::GetSnapshot() {
     snap.read_failures += slice.read_failures;
     snap.cache_admits += slice.tap_admits;
     snap.cache_evictions += slice.tap_evictions;
-    tap_misses += slice.tap_misses;
     snap.mean_seconds += slice.sum_seconds;  // sum for now; divided below
     snap.max_seconds = std::max(snap.max_seconds, slice.max_seconds);
     for (size_t i = 0; i < buckets.size(); ++i) buckets[i] += slice.buckets[i];
@@ -184,9 +180,10 @@ WindowSnapshot WindowedMetrics::GetSnapshot() {
     snap.degraded_rate = static_cast<double>(snap.degraded) /
                          static_cast<double>(snap.queries);
   }
-  if (tap_misses > 0) {
+  // Misses are the records' candidates the cache did not answer.
+  if (snap.candidates > snap.cache_hits) {
     snap.admit_ratio = static_cast<double>(snap.cache_admits) /
-                       static_cast<double>(tap_misses);
+                       static_cast<double>(snap.candidates - snap.cache_hits);
   }
 
   snap.total_queries = total_queries_.load(std::memory_order_relaxed);

@@ -1,9 +1,11 @@
 // Rolling time-windowed aggregates for live serving telemetry. The
 // cumulative MetricsRegistry answers "what happened since process start";
 // WindowedMetrics answers "what is happening right now": sliding-window QPS,
-// windowed latency percentiles (same log-bucket math as LatencyHistogram,
-// so live and cumulative quantiles quantize identically), an EWMA latency,
-// and windowed cache hit/admit/evict ratios fed by a cache tap.
+// windowed latency percentiles over the measured per-query time (same
+// log-bucket math as LatencyHistogram, so live and cumulative quantiles
+// quantize identically), an EWMA latency, and windowed cache hit and admit
+// ratios. Everything but the cache's admissions and evictions comes from
+// the per-query records; those two come from a cache tap.
 //
 // The window is a ring of epoch-stamped slices (window_seconds / slices
 // wide). Recording touches only the current slice; stale slices are zeroed
@@ -34,13 +36,12 @@
 
 namespace eeb::obs {
 
-/// Cumulative cache activity totals pulled from the live cache generation.
-/// The window differences successive samples, so the tap just reports
-/// totals; it is a std::function because obs sits below cache in the link
-/// order and cannot name cache types.
+/// Cumulative admissions and evictions pulled from the live cache
+/// generation: the cache facts a per-query record cannot hold. The window
+/// differences successive samples, so the tap just reports totals; it is a
+/// std::function because obs sits below cache in the link order and cannot
+/// name cache types.
 struct CacheTapSample {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
   uint64_t admits = 0;
   uint64_t evictions = 0;
 };
@@ -74,7 +75,7 @@ struct WindowSnapshot {
   uint64_t read_failures = 0;
   uint64_t cache_admits = 0;     // from the cache tap, windowed
   uint64_t cache_evictions = 0;  // from the cache tap, windowed
-  double admit_ratio = 0.0;      // admits / misses in the window
+  double admit_ratio = 0.0;      // admits / (candidates - cache_hits)
   // Since-construction totals for reconciliation with cumulative counters.
   uint64_t total_queries = 0;
   uint64_t total_candidates = 0;
@@ -89,11 +90,11 @@ class WindowedMetrics {
   WindowedMetrics(const WindowedMetrics&) = delete;
   WindowedMetrics& operator=(const WindowedMetrics&) = delete;
 
-  /// Folds one finished query into the current slice: its modeled
-  /// response and funnel.
+  /// Folds one finished query into the current slice: its measured time
+  /// (QueryExplain::query_seconds) and funnel.
   void RecordQuery(const QueryRecord& record) EEB_EXCLUDES(mu_);
 
-  /// Installs the cumulative cache-activity tap. The window differences
+  /// Installs the cumulative admit/evict tap. The window differences
   /// successive tap readings into slices at snapshot time; re-installation
   /// (e.g. after a cache generation swap) re-bases the deltas.
   void SetCacheTap(std::function<CacheTapSample()> tap) EEB_EXCLUDES(mu_);
@@ -121,7 +122,6 @@ class WindowedMetrics {
     uint64_t degraded = 0;
     uint64_t deadline_hits = 0;
     uint64_t read_failures = 0;
-    uint64_t tap_misses = 0;
     uint64_t tap_admits = 0;
     uint64_t tap_evictions = 0;
     std::array<uint32_t, LatencyHistogram::kNumBuckets> buckets{};

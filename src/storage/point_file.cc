@@ -271,23 +271,4 @@ Status PointFile::ReadPoint(PointId id, std::span<Scalar> out, IoStats* stats,
   return Status::OK();
 }
 
-void PointFile::PublishIo(const IoStats& delta) const {
-  if (obs_point_reads_ == nullptr) return;
-  obs_point_reads_->Add(delta.point_reads);
-  obs_page_reads_->Add(delta.page_reads);
-  obs_bytes_read_->Add(delta.bytes_read);
-}
-
-void PointFile::BindMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    obs_point_reads_ = nullptr;
-    obs_page_reads_ = nullptr;
-    obs_bytes_read_ = nullptr;
-    return;
-  }
-  obs_point_reads_ = registry->GetCounter("storage.point_reads");
-  obs_page_reads_ = registry->GetCounter("storage.random_page_reads");
-  obs_bytes_read_ = registry->GetCounter("storage.bytes_read");
-}
-
 }  // namespace eeb::storage

@@ -19,7 +19,6 @@
 #include "common/dataset.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "obs/metrics.h"
 #include "storage/env.h"
 #include "storage/io_stats.h"
 
@@ -74,17 +73,6 @@ class PointFile {
   /// point `id` — exposed for cache-by-page policies and tests.
   uint64_t PageOfPoint(PointId id) const;
 
-  /// Binds process-wide storage counters (point reads, deduplicated random
-  /// page reads, bytes) in `registry`; nullptr detaches. The counters see
-  /// the same dedup-aware charges as the per-query IoStats.
-  void BindMetrics(obs::MetricsRegistry* registry);
-
-  /// Adds an already-accumulated IoStats delta to the bound counters (one
-  /// atomic add per counter). ReadPoint itself never touches the registry;
-  /// the engine publishes its per-query IoStats once at query end. No-op
-  /// when unbound.
-  void PublishIo(const IoStats& delta) const;
-
  private:
   PointFile() = default;
 
@@ -102,11 +90,6 @@ class PointFile {
   uint64_t n_slots_ = 0;  // physical slots including padding
   uint64_t data_pages_ = 0;
   std::vector<uint32_t> id_to_slot_;
-
-  // Bound instruments (nullptr when observability is off).
-  obs::Counter* obs_point_reads_ = nullptr;
-  obs::Counter* obs_page_reads_ = nullptr;
-  obs::Counter* obs_bytes_read_ = nullptr;
 };
 
 }  // namespace eeb::storage

@@ -2,8 +2,7 @@
 // SHARDS-sampled reuse-distance tracker against a brute-force Mattson
 // reference, the sharp MRC shape of synthetic streams (with and without
 // spatial sampling), the exact miss-cause reconciliation across generation
-// swaps, the working-set sketches, and the LRU what-if panel against the
-// same brute-force reference.
+// swaps, and the LRU what-if panel against the same brute-force reference.
 
 #include <gtest/gtest.h>
 
@@ -279,31 +278,6 @@ TEST(MissClassificationTest, ReconcilesExactlyAcrossGenerationSwaps) {
   EXPECT_EQ(mb.accesses, mb.hits + mb.misses);
 }
 
-TEST(WorkingSetTest, HllTracksCardinalityAndJaccardDetectsDrift) {
-  CacheAnalytics::Options opt;
-  opt.ws_window_accesses = 1024;
-  CacheAnalytics a(opt);
-
-  // Window 1: keys [0, 1024).
-  for (uint64_t k = 0; k < 1024; ++k) a.OnAccess(k, false);
-  CacheAnalytics::WorkingSet ws = a.working_set();
-  EXPECT_EQ(ws.windows, 1u);
-  EXPECT_NEAR(ws.previous_cardinality, 1024.0, 1024.0 * 0.15);
-  EXPECT_DOUBLE_EQ(ws.jaccard, 0.0);  // one window: no pair to compare yet
-
-  // Window 2: the same keys — near-total overlap.
-  for (uint64_t k = 0; k < 1024; ++k) a.OnAccess(k, false);
-  ws = a.working_set();
-  EXPECT_EQ(ws.windows, 2u);
-  EXPECT_GT(ws.jaccard, 0.8);
-
-  // Window 3: disjoint keys — overlap collapses.
-  for (uint64_t k = 100000; k < 101024; ++k) a.OnAccess(k, false);
-  ws = a.working_set();
-  EXPECT_EQ(ws.windows, 3u);
-  EXPECT_LT(ws.jaccard, 0.2);
-}
-
 TEST(CacheAnalyticsTest, PublishMetricsMovesDeltasAndSurvivesResetAll) {
   CacheAnalytics::Options opt;
   opt.sampling_rate = 1.0;  // every key sampled: the ref gauge must appear
@@ -346,7 +320,6 @@ TEST(CacheAnalyticsTest, MrcJsonCarriesEverySection) {
   EXPECT_NE(json.find("\"miss_classes\":{\"compulsory\":16"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"working_set\":{"), std::string::npos) << json;
   EXPECT_NE(json.find("\"points\":[{\"size_items\":"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"lru_what_if\":[{\"size_items\":4,"),

@@ -120,7 +120,6 @@ TEST(ExactCacheTest, HitReturnsExactDistance) {
   const double d = L2(std::span<const Scalar>(q), data.point(7));
   EXPECT_DOUBLE_EQ(lb, d);
   EXPECT_DOUBLE_EQ(ub, d);
-  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(ExactCacheTest, CapacityLimitsFill) {
@@ -133,7 +132,6 @@ TEST(ExactCacheTest, CapacityLimitsFill) {
   std::vector<Scalar> q(8, 0);
   EXPECT_TRUE(cache.Probe(q, 5, &lb, &ub));
   EXPECT_FALSE(cache.Probe(q, 50, &lb, &ub));
-  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(ExactCacheTest, LruAdmitAndEvict) {

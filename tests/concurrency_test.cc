@@ -1,7 +1,7 @@
 // Concurrency tests (docs/CONCURRENCY.md): the backbone invariant of the
 // batch entry — N threads in one System::Serve call produce bit-exact
-// per-query results, bit-exact I/O-derived aggregates, and merged HFF cache
-// counters equal to the serial totals, for every static cache method. One
+// per-query results (answers, funnels, cache hits and I/O) and bit-exact
+// I/O-derived aggregates, for every static cache method. One
 // test races queries against maintenance-style cache rebuilds: publication
 // is atomic, so every answer stays exact. A failing query does not stop the
 // batch. Golden hashes pin what a one-thread batch does to an LRU cache
@@ -21,7 +21,6 @@
 #include "cache/knn_cache.h"
 #include "common/dataset.h"
 #include "core/system.h"
-#include "hist/frequency.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
 #include "fnv1a.h"
@@ -30,164 +29,6 @@ namespace eeb {
 namespace {
 
 constexpr size_t kThreads = 8;
-
-// ---- Sharded counters vs snapshot/reset interleaving ----------------------
-
-// Minimal KnnCache exposing the protected shard hooks, so the sharded
-// counter machinery (per-thread shards, delta publication, merged
-// snapshots) is tested without a real cache behind it.
-class ShardProbeCache : public cache::KnnCache {
- public:
-  bool Probe(std::span<const Scalar>, PointId, double*, double*) override {
-    NoteMiss();
-    return false;
-  }
-  size_t item_bytes() const override { return 1; }
-  size_t size() const override { return 0; }
-
-  void Hit() { NoteHit(); }
-  void Miss() { NoteMiss(); }
-  void AdmitOne() { NoteAdmit(); }
-  void EvictOne() { NoteEviction(); }
-};
-
-TEST(ShardedCountersTest, DeltaPublishSurvivesRegistryResetMidFlight) {
-  ShardProbeCache cache;
-  obs::MetricsRegistry registry;
-  cache.BindMetrics(&registry, "cache");
-  obs::Counter* hits = registry.GetCounter("cache.hits");
-  obs::Counter* admits = registry.GetCounter("cache.admits");
-
-  // Two-phase writers: each writes half its events, signals, and blocks
-  // until the main thread has snapshotted and reset the registry — the
-  // reset is guaranteed to land mid-flight, with live concurrent writers on
-  // both sides of it, regardless of how the scheduler interleaves things.
-  constexpr uint64_t kPerWriter = 5000;
-  std::atomic<size_t> half_done{0};
-  std::atomic<bool> resume{false};
-  std::vector<std::thread> writers;
-  for (size_t w = 0; w < kThreads; ++w) {
-    writers.emplace_back([&] {
-      for (uint64_t i = 0; i < kPerWriter; ++i) {
-        if (i == kPerWriter / 2) {
-          half_done.fetch_add(1);
-          while (!resume.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-        }
-        cache.Hit();
-        cache.AdmitOne();
-        if (i % 8 == 0) cache.EvictOne();
-      }
-    });
-  }
-
-  // Publish concurrently with the first-half writers, then snapshot + reset
-  // at the deterministic halfway barrier. Delta publication must hand every
-  // event to the registry exactly once: value-before-reset + value-at-end
-  // == total, with no event lost to the reset or double-counted around it.
-  while (half_done.load() < kThreads) {
-    cache.PublishMetrics();
-    std::this_thread::yield();
-  }
-  cache.PublishMetrics();  // all first-half events are now in the registry
-  const uint64_t published_before_reset = hits->value();
-  registry.ResetAll();
-  resume.store(true, std::memory_order_release);
-
-  for (auto& t : writers) t.join();
-  cache.PublishMetrics();
-
-  const uint64_t total = kThreads * kPerWriter;
-  EXPECT_EQ(published_before_reset, kThreads * (kPerWriter / 2));
-  EXPECT_EQ(published_before_reset + hits->value(), total);
-  EXPECT_EQ(cache.stats().hits, total);
-  // activity() is the same merged snapshot the live cache tap reads.
-  const cache::KnnCache::CacheActivity act = cache.activity();
-  EXPECT_EQ(act.hits, total);
-  EXPECT_EQ(act.admits, total);
-  EXPECT_EQ(act.evictions, kThreads * (kPerWriter / 8));
-  EXPECT_LE(admits->value(), total);  // the reset really discarded history
-}
-
-TEST(ShardedCountersTest, StatsSnapshotIsMonotoneUnderConcurrentWriters) {
-  ShardProbeCache cache;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (size_t w = 0; w < 4; ++w) {
-    writers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) cache.Hit();
-    });
-  }
-  // Merged snapshots taken while shards are being written must never go
-  // backwards (each shard is read once, relaxed, and only ever increases).
-  uint64_t prev = 0;
-  for (int i = 0; i < 200; ++i) {
-    const uint64_t now = cache.stats().hits;
-    EXPECT_GE(now, prev);
-    prev = now;
-  }
-  stop.store(true);
-  for (auto& t : writers) t.join();
-  EXPECT_GE(cache.stats().hits, prev);
-}
-
-TEST(FrequencyArrayTest, MergeReconcilesExactlyAfterMidFlightReset) {
-  constexpr uint32_t kNdom = 64;
-  constexpr size_t kShards = 8;
-
-  // Reference: both rounds folded single-threaded. Integer weights keep
-  // double addition exact, so "reconciles" below means bit-equal.
-  hist::FrequencyArray reference(kNdom);
-  for (size_t round = 0; round < 2; ++round) {
-    for (size_t s = 0; s < kShards; ++s) {
-      for (uint32_t v = 0; v < kNdom; ++v) {
-        reference.Add(v, static_cast<double>((round + 1) * (s + v % 5)));
-      }
-    }
-  }
-
-  // Concurrent build: per-thread shards, merged and *reset* between rounds
-  // (the mid-flight reset a cache rebuild performs), then merged again.
-  hist::FrequencyArray total(kNdom);
-  std::vector<hist::FrequencyArray> shards(kShards,
-                                           hist::FrequencyArray(kNdom));
-  for (size_t round = 0; round < 2; ++round) {
-    std::vector<std::thread> workers;
-    for (size_t s = 0; s < kShards; ++s) {
-      workers.emplace_back([&shards, round, s] {
-        for (uint32_t v = 0; v < kNdom; ++v) {
-          shards[s].Add(v, static_cast<double>((round + 1) * (s + v % 5)));
-        }
-      });
-    }
-    for (auto& t : workers) t.join();
-    for (size_t s = 0; s < kShards; ++s) {
-      total.Merge(shards[s]);
-      shards[s] = hist::FrequencyArray(kNdom);  // the mid-flight reset
-    }
-  }
-
-  for (uint32_t v = 0; v < kNdom; ++v) {
-    ASSERT_EQ(total[v], reference[v]) << "value " << v;
-  }
-  EXPECT_EQ(total.Total(), reference.Total());
-}
-
-TEST(FrequencyArrayTest, MergeAccumulatesShards) {
-  hist::FrequencyArray total(8);
-  hist::FrequencyArray a(8), b(8);
-  a.Add(1, 2.0);
-  a.Add(7, 1.0);
-  b.Add(1, 3.0);
-  b.Add(4, 0.5);
-  total.Merge(a);
-  total.Merge(b);
-  EXPECT_DOUBLE_EQ(total[1], 5.0);
-  EXPECT_DOUBLE_EQ(total[4], 0.5);
-  EXPECT_DOUBLE_EQ(total[7], 1.0);
-  EXPECT_DOUBLE_EQ(total.Total(), 6.5);
-}
 
 // ---- Concurrent query path ------------------------------------------------
 
@@ -258,22 +99,21 @@ TEST(ConcurrencyTest, EightThreadsBitExactVsSerialReference) {
         rig.system->ConfigureCache(method, /*cache_bytes=*/6 << 10, /*tau=*/4)
             .ok());
 
-    // Serial reference pass, plus the serial HFF counter totals.
-    const cache::CacheStats before_serial = rig.system->cache()->stats();
+    // Serial reference pass.
     std::vector<core::QueryResult> serial(rig.log.test.size());
+    uint64_t serial_hits = 0;
+    uint64_t serial_misses = 0;
     for (size_t i = 0; i < rig.log.test.size(); ++i) {
       ASSERT_TRUE(rig.system->Query(rig.log.test[i], k, &serial[i]).ok());
+      serial_hits += serial[i].cache_hits;
+      serial_misses += serial[i].candidates - serial[i].cache_hits;
     }
-    const cache::CacheStats after_serial = rig.system->cache()->stats();
-    const uint64_t serial_hits = after_serial.hits - before_serial.hits;
-    const uint64_t serial_misses = after_serial.misses - before_serial.misses;
 
     // Concurrent pass over the same shared system, 8 threads.
     core::AggregateResult agg;
     std::vector<core::QueryResult> conc;
     ASSERT_TRUE(
         rig.system->Serve(rig.log.test, k, kThreads, &agg, &conc).ok());
-    const cache::CacheStats after_conc = rig.system->cache()->stats();
 
     // Every query is bit-exact vs the serial reference: ids and every count
     // that feeds the modeled-latency pipeline.
@@ -291,9 +131,7 @@ TEST(ConcurrencyTest, EightThreadsBitExactVsSerialReference) {
       ExpectSameIo(conc[i].refine_io, serial[i].refine_io);
     }
 
-    // Merged sharded counters equal the serial totals exactly.
-    EXPECT_EQ(after_conc.hits - after_serial.hits, serial_hits);
-    EXPECT_EQ(after_conc.misses - after_serial.misses, serial_misses);
+    // The budget makes every method both hit and miss on this rig.
     EXPECT_GT(serial_hits, 0u);
     EXPECT_GT(serial_misses, 0u);
   }
@@ -425,8 +263,9 @@ TEST(ConcurrencyTest, CacheSizeReadableWhileAdmitting) {
   // Regression for a size() data race: it used to read the id->slot map's
   // size without the cache mutex, racing concurrent Admit/evict rehashes
   // (TSan-visible). size() now reads an atomic mirror refreshed under the
-  // lock, so a poller (the occupancy gauge path) can run against writers
-  // and always sees a value within capacity.
+  // lock, so a poller can run against writers and always sees a value
+  // within capacity. The writers start only once the poller has polled, so
+  // the two always overlap, however the threads are scheduled.
   constexpr size_t kDim = 16;
   constexpr size_t kCapacityItems = 64;
   cache::ExactCache cache(kDim, kCapacityItems * kDim * sizeof(Scalar),
@@ -441,8 +280,11 @@ TEST(ConcurrencyTest, CacheSizeReadableWhileAdmitting) {
   });
   std::vector<std::thread> writers;
   for (size_t t = 0; t < 4; ++t) {
-    writers.emplace_back([&cache, t] {
+    writers.emplace_back([&cache, &polls, t] {
       std::vector<Scalar> point(kDim, static_cast<Scalar>(t));
+      while (polls.load(std::memory_order_relaxed) == 0) {
+        std::this_thread::yield();
+      }
       for (uint32_t i = 0; i < 2000; ++i) {
         cache.Admit(static_cast<PointId>(t * 10000 + i), point);
       }
@@ -475,8 +317,8 @@ TEST(ServeTest, FailingQueriesDoNotStopTheBatch) {
 }
 
 // Pins what a one-thread batch does to an LRU cache: each query's answer,
-// funnel and I/O in query order, the cache's hit/miss/admit/evict totals,
-// and the ids resident afterwards. Admission order decides evictions, so
+// funnel and I/O in query order, the batch's hit and miss totals, the
+// cache's admit/evict totals, and the ids resident afterwards. Admission order decides evictions, so
 // any change to the order in which a serial batch touches the cache moves
 // one of the two hashes. Never re-pin them to make a change pass: a new
 // value means serial batches now leave a different cache behind.
@@ -499,7 +341,11 @@ LruBatchPin RunSerialLruBatch(core::CacheMethod method) {
   EXPECT_EQ(per_query.size(), rig.log.test.size());
 
   Fnv1a funnel;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
   for (const core::QueryResult& r : per_query) {
+    hits += r.cache_hits;
+    misses += r.candidates - r.cache_hits;
     funnel.Add(r.result_ids.size());
     for (PointId id : r.result_ids) funnel.Add(id);
     funnel.Add(r.candidates);
@@ -513,8 +359,10 @@ LruBatchPin RunSerialLruBatch(core::CacheMethod method) {
   }
   cache::KnnCache* cache = rig.system->cache();
   const cache::KnnCache::CacheActivity a = cache->activity();
-  funnel.Add(a.hits);
-  funnel.Add(a.misses);
+  // A serial batch with no eager fetch and no deadline probes every
+  // candidate exactly once, so these are the probe hits and misses.
+  funnel.Add(hits);
+  funnel.Add(misses);
   funnel.Add(a.admits);
   funnel.Add(a.evictions);
   EXPECT_GT(a.evictions, 0u);  // the batch overflowed the cache

@@ -7,10 +7,10 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "common/scoped_temp_dir.h"
 #include "core/system.h"
 #include "workload/generator.h"
 #include "workload/registry.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb {
 namespace {

@@ -8,13 +8,13 @@
 
 #include "common/dataset.h"
 #include "common/random.h"
+#include "common/scoped_temp_dir.h"
 #include "cache/code_cache.h"
 #include "cache/exact_cache.h"
 #include "core/knn_engine.h"
 #include "hist/builders.h"
 #include "index/lsh/c2lsh.h"
 #include "storage/env.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb::core {
 namespace {

@@ -3,9 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/scoped_temp_dir.h"
 #include "core/maintenance.h"
 #include "workload/generator.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb::core {
 namespace {

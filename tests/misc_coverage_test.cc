@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/distance.h"
+#include "common/scoped_temp_dir.h"
 #include "common/zipf.h"
 #include "core/dbscan.h"
 #include "core/knn_join.h"
@@ -16,7 +17,6 @@
 #include "storage/file_ordering.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb {
 namespace {

@@ -7,6 +7,7 @@
 
 #include "common/dataset.h"
 #include "common/random.h"
+#include "common/scoped_temp_dir.h"
 #include "cache/node_cache.h"
 #include "hist/builders.h"
 #include "index/linear_scan.h"
@@ -14,7 +15,6 @@
 #include "index/lsh/multiprobe.h"
 #include "index/mtree/mtree.h"
 #include "workload/generator.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb::index {
 namespace {

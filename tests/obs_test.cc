@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/scoped_temp_dir.h"
 #include "cache/exact_cache.h"
 #include "core/system.h"
 #include "obs/cache_analytics.h"
@@ -27,7 +28,6 @@
 #include "obs/window.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb::obs {
 namespace {
@@ -314,7 +314,7 @@ TEST(ExportTest, PrometheusEmitsHelpAndTypeForEveryFamily) {
   reg.GetCounter("cache.miss.compulsory")->Add(2);
   reg.GetGauge("cache.mrc.predicted_miss_ratio")->Set(0.25);
   reg.GetGauge("cache.mrc.lru_2x.hit_ratio")->Set(0.5);
-  reg.GetHistogram("system.response_seconds")->Record(0.01);
+  reg.GetHistogram("engine.query_seconds")->Record(0.01);
 
   // Prometheus exposition contract: every sample line belongs to a family
   // whose "# HELP <name> ..." and "# TYPE <name> <kind>" lines appeared
@@ -444,7 +444,7 @@ TEST(MetricNames, AllRegisteredNamesAreValid) {
     return false;
   };
   EXPECT_TRUE(has_gauge("cache.mrc.sampling_rate"));
-  EXPECT_TRUE(has_gauge("cache.ws.jaccard"));
+  EXPECT_TRUE(has_gauge("cache.mrc.predicted_miss_ratio"));
   EXPECT_TRUE(has_gauge("cache.analytics.generation_swaps"));
   EXPECT_TRUE(has_gauge("live.qps"));
   EXPECT_TRUE(has_gauge("cache.mrc.lru_1x.hit_ratio"));
@@ -579,22 +579,21 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
 
   // Batch-level instruments.
   EXPECT_EQ(metrics.GetCounter("engine.queries")->value(), log.test.size());
-  EXPECT_EQ(metrics.GetHistogram("system.response_seconds")->count(),
+  EXPECT_EQ(metrics.GetHistogram("engine.query_seconds")->count(),
             log.test.size());
 
   // Pipeline stages all saw traffic.
   EXPECT_EQ(metrics.GetCounter("lsh.queries")->value(), log.test.size());
   EXPECT_GT(metrics.GetCounter("lsh.bucket_probes")->value(), 0u);
   EXPECT_GT(metrics.GetCounter("engine.candidates")->value(), 0u);
-  EXPECT_GT(metrics.GetCounter("cache.hits")->value() +
-                metrics.GetCounter("cache.misses")->value(),
-            0u);
+  EXPECT_GT(metrics.GetCounter("engine.cache_hits")->value(), 0u);
   EXPECT_GT(metrics.GetCounter("storage.point_reads")->value(), 0u);
   EXPECT_GT(metrics.GetGauge("cache.items")->value(), 0.0);
 
-  // Engine counters agree with the cache's own accounting.
-  EXPECT_EQ(metrics.GetCounter("engine.cache_hits")->value(),
-            metrics.GetCounter("cache.hits")->value());
+  // Every candidate was probed once: the sink's hit and miss folds add up.
+  EXPECT_EQ(metrics.GetCounter("engine.cache_hits")->value() +
+                metrics.GetCounter("engine.cache_misses")->value(),
+            metrics.GetCounter("engine.candidates")->value());
 
   // Every query carries its record and, with trace_events on, its events.
   ASSERT_EQ(results.size(), log.test.size());
@@ -613,23 +612,23 @@ TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
   const std::string prom = ExportPrometheus(metrics);
   EXPECT_NE(prom.find("eeb_engine_queries_total"), std::string::npos);
   const std::string json = ExportJson(metrics);
-  EXPECT_NE(json.find("\"system.response_seconds\""), std::string::npos);
+  EXPECT_NE(json.find("\"engine.query_seconds\""), std::string::npos);
 
   system->EnableMetrics(nullptr);
   ASSERT_TRUE(system->Serve(log.test, 10, 1, &agg).ok());  // detached ok
 }
 
-// One thread drives a cache (probe / admit / publish) while another exports
-// the registry in a loop. The caches themselves are single-threaded by
-// contract, but their bound instruments are shared with exporter threads;
-// under -DEEB_SANITIZE=thread this test proves the counter and gauge paths
-// between cache publication and the exporters are race-free.
+// One thread drives an LRU cache (probe / admit) while another exports the
+// registry in a loop. The cache updates its bound admit/evict instruments
+// as it admits, and exporter threads read them; under
+// -DEEB_SANITIZE=thread this test proves the counter and gauge paths
+// between the cache and the exporters are race-free.
 TEST(ObsSystemTest, ExportWhileCacheDriverPublishesIsRaceFree) {
   constexpr size_t kDim = 4;
   MetricsRegistry metrics;
   cache::ExactCache cache(kDim, /*capacity_bytes=*/16 * kDim * sizeof(Scalar),
                           /*lru=*/true);
-  cache.BindMetrics(&metrics, "cache");
+  cache.BindMetrics(&metrics);
 
   std::atomic<bool> stop{false};
   std::thread exporter([&] {
@@ -651,12 +650,12 @@ TEST(ObsSystemTest, ExportWhileCacheDriverPublishesIsRaceFree) {
         cache.Admit(id, exact);
       }
     }
-    cache.PublishMetrics();
   }
   stop.store(true);
   exporter.join();
 
-  EXPECT_GT(metrics.GetCounter("cache.misses")->value(), 0U);
+  EXPECT_EQ(metrics.GetCounter("cache.admits")->value(),
+            cache.activity().admits);
   EXPECT_GT(metrics.GetCounter("cache.evictions")->value(), 0U);
 }
 

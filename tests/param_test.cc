@@ -10,13 +10,13 @@
 #include "common/dataset.h"
 #include "common/distance.h"
 #include "common/random.h"
+#include "common/scoped_temp_dir.h"
 #include "cache/code_cache.h"
 #include "core/system.h"
 #include "hist/bounds.h"
 #include "hist/builders.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb {
 namespace {

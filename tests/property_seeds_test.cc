@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/scoped_temp_dir.h"
 #include "core/system.h"
 #include "workload/generator.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb {
 namespace {

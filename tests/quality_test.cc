@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 
+#include "common/scoped_temp_dir.h"
 #include "core/quality.h"
 #include "core/system.h"
 #include "workload/generator.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb::core {
 namespace {

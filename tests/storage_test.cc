@@ -9,11 +9,11 @@
 
 #include "common/dataset.h"
 #include "common/random.h"
+#include "common/scoped_temp_dir.h"
 #include "storage/env.h"
 #include "storage/file_ordering.h"
 #include "storage/io_stats.h"
 #include "storage/point_file.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb::storage {
 namespace {

@@ -1,17 +1,19 @@
 // End-to-end tests of the System facade: every cache method returns the
 // same results as NO-CACHE, histogram caches beat EXACT on refinement I/O,
 // HC-O is the strongest pruner, the cost model picks sensible taus, the
-// aggregate accounting is self-consistent, and Create rejects data outside
-// the value domain.
+// aggregate accounting is self-consistent, its percentiles are exact order
+// statistics, and Create rejects data outside the value domain.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <limits>
+#include <vector>
 
+#include "common/scoped_temp_dir.h"
 #include "core/system.h"
 #include "workload/generator.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb::core {
 namespace {
@@ -212,6 +214,32 @@ TEST_F(SystemTest, AggregateAccountingConsistent) {
   EXPECT_LE(agg.hit_ratio, 1.0);
   EXPECT_NEAR(agg.avg_response_seconds,
               agg.avg_gen_seconds + agg.avg_refine_seconds, 1e-12);
+}
+
+TEST_F(SystemTest, BatchPercentilesAreExactOrderStatistics) {
+  ASSERT_TRUE(system_->ConfigureCache(CacheMethod::kHcO, kCacheBytes).ok());
+  AggregateResult agg;
+  std::vector<QueryResult> per_query;
+  ASSERT_TRUE(system_->Serve(log_->test, 10, 1, &agg, &per_query).ok());
+  // Each query's modeled response: measured time plus the disk model over
+  // its page counts. The batch reports the nearest-rank statistic, index
+  // floor(p * (n - 1)) of the sorted responses, not a histogram bucket.
+  std::vector<double> responses;
+  for (const QueryResult& r : per_query) {
+    storage::IoStats io = r.gen_io;
+    io += r.refine_io;
+    responses.push_back(r.query_seconds() +
+                        system_->disk_model().Seconds(io));
+  }
+  std::sort(responses.begin(), responses.end());
+  auto rank = [&responses](double p) {
+    return responses[static_cast<size_t>(
+        p * static_cast<double>(responses.size() - 1))];
+  };
+  EXPECT_DOUBLE_EQ(agg.p50_response_seconds, rank(0.50));
+  EXPECT_DOUBLE_EQ(agg.p95_response_seconds, rank(0.95));
+  EXPECT_DOUBLE_EQ(agg.p99_response_seconds, rank(0.99));
+  EXPECT_LT(agg.p50_response_seconds, agg.p99_response_seconds);
 }
 
 TEST_F(SystemTest, AutoTauWithinRange) {

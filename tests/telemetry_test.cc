@@ -2,8 +2,10 @@
 // (slice ring, expiry, percentile quantization, EWMA, cache tap), the
 // flight recorder (ring wrap, seqlock integrity under concurrent writers,
 // slow-query tail retention, JSON dumps), the per-query explain record, and
-// the end-to-end reconciliation invariant — a concurrent run's windowed
-// totals must match the cumulative registry counters exactly.
+// the one fold: the sink turns each query's record, and nothing else, into
+// the registry counters, the window and the recorder, so a concurrent run's
+// counters equal the sums over its records and the live latencies are the
+// records' measured time.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +15,10 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,11 +41,12 @@ double Quantize(double seconds) {
       obs::LatencyHistogram::BucketIndex(seconds));
 }
 
-// One executed query as the sink hands it to the window.
+// One executed query as the sink hands it to the window; `seconds` is its
+// measured time.
 obs::QueryRecord Sample(double seconds, uint32_t candidates = 0,
                         uint32_t hits = 0) {
   obs::QueryRecord s;
-  s.response_seconds = seconds;
+  s.explain.gen_seconds = seconds;
   s.explain.candidates = candidates;
   s.explain.cache_hits = hits;
   return s;
@@ -149,12 +154,12 @@ TEST(WindowedMetricsTest, CacheTapDeltasAndReinstallRebases) {
 
   // Tap reports *cumulative* totals; the window must difference them.
   obs::CacheTapSample cur;
-  cur.hits = 100;  // pre-install activity: must never be counted
-  cur.misses = 40;
+  cur.admits = 100;  // pre-install activity: must never be counted
+  cur.evictions = 40;
   w.SetCacheTap([&cur] { return cur; });
 
-  cur.hits += 10;
-  cur.misses += 10;
+  // The misses come from the records: 20 candidates, 10 cache hits.
+  w.RecordQuery(Sample(0.010, /*candidates=*/20, /*hits=*/10));
   cur.admits += 4;
   cur.evictions += 2;
   obs::WindowSnapshot snap = w.GetSnapshot();
@@ -168,7 +173,6 @@ TEST(WindowedMetricsTest, CacheTapDeltasAndReinstallRebases) {
   obs::CacheTapSample fresh;
   w.SetCacheTap([&fresh] { return fresh; });
   fresh.admits = 3;
-  fresh.misses = 6;
   snap = w.GetSnapshot();
   EXPECT_EQ(snap.cache_admits, 4u + 3u);  // old window slices + new delta
   EXPECT_EQ(snap.cache_evictions, 2u);
@@ -217,8 +221,6 @@ TEST(WindowedMetricsTest, SnapshotsWithinOneEpochAreIdempotent) {
   obs::WindowedMetrics w(opt);
 
   obs::CacheTapSample tap;
-  tap.hits = 10;
-  tap.misses = 10;
   w.SetCacheTap([&tap] { return tap; });
   w.RecordQuery(Sample(0.010, 10, 5));
   tap.admits = 3;
@@ -276,7 +278,7 @@ obs::QueryRecord Rec(uint64_t query_index, double seconds,
                      uint32_t read_failures = 0) {
   obs::QueryRecord r;
   r.query_index = query_index;
-  r.response_seconds = seconds;
+  r.explain.gen_seconds = seconds;
   r.explain.degraded_cause = cause;
   r.explain.read_failures = read_failures;
   return r;
@@ -368,7 +370,7 @@ TEST(FlightRecorderTest, ConcurrentWritersAndReadersStayCoherent) {
       ASSERT_GE(r.seq, 1u);
       ASSERT_LE(r.seq, kWriters * kPerWriter);
       ASSERT_LT(r.query_index, kWriters * kPerWriter);
-      ASSERT_DOUBLE_EQ(r.response_seconds, 0.001);
+      ASSERT_DOUBLE_EQ(r.explain.query_seconds(), 0.001);
     }
   }
   for (auto& t : writers) t.join();
@@ -484,8 +486,8 @@ TEST(TelemetryEndToEndTest, ExplainMirrorsQueryResultScalars) {
 }
 
 TEST(TelemetryEndToEndTest, DirectQueriesFeedSystemMetrics) {
-  // A server calling System::Query directly (no batch entry point) must
-  // see the same system.* figures as the engine.* ones.
+  // A server calling System::Query directly (no batch entry point) goes
+  // through the same sink as a batch: one query_seconds sample per query.
   TelemetryRig rig;
   obs::MetricsRegistry metrics;
   rig.system->EnableMetrics(&metrics);
@@ -495,9 +497,9 @@ TEST(TelemetryEndToEndTest, DirectQueriesFeedSystemMetrics) {
     ASSERT_TRUE(rig.system->Query(rig.log.test[i], 10, &r).ok());
   }
   EXPECT_EQ(metrics.GetCounter("engine.queries")->value(), n);
-  EXPECT_EQ(metrics.GetHistogram("system.response_seconds")->count(), n);
+  EXPECT_EQ(metrics.GetHistogram("engine.query_seconds")->count(), n);
   EXPECT_EQ(metrics.GetHistogram("engine.gen_seconds")->count(), n);
-  EXPECT_GT(metrics.GetGauge("system.modeled_io_seconds")->value(), 0.0);
+  EXPECT_GT(metrics.GetCounter("storage.point_reads")->value(), 0u);
 }
 
 TEST(TelemetryEndToEndTest, SerialRunRecordsEachBatchIndexOnce) {
@@ -561,9 +563,11 @@ TEST(TelemetryEndToEndTest, ConcurrentRunReconcilesWindowAgainstCounters) {
   EXPECT_GT(snap.qps, 0.0);
   EXPECT_GT(snap.p95_seconds, 0.0);
 
-  // The windowed mean is the batch's modeled mean response: same formula.
-  EXPECT_NEAR(snap.mean_seconds, agg.avg_response_seconds,
-              1e-12 + 1e-9 * agg.avg_response_seconds);
+  // The windowed mean is the batch's measured mean: the same records' phase
+  // times, summed in another order. No disk model.
+  const double measured =
+      agg.avg_gen_cpu + agg.avg_reduce_cpu + agg.avg_refine_cpu;
+  EXPECT_NEAR(snap.mean_seconds, measured, 1e-12 + 1e-9 * measured);
 
   // The recorder saw every query exactly once, with its explain intact.
   EXPECT_EQ(recorder.recorded(), rig.log.test.size());
@@ -582,6 +586,94 @@ TEST(TelemetryEndToEndTest, ConcurrentRunReconcilesWindowAgainstCounters) {
     // recent is seq-ordered, not index-ordered; match through the set.
     EXPECT_TRUE(indices.count(i)) << "query " << i << " never recorded";
   }
+}
+
+TEST(TelemetryEndToEndTest, SinkFoldsEveryCounterFromTheRecords) {
+  // An 8-thread batch over an LRU cache: every engine.* and storage.*
+  // counter equals the sum of its record field over the batch, and the
+  // cache's own counters are its admissions and evictions.
+  TelemetryRig rig;
+  ASSERT_TRUE(rig.system
+                  ->ConfigureCache(core::CacheMethod::kHcO,
+                                   /*cache_bytes=*/8 << 10, /*tau=*/4,
+                                   /*lru=*/true)
+                  .ok());
+  obs::MetricsRegistry metrics;
+  rig.system->EnableMetrics(&metrics);
+  core::AggregateResult agg;
+  std::vector<core::QueryResult> results;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, 10, 8, &agg, &results).ok());
+
+  std::map<std::string, uint64_t> want;
+  for (const core::QueryResult& r : results) {
+    want["engine.queries"] += 1;
+    want["engine.candidates"] += r.candidates;
+    want["engine.cache_hits"] += r.cache_hits;
+    want["engine.cache_misses"] += r.candidates - r.cache_hits;
+    want["engine.pruned"] += r.pruned;
+    want["engine.true_results"] += r.true_hits;
+    want["engine.fetched"] += r.fetched;
+    want["engine.degraded_queries"] += r.degraded ? 1 : 0;
+    want["engine.degraded_substituted"] += r.substituted;
+    want["engine.read_failures"] += r.read_failures;
+    want["engine.deadline_cuts"] += r.deadline_hit ? 1 : 0;
+    want["storage.point_reads"] += r.refine_io.point_reads;
+    want["storage.random_page_reads"] += r.refine_io.page_reads;
+    want["storage.bytes_read"] += r.refine_io.bytes_read;
+  }
+  size_t checked = 0;
+  for (const auto& [name, value] : metrics.Counters()) {
+    if (name.rfind("engine.", 0) != 0 && name.rfind("storage.", 0) != 0) {
+      continue;
+    }
+    ASSERT_EQ(want.count(name), 1u) << "no record field folds into " << name;
+    EXPECT_EQ(value, want[name]) << name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, want.size());
+  EXPECT_GT(want["engine.fetched"], 0u);
+  EXPECT_EQ(metrics.GetHistogram("engine.query_seconds")->count(),
+            results.size());
+
+  const cache::KnnCache::CacheActivity a = rig.system->cache()->activity();
+  EXPECT_GT(a.evictions, 0u);  // the batch overflowed the cache
+  EXPECT_EQ(metrics.GetCounter("cache.admits")->value(), a.admits);
+  EXPECT_EQ(metrics.GetCounter("cache.evictions")->value(), a.evictions);
+}
+
+TEST(TelemetryEndToEndTest, RecorderJudgesSlownessByMeasuredTime) {
+  // The disk model prices every query here at 5 ms or more per random page,
+  // while a query on this in-memory rig measures well under that. A slow
+  // threshold at the batch's smallest modeled I/O time therefore sits
+  // above every measured time and below every modeled response: on a
+  // healthy disk the recorder, which reads measured time, retains nothing.
+  TelemetryRig rig;
+  core::AggregateResult agg;
+  std::vector<core::QueryResult> results;
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, 10, 1, &agg, &results).ok());
+  auto modeled_io = [&rig](const core::QueryResult& r) {
+    storage::IoStats io = r.gen_io;
+    io += r.refine_io;
+    return rig.system->disk_model().Seconds(io);
+  };
+  double threshold = std::numeric_limits<double>::infinity();
+  for (const core::QueryResult& r : results) {
+    threshold = std::min(threshold, modeled_io(r));
+  }
+  ASSERT_GT(threshold, 0.0);
+
+  obs::FlightRecorder::Options ropt;
+  ropt.slow_threshold_seconds = threshold;
+  obs::FlightRecorder recorder(ropt);
+  rig.system->SetRecorder(&recorder);
+  ASSERT_TRUE(rig.system->Serve(rig.log.test, 10, 1, &agg, &results).ok());
+  EXPECT_EQ(recorder.recorded(), results.size());
+  for (const core::QueryResult& r : results) {
+    EXPECT_LT(r.query_seconds(), threshold);
+    EXPECT_GE(r.query_seconds() + modeled_io(r), threshold);
+    EXPECT_FALSE(r.degraded);
+  }
+  EXPECT_EQ(recorder.retained_slow_total(), 0u);
 }
 
 TEST(TelemetryEndToEndTest, GenerationSwapMidWindowRebasesTapsAndAnalytics) {
@@ -635,7 +727,7 @@ TEST(TelemetryEndToEndTest, GenerationSwapMidWindowRebasesTapsAndAnalytics) {
 TEST(TelemetryEndToEndTest, ConcurrentAnalyticsReconciles) {
   // Runs the full introspection stack under the concurrent engine; the CI
   // TSan job runs this binary, so this is also the data-race check for the
-  // sampler, the what-if counters, miss-class bitsets and HLL sketches.
+  // sampler, the what-if counters and the miss-class bitsets.
   TelemetryRig rig;
   const size_t k = 10;
 
@@ -667,7 +759,8 @@ TEST(TelemetryEndToEndTest, ConcurrentAnalyticsReconciles) {
   EXPECT_EQ(mb.hits + mb.misses, mb.accesses);
   EXPECT_EQ(mb.misses, mb.compulsory + mb.capacity + mb.invalidation);
 
-  // Gauge publication works on the post-run state.
+  // Gauge publication works on the post-run state. Nothing on the query
+  // path publishes: a reader publishes before it reads the registry.
   analytics.PublishMetrics();
   window.PublishTo(&metrics);
   EXPECT_EQ(metrics.GetCounter("cache.miss.compulsory")->value() +

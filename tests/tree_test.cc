@@ -10,13 +10,13 @@
 #include "common/dataset.h"
 #include "common/distance.h"
 #include "common/random.h"
+#include "common/scoped_temp_dir.h"
 #include "cache/node_cache.h"
 #include "hist/builders.h"
 #include "index/idistance/idistance.h"
 #include "index/linear_scan.h"
 #include "index/tree_common.h"
 #include "index/vptree/vptree.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb::index {
 namespace {

@@ -8,12 +8,12 @@
 
 #include "common/distance.h"
 #include "common/random.h"
+#include "common/scoped_temp_dir.h"
 #include "core/workload.h"
 #include "index/idistance/idistance.h"
 #include "index/lsh/c2lsh.h"
 #include "workload/generator.h"
 #include "workload/registry.h"
-#include "scoped_temp_dir.h"
 
 namespace eeb {
 namespace {

@@ -312,7 +312,6 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
     uint64_t tracked_keys = 0;
     obs::CacheAnalytics::MissBreakdown mb;
     bool reconciled = false;
-    obs::CacheAnalytics::WorkingSet ws;
     std::array<obs::CacheAnalytics::WhatIfPoint, 3> lru_what_if;
     std::string mrc_json;
   };
@@ -340,6 +339,7 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
     c.capacity_items = wb->system->cache()->capacity_items();
 
     bench::Check(wb->system->Serve(wb->log.test, kK, 1, &c.agg), "Serve");
+    analytics.PublishMetrics();
 
     c.predicted_miss = analytics.PredictedMissRatioAt(c.capacity_items);
     c.measured_miss = 1.0 - c.agg.hit_ratio;
@@ -350,7 +350,6 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
     c.reconciled =
         c.mb.compulsory + c.mb.capacity + c.mb.invalidation == c.mb.misses;
     all_reconciled = all_reconciled && c.reconciled;
-    c.ws = analytics.working_set();
     c.lru_what_if = analytics.LruWhatIf();
     c.mrc_json = analytics.MrcJson();
     std::fprintf(stderr,
@@ -412,12 +411,6 @@ int RunAnalyticsSuite(const std::string& out_path, const std::string& mrc_path,
             ",\"capacity\":%" PRIu64 ",\"invalidation\":%" PRIu64 "},",
             c.mb.accesses, c.mb.hits, c.mb.misses, c.mb.compulsory,
             c.mb.capacity, c.mb.invalidation);
-    AppendF(&json,
-            "\"working_set\":{\"current_cardinality\":%.9g,"
-            "\"previous_cardinality\":%.9g,\"jaccard\":%.9g,"
-            "\"windows\":%" PRIu64 "},",
-            c.ws.current_cardinality, c.ws.previous_cardinality,
-            c.ws.jaccard, c.ws.windows);
     json.append("\"lru_what_if\":[");
     for (size_t j = 0; j < c.lru_what_if.size(); ++j) {
       AppendF(&json, "%s{\"size_items\":%" PRIu64 ",\"hit_ratio\":%.9g}",

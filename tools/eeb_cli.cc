@@ -16,7 +16,8 @@
 //                 [--mrc-rate 0.01]
 //
 // `query` builds the full pipeline (point file, C2LSH, workload analysis,
-// cache) in a temp directory and reports the paper-style statistics. When
+// cache) in a private temp directory, removed on every exit, and reports
+// the paper-style statistics. When
 // --queries is omitted a Zipf query log is synthesized from the data.
 // --metrics-out / --metrics-prom dump the full metrics registry (JSON /
 // Prometheus text); --trace-out writes one JSON line per executed query
@@ -48,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "common/scoped_temp_dir.h"
 #include "core/system.h"
 #include "obs/cache_analytics.h"
 #include "obs/export.h"
@@ -162,8 +164,8 @@ constexpr double kMaxQueryLogBytes = 1 << 30;
 
 // Cleanup run by Die before std::exit. std::exit performs no stack
 // unwinding, so without this an early error path would abandon the stats
-// publisher thread and lose buffered --stats-out / --mrc-out output that
-// was already collected.
+// publisher thread, lose buffered --stats-out / --mrc-out output that was
+// already collected, and leave the run's temp directory behind.
 std::function<void()> g_die_cleanup;
 
 [[noreturn]] void Die(const Status& st, const char* what) {
@@ -310,9 +312,17 @@ int CmdQuery(const Args& args) {
     log = workload::GenerateQueryLog(data, lspec);
   }
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_cli").string();
-  std::filesystem::create_directories(dir);
+  // Each run builds its point file in its own directory: runs side by side
+  // never share one.
+  const ScopedTempDir tmp("eeb_cli");
+  if (!tmp.ok()) {
+    std::fprintf(stderr, "query: cannot create a temp directory\n");
+    return 1;
+  }
+  g_die_cleanup = [&tmp] {
+    std::error_code ec;
+    std::filesystem::remove_all(tmp.path(), ec);
+  };
 
   core::SystemOptions opt;
   opt.ndom = ndom;
@@ -322,7 +332,7 @@ int CmdQuery(const Args& args) {
   opt.engine.trace_events = args.Has("trace-out");
   opt.io_retry.max_retries = io_retries;
   std::unique_ptr<core::System> system;
-  st = core::System::Create(storage::Env::Default(), dir, data,
+  st = core::System::Create(storage::Env::Default(), tmp.path(), data,
                             log.workload, opt, &system);
   if (!st.ok()) Die(st, "build system");
 
@@ -343,8 +353,8 @@ int CmdQuery(const Args& args) {
   system->SetRecorder(&recorder);
 
   // Cache introspection (docs/OBSERVABILITY.md "Cache analytics"):
-  // --mrc-out / --mrc-rate attach the reuse-distance sampler, miss
-  // classifier and working-set sketches to every cache probe.
+  // --mrc-out / --mrc-rate attach the reuse-distance sampler and miss
+  // classifier to every cache probe.
   std::unique_ptr<obs::CacheAnalytics> analytics;
   if (args.Has("mrc-out") || args.Has("mrc-rate")) {
     obs::CacheAnalytics::Options aopt;
@@ -357,7 +367,8 @@ int CmdQuery(const Args& args) {
 
   // Live outputs must survive Die paths: std::exit runs no destructors, so
   // the registered cleanup stops the publisher (emitting its final line),
-  // closes the stats file, and dumps whatever MRC data was collected.
+  // closes the stats file, dumps whatever MRC data was collected and
+  // removes the temp directory.
   std::ofstream stats_file;
   std::unique_ptr<obs::StatsPublisher> publisher;
   auto write_mrc = [&]() -> Status {
@@ -365,10 +376,11 @@ int CmdQuery(const Args& args) {
     return obs::WriteStringToFile(args.Str("mrc-out", ""),
                                   obs::ExportMrcJson(*analytics));
   };
-  g_die_cleanup = [&] {
+  g_die_cleanup = [&, remove_tmp = std::move(g_die_cleanup)] {
     if (publisher != nullptr) publisher->Stop();
     if (stats_file.is_open()) stats_file.close();
     (void)write_mrc();
+    remove_tmp();
   };
 
   st = system->ConfigureCache(method, cache_bytes, tau, args.Has("lru"));
@@ -406,9 +418,13 @@ int CmdQuery(const Args& args) {
   }
   if (publisher != nullptr) publisher->Stop();
 
-  // Mirror the final live window into gauges before the registry dumps, so
-  // --metrics-out is self-contained without --stats-interval-ms.
-  if (want_metrics) window.PublishTo(&metrics);
+  // Mirror the final live window and the analytics gauges into the registry
+  // before it is dumped, so --metrics-out is self-contained without
+  // --stats-interval-ms. Nothing on the query path publishes them.
+  if (want_metrics) {
+    window.PublishTo(&metrics);
+    if (analytics != nullptr) analytics->PublishMetrics();
+  }
   if (args.Has("metrics-out")) {
     st = obs::WriteStringToFile(args.Str("metrics-out", ""),
                                 obs::ExportJson(metrics));
@@ -458,8 +474,9 @@ int CmdQuery(const Args& args) {
               agg.avg_substituted, agg.read_failures, agg.deadline_cuts);
   {
     const obs::WindowSnapshot live = window.GetSnapshot();
-    std::printf("live: window %.1fs qps %.1f | p95 %.4fs ewma %.4fs | "
-                "hit ratio %.3f | recorded %llu (slow/degraded %llu)\n",
+    std::printf("live: window %.1fs qps %.1f | measured p95 %.4fs ewma "
+                "%.4fs | hit ratio %.3f | recorded %llu (slow/degraded "
+                "%llu)\n",
                 live.window_seconds, live.qps, live.p95_seconds,
                 live.ewma_seconds, live.hit_ratio,
                 static_cast<unsigned long long>(recorder.recorded()),
